@@ -5,7 +5,7 @@ derived numerical queries.  All machine output goes through ``--json``
 with every integer rendered as a decimal string, so values survive any
 JSON parser bit-exactly; identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 recognition failure, 2 malformed
-input or usage error.
+input or usage error, 3 internal error (a failed self-check).
 """
 
 from __future__ import annotations
@@ -346,6 +346,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if not quiet:
         print(_dump(payload) if as_json else human)
     return 0

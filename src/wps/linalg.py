@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 class SingularMatrixError(ValueError):
@@ -23,12 +24,12 @@ class DimensionError(ValueError):
 
 
 def _as_int(x) -> int:
+    if isinstance(x, int):
+        return int(x)
     if isinstance(x, Fraction):
         if x.denominator != 1:
             raise ValueError(f"entry {x} is not an integer")
         return x.numerator
-    if isinstance(x, int):
-        return int(x)
     if isinstance(x, str):
         return int(x, 10)
     raise TypeError(f"cannot use {type(x).__name__} as an exact integer")
@@ -101,7 +102,7 @@ class IntMatrix:
             raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         cols = other.transpose().entries
         return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
+                         tuple(tuple(sum(map(mul, r, c)) for c in cols)
                                for r in self.entries))
 
     def __neg__(self) -> "IntMatrix":
@@ -374,94 +375,86 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 # Minors, adjugates, transversion
 
 
-def max_minors(v: IntMatrix) -> tuple[int, ...]:
-    """Signed maximal minors of an ``n x (n+1)`` matrix.
+def _jordan(a, e) -> tuple[int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination on ``[A | E]``.
 
-    Entry ``j`` is the determinant of ``v`` with column ``j`` deleted.
+    Returns ``(det A, adj(A) @ E)`` for a square ``A`` and an ``E`` with
+    as many rows.  Step ``k`` clears column ``k`` above and below the
+    pivot and divides by the previous pivot, which is exact (Bareiss);
+    the left block ends as ``d * I`` with ``d`` the determinant of the
+    row-swapped ``A``, and the right block as ``d * A^-1 @ E``.  The
+    sign of the row swaps turns both into ``det A`` and ``adj(A) @ E``.
+    Columns left of the pivot are never read again, so they are not
+    updated.  Raises :class:`SingularMatrixError` for a singular ``A``.
     """
-    if v.cols != v.rows + 1:
-        raise DimensionError(f"expected n x (n+1), got {v.rows}x{v.cols}")
-    return tuple(v.delete_column(j).det() for j in range(v.cols))
-
-
-def _adjugate_cofactor(rows: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    n = len(rows)
-
-    def det(rs: list[tuple[int, ...]]) -> int:
-        if not rs:
-            return 1
-        if len(rs) == 1:
-            return rs[0][0]
-        if len(rs) == 2:
-            return rs[0][0] * rs[1][1] - rs[0][1] * rs[1][0]
-        return sum((-1) ** j * rs[0][j] * det([r[:j] + r[j + 1:] for r in rs[1:]])
-                   for j in range(len(rs)))
-
-    def minor(i: int, j: int) -> list[tuple[int, ...]]:
-        return [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-
-    return [[(-1) ** (i + j) * det(minor(j, i)) for j in range(n)] for i in range(n)]
-
-
-def _adjugate_jordan(rows: tuple[tuple[int, ...], ...], det: int) -> list[list[int]]:
-    # Fraction-free Gauss-Jordan on [A | I]; the left block ends as d*I
-    # with |d| = |det A| and the right block as the matching multiple of
-    # the inverse, so a single sign fixes the adjugate.
-    n = len(rows)
-    mat = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    width = 2 * n
-    prev = 1
+    n = len(a)
+    mat = [list(r) + list(x) for r, x in zip(a, e)]
+    width = len(mat[0])
+    sign, prev = 1, 1
     for k in range(n):
         if mat[k][k] == 0:
             for i in range(k + 1, n):
                 if mat[i][k]:
                     mat[k], mat[i] = mat[i], mat[k]
+                    sign = -sign
                     break
             else:
                 raise SingularMatrixError("matrix is singular")
+        row_k = mat[k]
+        mkk = row_k[k]
         for i in range(n):
             if i == k:
                 continue
-            mik, mkk = mat[i][k], mat[k][k]
-            row_i, row_k = mat[i], mat[k]
-            for j in range(width):
-                if j == k:
-                    continue
-                num = row_i[j] * mkk - mik * row_k[j]
-                q, r = divmod(num, prev)
+            row_i = mat[i]
+            mik = row_i[k]
+            for j in range(k + 1, width):
+                q, r = divmod(row_i[j] * mkk - mik * row_k[j], prev)
                 assert r == 0
                 row_i[j] = q
-            row_i[k] = 0
-        prev = mat[k][k]
-    d = mat[n - 1][n - 1]
-    for i in range(n):
-        for j in range(n):
-            if mat[i][j] != (d if i == j else 0):
-                raise AssertionError("elimination did not reach a scalar block")
-    assert abs(d) == abs(det)
-    s = 1 if d == det else -1
-    return [[s * mat[i][n + j] for j in range(n)] for i in range(n)]
+        prev = mkk
+    return sign * prev, [[sign * x for x in r[n:]] for r in mat]
 
 
-def adjoint(w: IntMatrix) -> IntMatrix:
-    """Adjugate matrix: ``adjoint(w) @ w == det(w) * identity`` exactly.
+def max_minors(v: IntMatrix) -> tuple[int, ...]:
+    """Signed maximal minors of an ``n x (n+1)`` matrix.
 
-    Cofactor expansion up to 3x3, fraction-free elimination above that
-    to keep intermediate entries polynomial in the input size.
+    Entry ``j`` is the determinant of ``v`` with column ``j`` deleted.
+    One fraction-free elimination on ``[B | v_0]``, with ``B`` the
+    columns ``1..n`` and ``v_0`` column 0, gives ``minor_0 = det B`` and
+    ``minor_j = (-1)^(j-1) (adj(B) @ v_0)_(j-1)`` by Cramer's rule, at
+    the cost of one determinant.  The result is checked against
+    ``B @ adj(B) @ v_0 == det(B) * v_0``.  When ``B`` is singular the
+    minors are computed one Bareiss determinant at a time.
+    """
+    if v.rows < 1 or v.cols != v.rows + 1:
+        raise DimensionError(f"expected n x (n+1) with n >= 1, got {v.rows}x{v.cols}")
+    try:
+        d, adj_v0 = _jordan([r[1:] for r in v.entries], [r[:1] for r in v.entries])
+    except SingularMatrixError:
+        return tuple(v.delete_column(j).det() for j in range(v.cols))
+    x = [r[0] for r in adj_v0]
+    for r in v.entries:
+        if sum(b * xk for b, xk in zip(r[1:], x)) != d * r[0]:
+            raise AssertionError("maximal minors failed Cramer's identity")
+    return (d,) + tuple(xk if k % 2 == 0 else -xk for k, xk in enumerate(x))
+
+
+def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
+    """Determinant and adjugate: ``(det w, adj w)``.
+
+    Both come from one fraction-free Gauss-Jordan elimination on
+    ``[w | I]``, which keeps intermediate entries polynomial in the
+    input size, and are checked against ``adj(w) @ w == det(w) * I``.
+    Raises :class:`SingularMatrixError` when ``det w == 0``.
     """
     if not w.is_square:
         raise DimensionError("adjugate of a non-square matrix")
-    d = w.det()
-    if d == 0:
-        raise SingularMatrixError("adjugate requires a nonzero determinant")
-    if w.rows <= 3:
-        adj = _adjugate_cofactor(w.entries)
-    else:
-        adj = _adjugate_jordan(w.entries, d)
+    n = w.rows
+    d, adj = _jordan(w.entries, [[int(i == j) for j in range(n)] for i in range(n)])
     out = IntMatrix.from_rows(adj)
-    if out @ w != IntMatrix.identity(w.rows).scaled(d):
+    if out @ w != IntMatrix.identity(n).scaled(d):
         raise AssertionError("adjugate failed its defining identity")
-    return out
+    return d, out
 
 
 def transverse(a: RatMatrix) -> RatMatrix:
@@ -471,24 +464,21 @@ def transverse(a: RatMatrix) -> RatMatrix:
     return a.inverse().transpose()
 
 
-def what_matrix(w: IntMatrix) -> IntMatrix:
+def what_matrix(w: IntMatrix, adjugate: tuple[int, IntMatrix] | None = None) -> IntMatrix:
     """Row-normalized, sign-corrected adjugate.
 
     Divides each adjugate row by its gcd and fixes the overall sign so
     that ``what_matrix(w) @ w`` is diagonal with positive entries, each
     dividing ``|det w|``.  This is the exact inverse of the weighted
     transversion that maps fan matrices to polytope matrices.
+    ``adjugate`` is ``adjoint(w)`` when the caller already holds it, so
+    one elimination serves both; otherwise it is computed here.  Its
+    determinant is ``|det w|^(n-1) / prod(row gcds)`` up to sign.
     """
-    adj = adjoint(w)
-    d = w.det()
+    d, adj = adjoint(w) if adjugate is None else adjugate
     sign = 1 if d > 0 else -1
-    out_rows = []
-    for row in adj.entries:
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        out_rows.append([sign * x // g for x in row])
-    out = IntMatrix.from_rows(out_rows)
+    out = IntMatrix.from_rows([[sign * x // g for x in row]
+                               for row, g in zip(adj.entries, row_gcds(adj))])
     prod = out @ w
     for i in range(w.rows):
         for j in range(w.rows):

@@ -12,10 +12,10 @@ recognition procedure for arbitrary origin-anchored simplices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint,
-                     row_gcds, what_matrix)
+from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int,
+                     adjoint, row_gcds, what_matrix)
 from .fan import FanMatrix, fan_from_weights, recognize_fan
 from .weights import WeightsVector, is_reduced
 
@@ -49,7 +49,7 @@ class LatticeSimplex:
         if len(self.vertices) != dim + 1:
             raise DimensionError(f"need {dim + 1} vertices in dimension {dim}")
         object.__setattr__(self, "vertices",
-                           tuple(tuple(int(x) for x in v) for v in self.vertices))
+                           tuple(tuple(_as_int(x) for x in v) for v in self.vertices))
         if self.normalized and any(self.vertices[0]):
             raise ValueError("normalized simplex must have the origin first")
 
@@ -99,11 +99,10 @@ def weighted_transverse(v: FanMatrix) -> IntMatrix:
 
     Entry ``(i, k)`` is ``delta * cof_ik / (q_k * det)`` where ``cof``
     ranges over the cofactors of the square block and ``delta`` is the
-    lcm of the weights; the division is always exact.
+    lcm of the weights; the division is always exact.  The determinant
+    and the cofactors come from one elimination (:func:`adjoint`).
     """
-    block = v.rays_block()
-    adj = adjoint(block)          # adj[k][i] is the (i, k) cofactor
-    det = block.det()
+    det, adj = adjoint(v.rays_block())   # adj[k][i] is the (i, k) cofactor
     delta = v.weights.delta
     q = v.weights.q
     rows = []
@@ -154,24 +153,46 @@ class AdmissibilityReport:
     condition_c: bool
 
 
-def _recognition_core(w: IntMatrix):
-    """Shared inversion steps: returns (q, what, v0) or None when the
-    first column fails integrality."""
-    adj = adjoint(w)
+def _recognition_core(w: IntMatrix, det: int, adj: IntMatrix):
+    """Shared inversion steps, from ``(det, adj) = adjoint(w)``.
+
+    Returns ``(q, s, what, v0)``: the weights read off the adjugate, the
+    gcd ``s`` of its row gcds, the normalized adjugate and the first fan
+    column, or ``None`` for ``v0`` when that column is not integral.
+    ``q_0 = |det what|`` comes in closed form, ``|det|^(n-1)`` over the
+    product of the adjugate's row gcds, not from another determinant.
+    """
+    n = w.rows
     s_rows = row_gcds(adj)
     s = gcd(*s_rows)
-    q_rest = tuple(si // s for si in s_rows)
-    what = what_matrix(w)
-    q0 = abs(what.det())
-    n = w.rows
+    q0 = abs(det) ** (n - 1) // prod(s_rows)
+    q = (q0,) + tuple(si // s for si in s_rows)
+    what = what_matrix(w, (det, adj))
     v0 = []
     for i in range(n):
-        tot = sum(q_rest[k] * what.entries[k][i] for k in range(n))
+        tot = sum(q[k + 1] * what.entries[k][i] for k in range(n))
         quo, rem = divmod(-tot, q0)
         if rem:
-            return None
+            return q, s, what, None
         v0.append(quo)
-    return (q0,) + q_rest, what, tuple(v0)
+    return q, s, what, tuple(v0)
+
+
+def _fan_columns(v0: tuple[int, ...], what: IntMatrix) -> IntMatrix:
+    """Fan matrix with first column ``v0`` and the rows of ``what`` after it."""
+    return IntMatrix.from_rows([[v0[i]] + list(what.column(i)) for i in range(what.rows)])
+
+
+def _maps_to(fan: FanMatrix, w: IntMatrix) -> bool:
+    """Whether ``weighted_transverse(fan) == w``.
+
+    Decided by the equivalent identity ``B^T @ w @ diag(q_1..q_n) ==
+    delta * I`` for the rays block ``B``: one product, no adjugate.
+    """
+    q, delta = fan.weights.q, fan.weights.delta
+    bw = fan.rays_block().transpose() @ w
+    return all(x * q[k + 1] == (delta if i == k else 0)
+               for i, row in enumerate(bw.entries) for k, x in enumerate(row))
 
 
 def is_p_admissible(w: IntMatrix) -> AdmissibilityReport:
@@ -180,33 +201,24 @@ def is_p_admissible(w: IntMatrix) -> AdmissibilityReport:
     The production check divides the adjugate's column sums by
     ``q_0 * s``; the two equivalent formulations (explicit inversion,
     lattice membership of the scaled all-ones vector) are reported
-    alongside it for the test suite.
+    alongside it for the test suite.  All three share one adjugate.
     """
     if not w.is_square:
         raise DimensionError("admissibility needs a square matrix")
-    det = w.det()
-    if det == 0:
-        raise SingularMatrixError("admissibility needs a nonzero determinant")
+    det, adj = adjoint(w)          # raises SingularMatrixError when det w == 0
     if w.entry_gcd() != 1:
         raise ValueError("entries are not primitive: divide by their gcd first")
 
-    adj = adjoint(w)
-    s_rows = row_gcds(adj)
-    s = gcd(*s_rows)
-    q0 = abs(what_matrix(w).det())
+    q, s, what, v0 = _recognition_core(w, det, adj)
+    q0 = q[0]
     col_sums = [sum(adj.entries[i][k] for i in range(w.rows)) for k in range(w.cols)]
     cond_b = all(c % (q0 * s) == 0 for c in col_sums)
 
-    core = _recognition_core(w)
     cond_a = False
-    if core is not None:
-        q, what, v0 = core
-        v_full = IntMatrix.from_rows(
-            [[v0[i]] + [what.entries[k][i] for k in range(w.rows)]
-             for i in range(w.rows)])
+    if v0 is not None:
         try:
-            fan = recognize_fan(v_full)
-            cond_a = fan.weights.q == q and weighted_transverse(fan) == w
+            fan = recognize_fan(_fan_columns(v0, what))
+            cond_a = fan.weights.q == q and _maps_to(fan, w)
         except ValueError:
             cond_a = False
 
@@ -228,36 +240,36 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
 
     Translates by the first vertex, divides the edge matrix by its
     entry gcd ``m``, inverts the transversion through the normalized
-    adjugate and reconstructs the fan matrix.  Fails when the derived
-    first fan column is not integral.
+    adjugate and reconstructs the fan matrix.  One fraction-free
+    elimination gives the determinant and the adjugate; the weights,
+    the fan and every consistency check are read off those two.  Fails
+    with ``degenerate`` when the edge matrix is zero or singular, and
+    with ``not-wps`` when the derived first fan column is not integral.
     """
     s = s.normalize()
     w = s.edge_matrix()
-    det = w.det()
-    if det == 0:
-        raise PolytopeRejection("degenerate", "simplex is not full-dimensional")
     m = w.entry_gcd()
+    if m == 0:
+        raise PolytopeRejection("degenerate", "simplex is not full-dimensional")
     w_prime = IntMatrix.from_rows([[x // m for x in row] for row in w.entries])
+    try:
+        det, adj = adjoint(w_prime)
+    except SingularMatrixError:
+        raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
 
-    core = _recognition_core(w_prime)
-    if core is None:
+    q, s_all, what, v0 = _recognition_core(w_prime, det, adj)
+    if v0 is None:
         raise PolytopeRejection("not-wps", "not a wps polytope: "
                                 "reconstructed fan column is not integral")
-    q, what, v0 = core
-    n = w.rows
-    v_full = IntMatrix.from_rows(
-        [[v0[i]] + [what.entries[k][i] for k in range(n)] for i in range(n)])
-    fan = recognize_fan(v_full)
+    fan = recognize_fan(_fan_columns(v0, what))
     if fan.weights.q != q:
         raise AssertionError("reconstructed fan disagrees with the derived weights")
     if not is_reduced(fan.weights):
         raise AssertionError("recognition must produce reduced weights")
     # consistency: the lcm of the recognized weights against the adjugate data
-    adj = adjoint(w_prime)
-    s_all = gcd(*row_gcds(adj))
-    if lcm(*q) != abs(w_prime.det()) // s_all:
+    if lcm(*q) != abs(det) // s_all:
         raise AssertionError("weights lcm mismatch during recognition")
-    if weighted_transverse(fan) != w_prime:
+    if not _maps_to(fan, w_prime):
         raise AssertionError("recognized fan does not map back to the polytope")
     return PolarizedWps(weights=fan.weights, polarization=m), fan
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .linalg import DimensionError
+from .linalg import DimensionError, _as_int
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class WeightsVector:
     def __post_init__(self):
         if not self.q:
             raise ValueError("weights vector must be nonempty")
-        qs = tuple(int(x) for x in self.q)
+        qs = tuple(_as_int(x) for x in self.q)
         if any(x < 1 for x in qs):
             raise ValueError(f"weights must be positive, got {qs}")
         g = gcd(*qs)

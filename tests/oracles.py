@@ -119,8 +119,7 @@ def canonical_fan_diophantine(q: tuple[int, ...]) -> IntMatrix:
 
 def _facet_data(w: IntMatrix, m: int):
     n = w.rows
-    det = w.det()
-    adj = adjoint(w)
+    det, adj = adjoint(w)
     sign = 1 if det > 0 else -1
     big_d = abs(det)
     rows = [[sign * adj.entries[k][i] for i in range(n)] for k in range(n)]

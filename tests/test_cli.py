@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import wps.cli
 from wps.cli import main
 
 
@@ -188,3 +189,16 @@ def test_human_output_annotates_weights(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[-1].split() == ["2", "3", "4", "15", "25"]
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a failed self-check reaches the user as exit 3 and one message line
+    def broken(q):
+        raise AssertionError("canonical block is not a nonnegative HNF")
+
+    monkeypatch.setattr(wps.cli, "canonical_fan", broken)
+    code, out, err = run(capsys, "fan", "--weights", "2,3", "--canonical")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: canonical block is not a nonnegative HNF\n"
+    assert "Traceback" not in err

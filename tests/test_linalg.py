@@ -140,6 +140,35 @@ def test_minors_of_canonical_fan_recover_weights():
     assert tuple(abs(x) for x in max_minors(v)) == (2, 3, 4, 15, 25)
 
 
+@st.composite
+def minor_inputs(draw):
+    """An ``n x (n+1)`` matrix, n = 1..10: generic, with a singular
+    block of columns 1..n (column 2 = column 1), or of rank < n."""
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n + 1, max_size=n + 1),
+                         min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("generic", "singular-block", "rank-deficient")))
+    if shape == "singular-block" and n >= 2:
+        rows = [r[:2] + [r[1]] + r[3:] for r in rows]
+    elif shape == "rank-deficient":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n + 1)]
+    return shape, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(minor_inputs())
+def test_minors_match_deleted_column_determinants(case):
+    shape, rows = case
+    v = mat(rows)
+    minors = max_minors(v)
+    assert minors == tuple(v.delete_column(j).det() for j in range(v.cols))
+    if shape == "singular-block" and v.rows >= 2:
+        assert minors[0] == 0
+    if shape == "rank-deficient":
+        assert not any(minors)
+
+
 def test_minors_shape_check():
     with pytest.raises(DimensionError):
         max_minors(mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
@@ -150,8 +179,8 @@ def test_minors_shape_check():
 
 
 def test_adjoint_scalar_and_identity():
-    assert adjoint(mat([[2, 0], [0, 2]])) == mat([[2, 0], [0, 2]])
-    assert adjoint(IntMatrix.identity(3)) == IntMatrix.identity(3)
+    assert adjoint(mat([[2, 0], [0, 2]])) == (4, mat([[2, 0], [0, 2]]))
+    assert adjoint(IntMatrix.identity(3)) == (1, IntMatrix.identity(3))
 
 
 def test_adjoint_of_polytope_matrix():
@@ -159,7 +188,7 @@ def test_adjoint_of_polytope_matrix():
     expected = adjugate_cofactor([list(r) for r in w.entries])
     assert expected == [[9000, 0, 0, 0], [0, 12000, 0, 0],
                         [0, 0, 45000, 0], [75000, 0, 75000, 150000]]
-    assert adjoint(w) == mat(expected)
+    assert adjoint(w) == (w.det(), mat(expected))
 
 
 def test_adjoint_rejects_singular():
@@ -175,8 +204,10 @@ def test_adjoint_matches_cofactor_oracle(rows):
         with pytest.raises(SingularMatrixError):
             adjoint(a)
         return
-    assert adjoint(a) == mat(adjugate_cofactor([list(r) for r in rows]))
-    assert adjoint(a) @ a == IntMatrix.identity(a.rows).scaled(a.det())
+    d, adj = adjoint(a)
+    assert d == a.det()
+    assert adj == mat(adjugate_cofactor([list(r) for r in rows]))
+    assert adj @ a == IntMatrix.identity(a.rows).scaled(d)
 
 
 def test_adjoint_large_entries_stay_exact():
@@ -187,7 +218,9 @@ def test_adjoint_large_entries_stay_exact():
         d = a.det()
         if d == 0:
             continue
-        assert adjoint(a) @ a == IntMatrix.identity(5).scaled(d)
+        det, adj = adjoint(a)
+        assert det == d
+        assert adj @ a == IntMatrix.identity(5).scaled(d)
 
 
 # ---------------------------------------------------------------------------

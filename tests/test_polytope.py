@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -135,9 +136,12 @@ def test_recognize_skew_triangle():
 
 
 def test_recognize_degenerate_simplex():
-    with pytest.raises(PolytopeRejection) as exc:
-        recognize_polytope(LatticeSimplex(vertices=((0, 0), (1, 1), (2, 2))))
-    assert exc.value.code == "degenerate"
+    for verts in (((0, 0), (1, 1), (2, 2)),                     # flat, edge gcd 1
+                  ((3, 4), (3, 4), (3, 4)),                     # one point, edge gcd 0
+                  ((0, 0, 0), (2, 0, 2), (0, 4, 0), (2, 4, 2))):  # flat, edge gcd 2
+        with pytest.raises(PolytopeRejection) as exc:
+            recognize_polytope(LatticeSimplex(vertices=verts))
+        assert exc.value.code == "degenerate"
 
 
 def test_recognize_rejects_non_wps_simplex():
@@ -315,6 +319,15 @@ def test_simplex_validation():
         LatticeSimplex(vertices=((0, 0), (1, 0)))          # too few vertices
     with pytest.raises(ValueError):
         LatticeSimplex(vertices=((1, 0), (0, 1), (2, 2)), normalized=True)
+
+
+def test_simplex_rejects_non_integral_vertices():
+    # a float or fractional coordinate is an error, never truncated
+    with pytest.raises(TypeError):
+        LatticeSimplex(vertices=((0, 0), (2.7, 0), (0, 2.2)))
+    with pytest.raises(ValueError):
+        LatticeSimplex(vertices=((0, 0), (Fraction(5, 2), 0), (0, 2)))
+    assert LatticeSimplex(vertices=((0, 0), (Fraction(4, 2), 0), (0, 2))).vertices[1] == (2, 0)
 
 
 def test_simplex_json_round_trip():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -21,6 +22,15 @@ def test_constructor_rejects_nonpositive():
         WeightsVector((0, 1))
     with pytest.raises(ValueError):
         WeightsVector((-2, 3))
+
+
+def test_constructor_rejects_non_integral():
+    # a float or fractional weight is an error, never truncated
+    with pytest.raises(TypeError):
+        WeightsVector((1.5, 2))
+    with pytest.raises(ValueError):
+        WeightsVector((Fraction(3, 2), 2))
+    assert WeightsVector((Fraction(6, 2), 2)).q == (3, 2)
 
 
 def test_parse_and_json_round_trip():
