@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .cohomology import divisor_info, hodge, hodge_table, rational_homology
 from .fan import FanMatrix, FanRejection, canonical_fan, fan_from_weights, recognize_fan
@@ -313,6 +314,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _unlimited_digits():
+    """Lift CPython's int/str digit limit for one CLI invocation.
+
+    Arbitrary-precision input and output outlive the interpreter's
+    default 4300-digit guard; the previous limit comes back on exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):     # interpreters without the guard
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -330,28 +349,29 @@ def main(argv=None) -> int:
         else:
             patched.append(tok)
     parser = build_parser()
-    args = parser.parse_args(patched)
-    as_json = getattr(args, "json", False)
-    quiet = getattr(args, "quiet", False)
-    try:
-        payload, human = args.handler(args)
-    except (FanRejection, PolytopeRejection) as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        if as_json and not quiet:
-            print(_dump({"error": str(exc), "code": exc.code}))
-        return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    if not quiet:
-        print(_dump(payload) if as_json else human)
-    return 0
+    with _unlimited_digits():
+        args = parser.parse_args(patched)
+        as_json = getattr(args, "json", False)
+        quiet = getattr(args, "quiet", False)
+        try:
+            payload, human = args.handler(args)
+        except (FanRejection, PolytopeRejection) as exc:
+            print(f"rejected: {exc}", file=sys.stderr)
+            if as_json and not quiet:
+                print(_dump({"error": str(exc), "code": exc.code}))
+            return 1
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except AssertionError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 3
+        if not quiet:
+            print(_dump(payload) if as_json else human)
+        return 0
 
 
 if __name__ == "__main__":

@@ -1,19 +1,54 @@
 """Lattice-point counts in dilates of the minimal wps polytope.
 
 Lattice points of the ``m``-th dilate correspond to nonnegative integer
-solutions of ``sum q'_j x_j = m * delta'`` over the reduced weights, and
-the dimension of the smallest face containing a point is ``n`` minus the
-number of vanishing coordinates.  Counting is dynamic programming over
-that equation; the exponential geometric enumeration lives only in the
-test suite as an oracle.
+solutions of ``sum q'_j x_j = m * delta'`` over the reduced weights
+``q'`` with lcm ``delta'``, and the dimension of the smallest face
+containing a point is ``n`` minus the number of vanishing coordinates.
+
+The polytope has lattice vertices, so every count here is a polynomial
+of degree at most ``n`` in ``m`` (Ehrhart): the total for ``m >= 0``,
+the interior and each face-graded count for ``m >= 1``.  So no count
+tabulates more than ``n + 1`` dilates:
+
+* **sampling bound** -- one table of ``prod 1/(1 - x^q'_j)``, graded
+  by the number of positive coordinates for the histogram, runs up to
+  ``K * delta'`` with ``K = min(m, n)`` for the total and
+  ``K = min(m, n + 1)`` for the interior and the histogram, never past
+  the target ``m * delta'``; it is read at the multiples of ``delta'``
+  (shifted by ``-sum q'`` for the interior);
+* **Newton extension** -- the samples' forward differences give the
+  polynomial in Newton's form, evaluated at ``m`` exactly; for
+  ``m <= K`` that is the sample itself;
+* **volume check** -- when the samples span the whole polynomial, its
+  ``n``-th difference is ``n!`` times the leading coefficient, the
+  normalized volume ``delta'^n / prod q'``; a mismatch raises
+  ``AssertionError`` (the CLI's exit 3).
+
+Each weight updates the table with running sums along its residue
+classes, or block by block when the classes are short, in slices of at
+most a few thousand entries: the per-entry work runs at C level and the
+temporaries stay bounded.  The largest weight enters only at the
+sampled targets.  The totals cost ``O(n * min(m, n) * delta')`` and the
+histogram ``O(n^2 * min(m, n + 1) * delta')``, independent of ``m``
+beyond ``n + 1``.  The table still grows linearly with ``delta'``; lcms
+in the millions (say ``(7,11,13,17,19,23)``, ``delta' = 7,436,429``)
+remain the open case.  The geometric enumeration and the dynamic
+programming over the whole target ``m * delta'`` live in the test suite
+as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import prod
+from operator import add
 from typing import Iterator
 
 from .weights import WeightsVector, reduce_weights
+
+# longest slice one table update materializes at a time
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -41,40 +76,191 @@ class LatticePoint:
         return all(x > 0 for x in self.composition)
 
 
-def _target(q: WeightsVector, m: int) -> tuple[tuple[int, ...], int]:
+def _reduced(q: WeightsVector) -> tuple[tuple[int, ...], int]:
+    """The reduced weights and their lcm."""
     red = reduce_weights(q)
-    return red.q, m * red.delta
+    return red.q, red.delta
 
 
-def _solution_count(weights: tuple[int, ...], target: int) -> int:
-    """Number of nonnegative solutions of ``sum w_j x_j = target``."""
-    if target < 0:
-        return 0
-    table = [0] * (target + 1)
-    table[0] = 1
-    for w in weights:
-        for t in range(w, target + 1):
-            table[t] += table[t - w]
-    return table[target]
+def _divide(a: list[int], w: int) -> None:
+    """Divide the series ``a`` by ``1 - x^w`` in place.
+
+    That is ``a[t] += a[t - w]`` for ascending ``t``: prefix sums along
+    each residue class mod ``w`` when the classes are long, otherwise
+    adding the already final entries ``w`` below, block by block.
+    Either way no slice is longer than about ``_CHUNK`` entries.
+    """
+    size = len(a)
+    if w * w <= size:
+        step = w * _CHUNK
+        for r in range(w):
+            for s in range(r, size, step):
+                # start at the previous chunk's last sum to carry it on
+                lo = s - w if s > r else s
+                a[lo:s + step:w] = accumulate(a[lo:s + step:w])
+    else:
+        span = min(w, _CHUNK)
+        for s in range(w, size, span):
+            a[s:s + span] = map(add, a[s:s + span], a[s - w:s - w + span])
+
+
+def _count_table(weights: tuple[int, ...], size: int) -> list[int]:
+    """Solutions of ``sum w_j x_j = t`` for ``0 <= t < size``.
+
+    The series ``prod 1/(1 - x^w)``: the first weight's indicator of its
+    multiples, divided by ``1 - x^w`` for each further weight.
+    """
+    first = weights[0] if weights else size + 1     # no weight: 1 at t = 0 alone
+    a = ([1] + [0] * (first - 1)) * (size // first + 1)
+    del a[size:]
+    for w in weights[1:]:
+        _divide(a, w)
+    return a
+
+
+def _sums_at(a: list[int], targets: range, w: int) -> list[int]:
+    """``a[t] + a[t - w] + a[t - 2w] + ...`` at each of the ascending
+    ``targets``, which share one residue mod ``w`` (0 below zero).
+
+    One pass along that residue class, in slices of ``_CHUNK`` entries.
+    """
+    out, total, start = [], 0, targets[0] % w
+    step = w * _CHUNK
+    for t in targets:
+        if t >= start:
+            total += sum(sum(a[s:min(s + step, t + 1):w]) for s in range(start, t + 1, step))
+            start = t + w
+        out.append(total)
+    return out
+
+
+def _count_samples(weights: tuple[int, ...], targets: range) -> list[int]:
+    """Solutions of ``sum w_j x_j = t`` at each of the ascending
+    ``targets``, whose step is a multiple of every weight.
+
+    The table runs over all weights but the largest, which is added only
+    at the targets: a sum along one residue class.
+    """
+    *rest, last = sorted(weights)
+    return _sums_at(_count_table(rest, max(targets[-1] + 1, 0)), targets, last)
+
+
+def _add_sums_below(hi: list[int], lo: list[int], w: int) -> None:
+    """``hi[t] += lo[t - w] + lo[t - 2w] + ...`` for every ``t``, in place.
+
+    That adds ``x^w / (1 - x^w)`` times the series ``lo``: running sums
+    along each residue class mod ``w`` when the classes are long,
+    otherwise running sums of ``lo``'s blocks of ``w`` entries, carried
+    from block to block.  No slice is longer than about ``_CHUNK``.
+    """
+    size = len(hi)
+    if w * w <= size:
+        step = w * _CHUNK
+        for r in range(w):
+            carry = 0
+            for s in range(r + w, size, step):
+                sums = lo[s - w:s - w + step:w]
+                sums[0] += carry
+                hi[s:s + step:w] = map(add, hi[s:s + step:w], accumulate(sums))
+                carry = sum(sums)
+    else:
+        for c in range(0, w, _CHUNK):
+            span = min(_CHUNK, w - c)
+            run = [0] * span
+            for s in range(w + c, size, w):
+                run = list(map(add, run, lo[s - w:s - w + span]))
+                hi[s:s + span] = map(add, hi[s:s + span], run)
+
+
+def _face_table(weights: tuple[int, ...], size: int) -> list[list[int]]:
+    """``cols[p][t]``: solutions of ``sum w_j x_j = t`` with exactly ``p``
+    positive coordinates, for ``0 <= t < size`` and ``0 <= p <= n + 1``.
+
+    The columns are the coefficients of ``y^p`` in
+    ``prod (1 + y x^w / (1 - x^w))``: each weight adds to column ``p``
+    the sums below of column ``p - 1``, from the top column down so that
+    column ``p - 1`` still holds its value from before the weight.
+    """
+    cols = [[0] * size for _ in range(len(weights) + 1)]
+    cols[0][0] = 1
+    for j, w in enumerate(weights):
+        # only columns 0..j can be nonzero before this weight
+        for p in range(j + 1, 0, -1):
+            _add_sums_below(cols[p], cols[p - 1], w)
+    return cols
+
+
+def _face_samples(weights: tuple[int, ...], delta: int, k: int) -> list[list[int]]:
+    """For ``p = 1..n+1``, the solutions of ``sum w_j x_j = t`` with
+    exactly ``p`` positive coordinates at ``t = delta, 2 delta, .., k delta``.
+
+    As in :func:`_count_samples`, the largest weight is added only at
+    the targets.
+    """
+    *rest, last = sorted(weights)
+    cols = _face_table(rest, k * delta + 1)
+    below = range(delta - last, k * delta - last + 1, delta)
+    out = []
+    for p in range(1, len(weights) + 1):
+        own = cols[p][delta::delta] if p < len(cols) else [0] * k
+        out.append(list(map(add, own, _sums_at(cols[p - 1], below, last))))
+    return out
+
+
+def _newton(samples: list[int], x: int) -> tuple[int, int]:
+    """Value at ``x >= 0`` of the polynomial of degree below
+    ``len(samples)`` that takes ``samples[k]`` at ``k``, and its top
+    forward difference.
+
+    Newton's forward-difference form, with ``C(x, k)`` stepped by the
+    exact recurrence ``C(x, k + 1) = C(x, k) * (x - k) / (k + 1)``; for
+    ``x < len(samples)`` it returns ``samples[x]``.
+    """
+    value, binom = 0, 1
+    row = samples
+    for k in range(len(samples)):
+        value += row[0] * binom
+        top = row[0]
+        binom = binom * (x - k) // (k + 1)
+        row = [b - a for a, b in zip(row, row[1:])]
+    return value, top
+
+
+def _check_volume(top: int, weights: tuple[int, ...], delta: int) -> None:
+    """The ``n``-th difference of a full sample is the normalized volume."""
+    if top * prod(weights) != delta ** (len(weights) - 1):
+        raise AssertionError(f"lattice counts fail the volume check: n-th difference {top} "
+                             f"for weights {weights}")
 
 
 def count_points(q: WeightsVector, m: int) -> int:
-    """Lattice points of the ``m``-th dilate of the minimal polytope."""
+    """Lattice points of the ``m``-th dilate of the minimal polytope.
+
+    Reads the dilates ``0..min(m, n)`` off one counting table and
+    extends them to ``m`` by the Ehrhart polynomial.
+    """
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
-    weights, target = _target(q, m)
-    return _solution_count(weights, target)
+    weights, delta = _reduced(q)
+    n = len(weights) - 1
+    k = min(m, n)
+    samples = _count_samples(weights, range(0, k * delta + 1, delta))
+    value, top = _newton(samples, m)
+    if len(samples) == n + 1:
+        _check_volume(top, weights, delta)
+    return value
 
 
 def lattice_points(q: WeightsVector, m: int) -> Iterator[LatticePoint]:
     """Enumerate the points of the ``m``-th dilate (``m >= 1``).
 
     Intended for inspection and small cases; counting goes through the
-    polynomial-time routines below instead.
+    polynomial-time routines instead.
     """
     if m < 1:
         raise ValueError("enumeration needs a positive dilation factor")
-    weights, target = _target(q, m)
+    weights, delta = _reduced(q)
+    target = m * delta
     n = len(weights) - 1
 
     def solve(j: int, remaining: int, acc: tuple[int, ...]):
@@ -91,42 +277,53 @@ def lattice_points(q: WeightsVector, m: int) -> Iterator[LatticePoint]:
 
 
 def count_interior(q: WeightsVector, m: int) -> int:
-    """Lattice points with every coordinate positive (interior points)."""
+    """Lattice points with every coordinate positive (interior points).
+
+    These are the solutions at target ``m * delta' - sum q'`` of the
+    same equation; the dilates ``1..min(m, n + 1)`` are read off one
+    counting table and extended to ``m`` by the Ehrhart polynomial.
+    """
     if m < 1:
         raise ValueError("dilation factor must be positive")
-    weights, target = _target(q, m)
-    return _solution_count(weights, target - sum(weights))
+    weights, delta = _reduced(q)
+    n = len(weights) - 1
+    k = min(m, n + 1)
+    shift = sum(weights)
+    samples = _count_samples(weights, range(delta - shift, k * delta - shift + 1, delta))
+    value, top = _newton(samples, m - 1)
+    if len(samples) == n + 1:
+        _check_volume(top, weights, delta)
+    return value
 
 
 def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
     """Point counts of the ``m``-th dilate keyed by smallest-face dimension.
 
     A solution with ``z`` zero coordinates sits on a face of dimension
-    ``n - z``; the zero dilate is the single vertex of a point.
+    ``n - z``; the zero dilate is the single vertex of a point.  For
+    ``m >= 1`` each face-graded count is a polynomial in ``m`` of degree
+    the face dimension: the dilates ``1..min(m, n + 1)`` come from one
+    table graded by the number of positive coordinates, and the
+    polynomials extend them to ``m``.  With a full sample the ``n``-th
+    differences must be the normalized volume on the interior and zero
+    on every lower dimension.
     """
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
-    n = q.n
     if m == 0:
         return {0: 1}
-    weights, target = _target(q, m)
-    # table[t][p] = ways to reach sum t using the weights seen so far
-    # with exactly p of them positive
-    table = [[0] * (n + 2) for _ in range(target + 1)]
-    table[0][0] = 1
-    for w in weights:
-        positive = [[0] * (n + 2) for _ in range(target + 1)]
-        for t in range(w, target + 1):
-            prev, cur = table[t - w], positive[t - w]
-            row = positive[t]
-            for p in range(1, n + 2):
-                row[p] = prev[p - 1] + cur[p]
-        for t in range(target + 1):
-            row, pos = table[t], positive[t]
-            for p in range(n + 2):
-                row[p] += pos[p]
+    weights, delta = _reduced(q)
+    n = len(weights) - 1
+    k = min(m, n + 1)
     hist: dict[int, int] = {}
-    for p, ways in enumerate(table[target]):
-        if ways and p >= 1:
-            hist[p - 1] = ways
+    for s, samples in enumerate(_face_samples(weights, delta, k)):
+        value, top = _newton(samples, m - 1)
+        if len(samples) == n + 1:
+            if s == n:
+                _check_volume(top, weights, delta)
+            elif top:
+                raise AssertionError(f"face dimension {s} count has a nonzero {n}-th "
+                                     f"difference {top} for weights {weights}")
+        if value:
+            hist[s] = value
     return hist

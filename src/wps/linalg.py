@@ -464,16 +464,19 @@ def transverse(a: RatMatrix) -> RatMatrix:
     return a.inverse().transpose()
 
 
-def what_matrix(w: IntMatrix, adjugate: tuple[int, IntMatrix] | None = None) -> IntMatrix:
-    """Row-normalized, sign-corrected adjugate.
+def what_matrix(w: IntMatrix,
+                adjugate: tuple[int, IntMatrix] | None = None) -> tuple[IntMatrix, IntMatrix]:
+    """Row-normalized, sign-corrected adjugate and its product with ``w``.
 
     Divides each adjugate row by its gcd and fixes the overall sign so
-    that ``what_matrix(w) @ w`` is diagonal with positive entries, each
-    dividing ``|det w|``.  This is the exact inverse of the weighted
+    that ``what @ w`` is diagonal with positive entries, each dividing
+    ``|det w|``; returns ``(what, what @ w)`` so that callers reuse the
+    checked product.  ``what`` is the exact inverse of the weighted
     transversion that maps fan matrices to polytope matrices.
     ``adjugate`` is ``adjoint(w)`` when the caller already holds it, so
-    one elimination serves both; otherwise it is computed here.  Its
-    determinant is ``|det w|^(n-1) / prod(row gcds)`` up to sign.
+    one elimination serves both; otherwise it is computed here.  The
+    determinant of ``what`` is ``|det w|^(n-1) / prod(row gcds)`` up to
+    sign.
     """
     d, adj = adjoint(w) if adjugate is None else adjugate
     sign = 1 if d > 0 else -1
@@ -488,7 +491,7 @@ def what_matrix(w: IntMatrix, adjugate: tuple[int, IntMatrix] | None = None) -> 
                     raise AssertionError("normalized adjugate product is not admissible")
             elif x != 0:
                 raise AssertionError("normalized adjugate product is not diagonal")
-    return out
+    return out, prod
 
 
 def row_gcds(m: IntMatrix) -> tuple[int, ...]:

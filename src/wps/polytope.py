@@ -156,9 +156,10 @@ class AdmissibilityReport:
 def _recognition_core(w: IntMatrix, det: int, adj: IntMatrix):
     """Shared inversion steps, from ``(det, adj) = adjoint(w)``.
 
-    Returns ``(q, s, what, v0)``: the weights read off the adjugate, the
-    gcd ``s`` of its row gcds, the normalized adjugate and the first fan
-    column, or ``None`` for ``v0`` when that column is not integral.
+    Returns ``(q, s, what, what_w, v0)``: the weights read off the
+    adjugate, the gcd ``s`` of its row gcds, the normalized adjugate, its
+    product with ``w`` and the first fan column, or ``None`` for ``v0``
+    when that column is not integral.
     ``q_0 = |det what|`` comes in closed form, ``|det|^(n-1)`` over the
     product of the adjugate's row gcds, not from another determinant.
     """
@@ -167,15 +168,15 @@ def _recognition_core(w: IntMatrix, det: int, adj: IntMatrix):
     s = gcd(*s_rows)
     q0 = abs(det) ** (n - 1) // prod(s_rows)
     q = (q0,) + tuple(si // s for si in s_rows)
-    what = what_matrix(w, (det, adj))
+    what, what_w = what_matrix(w, (det, adj))
     v0 = []
     for i in range(n):
         tot = sum(q[k + 1] * what.entries[k][i] for k in range(n))
         quo, rem = divmod(-tot, q0)
         if rem:
-            return q, s, what, None
+            return q, s, what, what_w, None
         v0.append(quo)
-    return q, s, what, tuple(v0)
+    return q, s, what, what_w, tuple(v0)
 
 
 def _fan_columns(v0: tuple[int, ...], what: IntMatrix) -> IntMatrix:
@@ -183,16 +184,18 @@ def _fan_columns(v0: tuple[int, ...], what: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([[v0[i]] + list(what.column(i)) for i in range(what.rows)])
 
 
-def _maps_to(fan: FanMatrix, w: IntMatrix) -> bool:
-    """Whether ``weighted_transverse(fan) == w``.
+def _maps_to(fan: FanMatrix, what_w: IntMatrix) -> bool:
+    """Whether ``weighted_transverse(fan) == w`` for a fan built by
+    :func:`_fan_columns` from ``what = what_matrix(w)``.
 
     Decided by the equivalent identity ``B^T @ w @ diag(q_1..q_n) ==
-    delta * I`` for the rays block ``B``: one product, no adjugate.
+    delta * I`` for the rays block ``B``: that block is ``what^T``, so
+    ``B^T @ w`` is the product ``what_w`` that ``what_matrix`` already
+    built and checked.
     """
     q, delta = fan.weights.q, fan.weights.delta
-    bw = fan.rays_block().transpose() @ w
     return all(x * q[k + 1] == (delta if i == k else 0)
-               for i, row in enumerate(bw.entries) for k, x in enumerate(row))
+               for i, row in enumerate(what_w.entries) for k, x in enumerate(row))
 
 
 def is_p_admissible(w: IntMatrix) -> AdmissibilityReport:
@@ -209,7 +212,7 @@ def is_p_admissible(w: IntMatrix) -> AdmissibilityReport:
     if w.entry_gcd() != 1:
         raise ValueError("entries are not primitive: divide by their gcd first")
 
-    q, s, what, v0 = _recognition_core(w, det, adj)
+    q, s, what, what_w, v0 = _recognition_core(w, det, adj)
     q0 = q[0]
     col_sums = [sum(adj.entries[i][k] for i in range(w.rows)) for k in range(w.cols)]
     cond_b = all(c % (q0 * s) == 0 for c in col_sums)
@@ -218,7 +221,7 @@ def is_p_admissible(w: IntMatrix) -> AdmissibilityReport:
     if v0 is not None:
         try:
             fan = recognize_fan(_fan_columns(v0, what))
-            cond_a = fan.weights.q == q and _maps_to(fan, w)
+            cond_a = fan.weights.q == q and _maps_to(fan, what_w)
         except ValueError:
             cond_a = False
 
@@ -257,7 +260,7 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     except SingularMatrixError:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
 
-    q, s_all, what, v0 = _recognition_core(w_prime, det, adj)
+    q, s_all, what, what_w, v0 = _recognition_core(w_prime, det, adj)
     if v0 is None:
         raise PolytopeRejection("not-wps", "not a wps polytope: "
                                 "reconstructed fan column is not integral")
@@ -269,7 +272,7 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     # consistency: the lcm of the recognized weights against the adjugate data
     if lcm(*q) != abs(det) // s_all:
         raise AssertionError("weights lcm mismatch during recognition")
-    if not _maps_to(fan, w_prime):
+    if not _maps_to(fan, what_w):
         raise AssertionError("recognized fan does not map back to the polytope")
     return PolarizedWps(weights=fan.weights, polarization=m), fan
 

@@ -3,7 +3,9 @@
 Everything here deliberately re-derives results through a different
 route than the production code: cofactor expansion instead of
 elimination, direct diophantine solving instead of HNF normalization,
-and geometric half-space enumeration instead of composition counting.
+geometric half-space enumeration instead of composition counting, and
+dynamic programming over the full target instead of sampled Ehrhart
+polynomials.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from wps.linalg import IntMatrix, adjoint
+from wps.weights import WeightsVector, reduce_weights
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,60 @@ def simplex_census_boxscan(w: IntMatrix, m: int):
         hist[s] = hist.get(s, 0) + 1
     total = sum(hist.values())
     return total, hist.get(n, 0), hist
+
+
+# ---------------------------------------------------------------------------
+# lattice counts by dynamic programming over the whole target m * delta
+#
+# One Python-level step per table cell, no polynomial extension: the
+# counting routines of the library before they sampled Ehrhart
+# polynomials.
+
+
+def solution_count(weights: tuple[int, ...], target: int) -> int:
+    """Number of nonnegative solutions of ``sum w_j x_j = target``."""
+    if target < 0:
+        return 0
+    table = [0] * (target + 1)
+    table[0] = 1
+    for w in weights:
+        for t in range(w, target + 1):
+            table[t] += table[t - w]
+    return table[target]
+
+
+def dp_count_points(q: WeightsVector, m: int) -> int:
+    red = reduce_weights(q)
+    return solution_count(red.q, m * red.delta)
+
+
+def dp_count_interior(q: WeightsVector, m: int) -> int:
+    red = reduce_weights(q)
+    return solution_count(red.q, m * red.delta - red.total)
+
+
+def dp_face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
+    """Counts keyed by smallest-face dimension, from a row-major table
+    ``table[t][p]`` of the ways to reach ``t`` with ``p`` positive
+    coordinates."""
+    if m == 0:
+        return {0: 1}
+    red = reduce_weights(q)
+    n, target = q.n, m * red.delta
+    table = [[0] * (n + 2) for _ in range(target + 1)]
+    table[0][0] = 1
+    for w in red.q:
+        positive = [[0] * (n + 2) for _ in range(target + 1)]
+        for t in range(w, target + 1):
+            prev, cur = table[t - w], positive[t - w]
+            row = positive[t]
+            for p in range(1, n + 2):
+                row[p] = prev[p - 1] + cur[p]
+        for t in range(target + 1):
+            row, pos = table[t], positive[t]
+            for p in range(n + 2):
+                row[p] += pos[p]
+    return {p - 1: ways for p, ways in enumerate(table[target]) if ways and p >= 1}
 
 
 # ---------------------------------------------------------------------------

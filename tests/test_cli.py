@@ -1,9 +1,18 @@
 import json
+import sys
+import time
+from contextlib import contextmanager
+from math import comb, lcm
 
 import pytest
 
 import wps.cli
+import wps.lattice
 from wps.cli import main
+from wps.cohomology import divisor_info
+from wps.lattice import count_points
+from wps.polytope import polytope_of
+from wps.weights import WeightsVector
 
 
 def run(capsys, *argv):
@@ -202,3 +211,107 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert out == ""
     assert err == "internal error: canonical block is not a nonnegative HNF\n"
     assert "Traceback" not in err
+
+
+def test_lattice_points_at_a_huge_dilation(capsys):
+    # the counts are polynomials in m, so the work stops growing past m = n + 1
+    m = 10 ** 9
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "lattice-points", "--weights", "1,1,1",
+                                "-m", str(m), "--histogram")
+    assert code == 0
+    assert payload["count"] == str(comb(m + 2, 2))
+    assert payload["histogram"] == {"0": "3", "1": str(3 * (m - 1)),
+                                    "2": str(comb(m - 1, 2))}
+    code, payload, _ = run_json(capsys, "lattice-points", "--weights", "2,3,4,15,25",
+                                "-m", str(m), "--interior", "--histogram")
+    assert code == 0
+    assert sum(int(c) for c in payload["histogram"].values()) == \
+        count_points(WeightsVector((2, 3, 4, 15, 25)), m)
+    assert payload["interior"] == payload["histogram"]["4"]
+    assert time.perf_counter() - start < 5
+
+
+def test_internal_error_from_the_counting_self_check(capsys, monkeypatch):
+    count_samples = wps.lattice._count_samples
+
+    def corrupted(weights, targets):
+        samples = count_samples(weights, targets)
+        samples[-1] += 1
+        return samples
+
+    monkeypatch.setattr(wps.lattice, "_count_samples", corrupted)
+    code, out, err = run(capsys, "lattice-points", "--weights", "1,1,2", "-m", "5")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: lattice counts fail the volume check")
+
+
+# ---------------------------------------------------------------------------
+# integers past CPython's default int/str digit limit
+
+has_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                     reason="interpreter has no int/str digit limit")
+
+
+@contextmanager
+def digit_limit(limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+# three pairwise coprime 5001-digit weights, written without converting
+BIG = tuple("1" + "0" * 4999 + d for d in "137")
+
+
+def run_at_default_limit(capsys, *argv):
+    """Run the CLI under the interpreter's default limit, which it must
+    lift for itself and then restore."""
+    default = sys.int_info.default_max_str_digits
+    with digit_limit(default):
+        result = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == default
+    return result
+
+
+def unlimited(compute):
+    with digit_limit(0):
+        return compute()
+
+
+@has_digit_limit
+def test_reduce_json_with_5000_digit_weights(capsys):
+    code, out, err = run_at_default_limit(capsys, "--json", "reduce", "--weights", ",".join(BIG))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["weights"] == list(BIG)
+    delta = unlimited(lambda: str(lcm(*(int(x) for x in BIG))))
+    assert len(delta) > 15000
+    assert payload["delta"] == delta
+
+
+@has_digit_limit
+def test_polytope_json_with_5000_digit_weights(capsys):
+    weights = ("1",) + BIG[:2]
+    code, out, err = run_at_default_limit(capsys, "--json", "polytope", "--weights",
+                                          ",".join(weights))
+    assert code == 0, err
+    payload = json.loads(out)
+    expected = unlimited(lambda: polytope_of(WeightsVector.parse(",".join(weights))).to_json())
+    assert payload == expected
+    assert max(len(x.lstrip("-")) for v in payload["vertices"] for x in v) >= 5000
+
+
+@has_digit_limit
+def test_divisors_with_5000_digit_weights(capsys):
+    code, out, err = run_at_default_limit(capsys, "divisors", "--weights", ",".join(BIG))
+    assert code == 0, err
+    info = unlimited(lambda: divisor_info(WeightsVector.parse(",".join(BIG))))
+    lines = unlimited(lambda: [f"picard index      {info.picard_index}",
+                               f"canonical degree  {info.canonical_degree}"])
+    assert len(lines[0]) > 15000
+    for line in lines:
+        assert line in out.splitlines()

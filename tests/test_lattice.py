@@ -2,14 +2,17 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import wps.lattice
 from wps.fan import canonical_fan
 from wps.lattice import (LatticePoint, count_interior, count_points,
                          face_histogram, lattice_points)
 from wps.polytope import weighted_transverse
 from wps.weights import WeightsVector, reduce_weights
 
-from oracles import random_weights, simplex_census, simplex_census_boxscan
+from oracles import (dp_count_interior, dp_count_points, dp_face_histogram,
+                     random_weights, simplex_census, simplex_census_boxscan)
 
 
 def census_of(q: WeightsVector, m: int):
@@ -186,3 +189,81 @@ def test_ordinary_simplex_binomials():
         q = WeightsVector((1,) * (n + 1))
         for m in range(0, 7):
             assert count_points(q, m) == comb(n + m, n)
+
+
+# ---------------------------------------------------------------------------
+# sampled Ehrhart polynomials vs dynamic programming over the whole target
+
+# weights <= 12 drawn among the divisors of one lcm, so that the oracle's
+# table of m * lcm cells stays small up to m = 2n + 7
+WEIGHT_POOLS = ((1, 2, 3, 4, 5, 6, 10, 12), (1, 2, 3, 4, 6, 7, 12),
+                (1, 2, 3, 4, 6, 8, 9, 12), (1, 2, 4, 8, 11), (1, 2, 3, 5, 6, 9, 10))
+
+
+@st.composite
+def pooled_weights(draw):
+    n = draw(st.integers(1, 5))
+    pool = draw(st.sampled_from(WEIGHT_POOLS))
+    return WeightsVector(tuple(draw(st.sampled_from(pool)) for _ in range(n + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pooled_weights())
+def test_counts_match_full_dynamic_programming(q):
+    n = q.n
+    for m in sorted({0, 1, n, n + 1, n + 2, 2 * n + 7}):
+        assert count_points(q, m) == dp_count_points(q, m)
+        assert face_histogram(q, m) == dp_face_histogram(q, m)
+        if m >= 1:
+            assert count_interior(q, m) == dp_count_interior(q, m)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_chunked_table_updates_match_full_dynamic_programming(monkeypatch, chunk):
+    # tiny slices put chunk borders inside every residue class and block
+    monkeypatch.setattr(wps.lattice, "_CHUNK", chunk)
+    for raw in ((1, 1, 2), (2, 3, 5), (1, 4, 6, 9), (3, 5, 7), (1, 6, 10, 15),
+                (1, 2, 2, 3, 12)):
+        q = WeightsVector(raw)
+        for m in (1, q.n + 1, q.n + 3):
+            assert count_points(q, m) == dp_count_points(q, m)
+            assert count_interior(q, m) == dp_count_interior(q, m)
+            assert face_histogram(q, m) == dp_face_histogram(q, m)
+
+
+def test_closed_forms_at_a_million():
+    q, m = WeightsVector((1, 1, 1)), 10 ** 6
+    assert count_points(q, m) == comb(m + 2, 2)
+    assert count_interior(q, m) == comb(m - 1, 2)
+    assert face_histogram(q, m) == {0: 3, 1: 3 * (m - 1), 2: comb(m - 1, 2)}
+
+
+def test_volume_check_rejects_corrupted_samples(monkeypatch):
+    count_samples, face_samples = wps.lattice._count_samples, wps.lattice._face_samples
+
+    def corrupted_counts(weights, targets):
+        samples = count_samples(weights, targets)
+        samples[-1] += 1
+        return samples
+
+    def corrupted_faces(weights, delta, k):
+        samples = face_samples(weights, delta, k)
+        samples[-1][-1] += 1
+        return samples
+
+    q = WeightsVector((2, 3, 4, 15, 25))
+    monkeypatch.setattr(wps.lattice, "_count_samples", corrupted_counts)
+    monkeypatch.setattr(wps.lattice, "_face_samples", corrupted_faces)
+    for count in (count_points, count_interior, face_histogram):
+        with pytest.raises(AssertionError, match="volume check"):
+            count(q, 9)
+
+    def corrupted_vertices(weights, delta, k):
+        samples = face_samples(weights, delta, k)
+        samples[0][-1] += 1
+        return samples
+
+    # lower face dimensions have lower degree: their n-th difference is 0
+    monkeypatch.setattr(wps.lattice, "_face_samples", corrupted_vertices)
+    with pytest.raises(AssertionError, match="face dimension 0"):
+        face_histogram(q, 9)

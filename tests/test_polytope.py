@@ -187,7 +187,7 @@ def test_what_inverts_transversion_for_reduced_weights():
         a = random_unimodular(rng, v.rows)
         fan = recognize_fan(a @ v)
         w = weighted_transverse(fan)
-        assert what_matrix(w).transpose() == fan.rays_block()
+        assert what_matrix(w)[0].transpose() == fan.rays_block()
         pol, refan = recognize_polytope(
             LatticeSimplex(vertices=((0,) * fan.n,) + tuple(w.column(k) for k in range(fan.n)),
                            normalized=True))
