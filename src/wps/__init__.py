@@ -6,16 +6,15 @@ decide whether a given integer matrix or lattice simplex presents such
 a space.
 """
 
-from .linalg import (DimensionError, HnfResult, IntMatrix, RatMatrix,
-                     SingularMatrixError, adjoint, hnf, is_hnf, kernel_basis,
-                     max_minors, transverse, what_matrix)
+from .linalg import (DimensionError, HnfResult, IntMatrix, SingularMatrixError,
+                     adjoint, hnf, is_hnf, kernel_basis, max_minors, what_matrix)
 from .weights import (ReductionData, WeightsVector, is_reduced, isomorphic,
                       reduce_weights, reduction_data)
 from .fan import (FanMatrix, FanRejection, canonical_fan, fan_from_weights,
                   fan_isomorphic, permutation_matrix, recognize_fan)
-from .polytope import (AdmissibilityReport, LatticeSimplex, PolarizedWps,
-                       PolytopeRejection, is_p_admissible, permute_polytope,
-                       polytope_of, recognize_polytope, weighted_transverse)
+from .polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection,
+                       is_p_admissible, permute_polytope, polytope_of,
+                       recognize_polytope, weighted_transverse)
 from .lattice import (LatticePoint, count_interior, count_points, face_histogram,
                       lattice_points)
 from .cohomology import (DivisorClassInfo, HodgeTable, divisor_info, h0_line_bundle,
@@ -24,14 +23,13 @@ from .cohomology import (DivisorClassInfo, HodgeTable, divisor_info, h0_line_bun
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntMatrix", "RatMatrix", "HnfResult", "SingularMatrixError", "DimensionError",
-    "hnf", "is_hnf", "kernel_basis", "max_minors", "adjoint", "transverse",
-    "what_matrix",
+    "IntMatrix", "HnfResult", "SingularMatrixError", "DimensionError",
+    "hnf", "is_hnf", "kernel_basis", "max_minors", "adjoint", "what_matrix",
     "WeightsVector", "ReductionData", "reduction_data", "reduce_weights",
     "is_reduced", "isomorphic",
     "FanMatrix", "FanRejection", "recognize_fan", "fan_from_weights",
     "canonical_fan", "fan_isomorphic", "permutation_matrix",
-    "LatticeSimplex", "PolarizedWps", "PolytopeRejection", "AdmissibilityReport",
+    "LatticeSimplex", "PolarizedWps", "PolytopeRejection",
     "weighted_transverse", "polytope_of", "is_p_admissible", "recognize_polytope",
     "permute_polytope",
     "LatticePoint", "count_points", "count_interior", "face_histogram",

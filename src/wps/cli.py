@@ -59,14 +59,22 @@ def _fmt_matrix(m: IntMatrix, weights=None) -> str:
     return "\n".join(lines)
 
 
+# the table's work grows with the number of twists, so a mistyped
+# range fails fast instead of running without bound
+_MAX_TWISTS = 10_000
+
+
 def _parse_m_range(text: str) -> tuple[int, int]:
     if ".." not in text:
         raise InputError(f"bad range {text!r}: expected LO..HI")
     lo, _, hi = text.partition("..")
     try:
-        return int(lo, 10), int(hi, 10)
+        lo, hi = int(lo, 10), int(hi, 10)
     except ValueError as exc:
         raise InputError(f"bad range {text!r}: {exc}") from exc
+    if hi - lo + 1 > _MAX_TWISTS:
+        raise InputError(f"bad range {text!r}: {hi - lo + 1} twists, at most {_MAX_TWISTS}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", type=int, default=None, help="cohomology degree")
     p.add_argument("-m", type=int, default=None, help="twist")
     p.add_argument("--table", action="store_true", help="emit the full table")
-    p.add_argument("--m-range", default=None, help="twist range LO..HI for --table")
+    p.add_argument("--m-range", default=None,
+                   help=f"twist range LO..HI for --table, at most {_MAX_TWISTS} twists")
     p.set_defaults(handler=_cmd_cohom)
 
     p = add("divisors", "divisor class data")

@@ -32,7 +32,16 @@ class DivisorClassInfo:
     picard_index: int
     canonical_degree: Fraction
     gorenstein: bool
-    fano: bool
+
+    @property
+    def fano(self) -> bool:
+        """Whether the space is Gorenstein Fano.
+
+        ``-K`` of a weighted projective space is always ample, so
+        Gorenstein Fano is equivalent to ``-K`` being Cartier, which is
+        the Gorenstein property itself.
+        """
+        return self.gorenstein
 
     def is_ample(self, k: int) -> bool:
         return k > 0 and k % self.picard_index == 0
@@ -70,35 +79,22 @@ def divisor_info(q: WeightsVector) -> DivisorClassInfo:
     b = _extended_gcd_combination(red.q)
     delta = red.delta
     total = red.total
-    gorenstein = total % delta == 0
     return DivisorClassInfo(
         chow_generator=b,
         picard_index=delta,
         canonical_degree=Fraction(-total, delta),
-        gorenstein=gorenstein,
-        fano=gorenstein,
+        gorenstein=total % delta == 0,
     )
 
 
 def rational_homology(q: WeightsVector) -> tuple[int, ...]:
-    """Rational Betti numbers ``h_0, ..., h_{2n}``.
-
-    Evaluated from the alternating cone-count sum for a complete
-    simplicial fan with ``n+1`` rays; every even entry must come out 1
-    and every odd entry 0.
-    """
+    """Rational Betti numbers ``h_0, ..., h_{2n}``: 1 in even degrees,
+    0 in odd ones, as for every complete simplicial fan with ``n+1``
+    rays."""
     n = q.n
     if n < 1:
         raise DimensionError("need at least two weights")
-    out = []
-    for k in range(n + 1):
-        h2k = sum((-1) ** (i - k) * comb(i, k) * comb(n + 1, n - i)
-                  for i in range(k, n + 1))
-        if h2k != 1:
-            raise AssertionError(f"even Betti number b_{2 * k} = {h2k} != 1")
-        out.append(h2k)
-        out.append(0)
-    return tuple(out[:2 * n + 1])
+    return tuple(int(i % 2 == 0) for i in range(2 * n + 1))
 
 
 def h0_line_bundle(q: WeightsVector, m: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .linalg import DimensionError, IntMatrix, hnf, is_hnf, max_minors
-from .weights import WeightsVector, reduce_weights
+from .weights import WeightsVector, isomorphic
 
 
 class FanRejection(ValueError):
@@ -105,21 +105,26 @@ def recognize_fan(v: IntMatrix) -> FanMatrix:
     return FanMatrix(v=v, weights=WeightsVector(q), epsilon=epsilon)
 
 
-def fan_from_weights(q: WeightsVector) -> FanMatrix:
-    """Produce a fan matrix of the space with the given weights.
-
-    The unimodular witness ``U`` of the HNF of the weights column
-    satisfies ``U @ q^T = (1,0,...,0)^T``; its last ``n`` rows are a fan
-    matrix whose recognized weights are exactly ``q``.
-    """
+def _witness_rows(q: WeightsVector) -> IntMatrix:
+    """Last ``n`` rows of the unimodular witness ``U`` of the HNF of the
+    weights column, which satisfies ``U @ q^T = (1,0,...,0)^T``."""
     if q.n < 1:
         raise DimensionError("need at least two weights")
     col = IntMatrix.from_rows([[x] for x in q])
     res = hnf(col)
     if res.hnf.column(0) != (1,) + (0,) * q.n:
         raise AssertionError("weights column did not reduce to a unit vector")
-    fan = IntMatrix.from_rows(res.transform.entries[1:])
-    out = recognize_fan(fan)
+    return IntMatrix.from_rows(res.transform.entries[1:])
+
+
+def fan_from_weights(q: WeightsVector) -> FanMatrix:
+    """Produce a fan matrix of the space with the given weights.
+
+    The last ``n`` rows of the unimodular witness of the HNF of the
+    weights column are a fan matrix whose recognized weights are
+    exactly ``q``.
+    """
+    out = recognize_fan(_witness_rows(q))
     if out.weights.q != q.q:
         raise AssertionError("constructed fan has the wrong weights")
     return out
@@ -132,10 +137,13 @@ def canonical_fan(q: WeightsVector) -> FanMatrix:
     multiplication by the unimodular witness of ``hnf`` applied to the
     square block.  Column 0 then has strictly negative entries.
     """
-    start = fan_from_weights(q)
-    res = hnf(start.rays_block())
-    normalized = res.transform @ start.v
-    out = recognize_fan(normalized)
+    start = _witness_rows(q)
+    res = hnf(start.delete_column(0))
+    # Only the normalized matrix is recognized, and no check is lost:
+    # minors(U @ V) = det(U) * minors(V), and HnfResult has checked
+    # |det U| = 1, so ``out.weights.q == q`` implies every check that
+    # recognizing ``start`` itself would make.
+    out = recognize_fan(res.transform @ start)
     if out.weights.q != q.q:
         raise AssertionError("normalization changed the weights")
     block = out.rays_block()
@@ -159,11 +167,7 @@ def permutation_matrix(sigma: tuple[int, ...]) -> IntMatrix:
 def fan_isomorphic(v1: FanMatrix, v2: FanMatrix) -> bool:
     """Whether two fan matrices present isomorphic spaces.
 
-    Decided on sorted reduced weights; fans of different dimension are
-    never isomorphic.
+    Decided on their weights (:func:`isomorphic`); fans of different
+    dimension are never isomorphic.
     """
-    if v1.n != v2.n:
-        return False
-    r1 = tuple(sorted(reduce_weights(v1.weights).q))
-    r2 = tuple(sorted(reduce_weights(v2.weights).q))
-    return r1 == r2
+    return v1.n == v2.n and isomorphic(v1.weights, v2.weights)

@@ -1,10 +1,9 @@
-"""Exact integer and rational matrix algebra.
+"""Exact integer matrix algebra.
 
-Everything here is arbitrary precision: matrices carry Python ints or
-``fractions.Fraction`` entries and every operation is exact.  Floating
-point is never used anywhere in this package; maximal minors of fan
-matrices are products of weights and overflow fixed-width integers
-almost immediately.
+Everything here is arbitrary precision: matrices carry Python ints and
+every operation is exact.  Floating point is never used anywhere in
+this package; maximal minors of fan matrices are products of weights
+and overflow fixed-width integers almost immediately.
 """
 
 from __future__ import annotations
@@ -125,10 +124,6 @@ class IntMatrix:
                 g = gcd(g, x)
         return g
 
-    def to_rational(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(Fraction(x) for x in r) for r in self.entries))
-
     def to_json_rows(self) -> list[list[str]]:
         return [[str(x) for x in r] for r in self.entries]
 
@@ -139,91 +134,6 @@ class IntMatrix:
     def __str__(self) -> str:
         width = max((len(str(x)) for r in self.entries for x in r), default=1)
         return "\n".join(" ".join(str(x).rjust(width) for x in r) for r in self.entries)
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable matrix of exact rationals (always in lowest terms)."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionError(f"bad shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise DimensionError("shape does not match entries")
-
-    @classmethod
-    def from_rows(cls, rows) -> "RatMatrix":
-        ent = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        return cls(len(ent), len(ent[0]), ent)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = other.transpose().entries
-        return RatMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
-                               for r in self.entries))
-
-    def det(self) -> Fraction:
-        if not self.is_square:
-            raise DimensionError("determinant of a non-square matrix")
-        mat = [list(r) for r in self.entries]
-        n = self.rows
-        d = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if mat[i][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                mat[k], mat[piv] = mat[piv], mat[k]
-                d = -d
-            d *= mat[k][k]
-            inv = 1 / mat[k][k]
-            for i in range(k + 1, n):
-                f = mat[i][k] * inv
-                if f:
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[k])]
-        return d
-
-    def inverse(self) -> "RatMatrix":
-        if not self.is_square:
-            raise DimensionError("inverse of a non-square matrix")
-        n = self.rows
-        mat = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-               for i, r in enumerate(self.entries)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if mat[i][k] != 0), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            if piv != k:
-                mat[k], mat[piv] = mat[piv], mat[k]
-            inv = 1 / mat[k][k]
-            mat[k] = [x * inv for x in mat[k]]
-            for i in range(n):
-                if i != k and mat[i][k]:
-                    f = mat[i][k]
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[k])]
-        return RatMatrix.from_rows([r[n:] for r in mat])
-
-    def to_integer(self) -> IntMatrix:
-        return IntMatrix.from_rows([[_as_int(x) for x in r] for r in self.entries])
 
 
 def _det_bareiss(mat: list[list[int]]) -> int:
@@ -455,13 +365,6 @@ def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
     if out @ w != IntMatrix.identity(n).scaled(d):
         raise AssertionError("adjugate failed its defining identity")
     return d, out
-
-
-def transverse(a: RatMatrix) -> RatMatrix:
-    """Transposed inverse of a square invertible rational matrix."""
-    if not a.is_square:
-        raise DimensionError("transversion of a non-square matrix")
-    return a.inverse().transpose()
 
 
 def what_matrix(w: IntMatrix,

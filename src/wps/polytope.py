@@ -137,105 +137,33 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
     return LatticeSimplex(vertices=verts, normalized=True)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of the polytope-matrix admissibility test.
+def _adjugate_weights(det: int, adj: IntMatrix) -> tuple[tuple[int, ...], int]:
+    """Weights and scale read off ``(det, adj) = adjoint(w)``.
 
-    ``admissible`` is the production verdict (the adjugate column-sum
-    divisibility test); ``condition_a`` re-derives it by full inversion
-    and ``condition_c`` by a lattice-membership check, for
-    cross-validation.
+    Returns ``(q, s)`` with ``s`` the gcd of the adjugate's row gcds
+    ``s_k``, ``q_k = s_k / s`` for ``k >= 1`` and ``q_0 = |det what|``
+    in closed form, ``|det|^(n-1)`` over the product of the row gcds,
+    not from another determinant.
     """
-
-    admissible: bool
-    condition_a: bool
-    condition_b: bool
-    condition_c: bool
-
-
-def _recognition_core(w: IntMatrix, det: int, adj: IntMatrix):
-    """Shared inversion steps, from ``(det, adj) = adjoint(w)``.
-
-    Returns ``(q, s, what, what_w, v0)``: the weights read off the
-    adjugate, the gcd ``s`` of its row gcds, the normalized adjugate, its
-    product with ``w`` and the first fan column, or ``None`` for ``v0``
-    when that column is not integral.
-    ``q_0 = |det what|`` comes in closed form, ``|det|^(n-1)`` over the
-    product of the adjugate's row gcds, not from another determinant.
-    """
-    n = w.rows
     s_rows = row_gcds(adj)
     s = gcd(*s_rows)
-    q0 = abs(det) ** (n - 1) // prod(s_rows)
-    q = (q0,) + tuple(si // s for si in s_rows)
-    what, what_w = what_matrix(w, (det, adj))
-    v0 = []
-    for i in range(n):
-        tot = sum(q[k + 1] * what.entries[k][i] for k in range(n))
-        quo, rem = divmod(-tot, q0)
-        if rem:
-            return q, s, what, what_w, None
-        v0.append(quo)
-    return q, s, what, what_w, tuple(v0)
+    q0 = abs(det) ** (adj.rows - 1) // prod(s_rows)
+    return (q0,) + tuple(si // s for si in s_rows), s
 
 
-def _fan_columns(v0: tuple[int, ...], what: IntMatrix) -> IntMatrix:
-    """Fan matrix with first column ``v0`` and the rows of ``what`` after it."""
-    return IntMatrix.from_rows([[v0[i]] + list(what.column(i)) for i in range(what.rows)])
-
-
-def _maps_to(fan: FanMatrix, what_w: IntMatrix) -> bool:
-    """Whether ``weighted_transverse(fan) == w`` for a fan built by
-    :func:`_fan_columns` from ``what = what_matrix(w)``.
-
-    Decided by the equivalent identity ``B^T @ w @ diag(q_1..q_n) ==
-    delta * I`` for the rays block ``B``: that block is ``what^T``, so
-    ``B^T @ w`` is the product ``what_w`` that ``what_matrix`` already
-    built and checked.
-    """
-    q, delta = fan.weights.q, fan.weights.delta
-    return all(x * q[k + 1] == (delta if i == k else 0)
-               for i, row in enumerate(what_w.entries) for k, x in enumerate(row))
-
-
-def is_p_admissible(w: IntMatrix) -> AdmissibilityReport:
+def is_p_admissible(w: IntMatrix) -> bool:
     """Test whether a primitive square matrix is a polytope matrix.
 
-    The production check divides the adjugate's column sums by
-    ``q_0 * s``; the two equivalent formulations (explicit inversion,
-    lattice membership of the scaled all-ones vector) are reported
-    alongside it for the test suite.  All three share one adjugate.
+    It is one exactly when every column sum of its adjugate is divisible
+    by ``q_0 * s`` (see :func:`_adjugate_weights`).
     """
     if not w.is_square:
         raise DimensionError("admissibility needs a square matrix")
     det, adj = adjoint(w)          # raises SingularMatrixError when det w == 0
     if w.entry_gcd() != 1:
         raise ValueError("entries are not primitive: divide by their gcd first")
-
-    q, s, what, what_w, v0 = _recognition_core(w, det, adj)
-    q0 = q[0]
-    col_sums = [sum(adj.entries[i][k] for i in range(w.rows)) for k in range(w.cols)]
-    cond_b = all(c % (q0 * s) == 0 for c in col_sums)
-
-    cond_a = False
-    if v0 is not None:
-        try:
-            fan = recognize_fan(_fan_columns(v0, what))
-            cond_a = fan.weights.q == q and _maps_to(fan, what_w)
-        except ValueError:
-            cond_a = False
-
-    delta = abs(det) // s
-    cond_c = False
-    if delta % q0 == 0:
-        target = [delta // q0] * w.rows
-        # solve x @ W = target over the rationals; membership needs x integral
-        sol_num = [sum(target[i] * adj.entries[i][k] for i in range(w.rows))
-                   for k in range(w.cols)]
-        cond_c = all(v % det == 0 for v in sol_num)
-
-    return AdmissibilityReport(admissible=cond_b, condition_a=cond_a,
-                               condition_b=cond_b, condition_c=cond_c)
+    q, s = _adjugate_weights(det, adj)
+    return all(sum(col) % (q[0] * s) == 0 for col in adj.transpose().entries)
 
 
 def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
@@ -260,11 +188,20 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     except SingularMatrixError:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
 
-    q, s_all, what, what_w, v0 = _recognition_core(w_prime, det, adj)
-    if v0 is None:
-        raise PolytopeRejection("not-wps", "not a wps polytope: "
-                                "reconstructed fan column is not integral")
-    fan = recognize_fan(_fan_columns(v0, what))
+    n = w_prime.rows
+    q, s_all = _adjugate_weights(det, adj)
+    what, what_w = what_matrix(w_prime, (det, adj))
+    # the fan has the rows of ``what`` as columns 1..n; its first column
+    # ``v0`` is fixed by the weighted column sum being zero
+    v0 = []
+    for i in range(n):
+        quo, rem = divmod(-sum(q[k + 1] * what.entries[k][i] for k in range(n)), q[0])
+        if rem:
+            raise PolytopeRejection("not-wps", "not a wps polytope: "
+                                    "reconstructed fan column is not integral")
+        v0.append(quo)
+    fan = recognize_fan(IntMatrix.from_rows([[v0[i]] + list(what.column(i))
+                                             for i in range(n)]))
     if fan.weights.q != q:
         raise AssertionError("reconstructed fan disagrees with the derived weights")
     if not is_reduced(fan.weights):
@@ -272,7 +209,13 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     # consistency: the lcm of the recognized weights against the adjugate data
     if lcm(*q) != abs(det) // s_all:
         raise AssertionError("weights lcm mismatch during recognition")
-    if not _maps_to(fan, what_w):
+    # ``weighted_transverse(fan) == w'`` is decided by the equivalent
+    # identity ``B^T @ w' @ diag(q_1..q_n) == delta * I`` for the rays
+    # block ``B``: that block is ``what^T``, so ``B^T @ w'`` is the product
+    # ``what_w`` that ``what_matrix`` already built and checked
+    delta = fan.weights.delta
+    if not all(x * q[k + 1] == (delta if i == k else 0)
+               for i, row in enumerate(what_w.entries) for k, x in enumerate(row)):
         raise AssertionError("recognized fan does not map back to the polytope")
     return PolarizedWps(weights=fan.weights, polarization=m), fan
 

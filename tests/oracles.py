@@ -2,18 +2,126 @@
 
 Everything here deliberately re-derives results through a different
 route than the production code: cofactor expansion instead of
-elimination, direct diophantine solving instead of HNF normalization,
-geometric half-space enumeration instead of composition counting, and
-dynamic programming over the full target instead of sampled Ehrhart
-polynomials.
+elimination, rational Gauss-Jordan inverses instead of integer
+adjugates, direct diophantine solving instead of HNF normalization,
+explicit fan reconstruction and lattice membership instead of the
+adjugate column-sum admissibility test, the alternating cone count
+instead of the closed-form Betti numbers, geometric half-space
+enumeration instead of composition counting, and dynamic programming
+over the full target instead of sampled Ehrhart polynomials.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from dataclasses import dataclass
+from fractions import Fraction
+from math import comb, gcd
 
-from wps.linalg import IntMatrix, adjoint
+from wps.fan import recognize_fan
+from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint,
+                        row_gcds, what_matrix)
+from wps.polytope import weighted_transverse
 from wps.weights import WeightsVector, reduce_weights
+
+
+# ---------------------------------------------------------------------------
+# exact rational matrices, for transposed inverses by Gauss-Jordan
+
+
+@dataclass(frozen=True)
+class RatMatrix:
+    """Immutable matrix of exact rationals (always in lowest terms)."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise DimensionError(f"bad shape {self.rows}x{self.cols}")
+        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+            raise DimensionError("shape does not match entries")
+
+    @classmethod
+    def from_rows(cls, rows) -> "RatMatrix":
+        ent = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        return cls(len(ent), len(ent[0]), ent)
+
+    @classmethod
+    def identity(cls, n: int) -> "RatMatrix":
+        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @property
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def transpose(self) -> "RatMatrix":
+        return RatMatrix(self.cols, self.rows,
+                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
+                               for j in range(self.cols)))
+
+    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        if self.cols != other.rows:
+            raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        cols = other.transpose().entries
+        return RatMatrix(self.rows, other.cols,
+                         tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols)
+                               for r in self.entries))
+
+    def det(self) -> Fraction:
+        if not self.is_square:
+            raise DimensionError("determinant of a non-square matrix")
+        mat = [list(r) for r in self.entries]
+        n = self.rows
+        d = Fraction(1)
+        for k in range(n):
+            piv = next((i for i in range(k, n) if mat[i][k] != 0), None)
+            if piv is None:
+                return Fraction(0)
+            if piv != k:
+                mat[k], mat[piv] = mat[piv], mat[k]
+                d = -d
+            d *= mat[k][k]
+            inv = 1 / mat[k][k]
+            for i in range(k + 1, n):
+                f = mat[i][k] * inv
+                if f:
+                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[k])]
+        return d
+
+    def inverse(self) -> "RatMatrix":
+        if not self.is_square:
+            raise DimensionError("inverse of a non-square matrix")
+        n = self.rows
+        mat = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+               for i, r in enumerate(self.entries)]
+        for k in range(n):
+            piv = next((i for i in range(k, n) if mat[i][k] != 0), None)
+            if piv is None:
+                raise SingularMatrixError("matrix is singular")
+            if piv != k:
+                mat[k], mat[piv] = mat[piv], mat[k]
+            inv = 1 / mat[k][k]
+            mat[k] = [x * inv for x in mat[k]]
+            for i in range(n):
+                if i != k and mat[i][k]:
+                    f = mat[i][k]
+                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[k])]
+        return RatMatrix.from_rows([r[n:] for r in mat])
+
+    def to_integer(self) -> IntMatrix:
+        return IntMatrix.from_rows(self.entries)
+
+
+def to_rational(m: IntMatrix) -> RatMatrix:
+    return RatMatrix(m.rows, m.cols, tuple(tuple(Fraction(x) for x in r) for r in m.entries))
+
+
+def transverse(a: RatMatrix) -> RatMatrix:
+    """Transposed inverse of a square invertible rational matrix."""
+    if not a.is_square:
+        raise DimensionError("transversion of a non-square matrix")
+    return a.inverse().transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +143,73 @@ def adjugate_cofactor(rows):
         return [list(r[:j]) + list(r[j + 1:]) for k, r in enumerate(rows) if k != i]
 
     return [[(-1) ** (i + j) * det(minor(j, i)) for j in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# polytope-matrix admissibility, the two formulations that the library's
+# verdict (adjugate column sums divisible by q_0 * s) is checked against
+#
+# Both read the weights off the row-normalized adjugate ``what``:
+# q_k = s_k / s for the adjugate's row gcds s_k and s = gcd(s_k), and
+# q_0 = |det what| from a determinant, not from the library's closed form.
+
+
+def _inversion_data(w: IntMatrix):
+    det, adj = adjoint(w)
+    s_rows = row_gcds(adj)
+    s = gcd(*s_rows)
+    what, _ = what_matrix(w, (det, adj))
+    q = (abs(what.det()),) + tuple(si // s for si in s_rows)
+    return det, adj, what, q, s
+
+
+def admissible_by_inversion(w: IntMatrix) -> bool:
+    """Condition (a): the first fan column fixed by ``what`` and the
+    weights is integral, the completed matrix is a fan, and that fan's
+    weighted transverse is ``w``."""
+    _, _, what, q, _ = _inversion_data(w)
+    n = w.rows
+    v0 = []
+    for i in range(n):
+        quo, rem = divmod(-sum(q[k + 1] * what.entries[k][i] for k in range(n)), q[0])
+        if rem:
+            return False
+        v0.append(quo)
+    try:
+        fan = recognize_fan(IntMatrix.from_rows([[v0[i]] + list(what.column(i))
+                                                 for i in range(n)]))
+    except ValueError:
+        return False
+    return weighted_transverse(fan) == w
+
+
+def admissible_by_lattice_membership(w: IntMatrix) -> bool:
+    """Condition (c): ``delta / q_0`` times the all-ones row vector lies
+    in the lattice spanned by the rows of ``w``, with ``delta =
+    |det w| / s``."""
+    det, adj, _, q, s = _inversion_data(w)
+    delta = abs(det) // s
+    if delta % q[0]:
+        return False
+    # solve x @ w = target over the rationals; membership needs x integral
+    target = delta // q[0]
+    return all(target * sum(col) % det == 0 for col in adj.transpose().entries)
+
+
+# ---------------------------------------------------------------------------
+# rational Betti numbers by the alternating cone count
+
+
+def betti_by_cone_count(n: int) -> tuple[int, ...]:
+    """``h_0, ..., h_{2n}`` of a complete simplicial fan with ``n+1`` rays
+    in dimension ``n``, from the alternating sum over its cone counts
+    ``C(n+1, n-i)`` of cones of dimension ``n - i``."""
+    out = []
+    for k in range(n + 1):
+        out.append(sum((-1) ** (i - k) * comb(i, k) * comb(n + 1, n - i)
+                       for i in range(k, n + 1)))
+        out.append(0)
+    return tuple(out[:2 * n + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +410,7 @@ def simplex_census_boxscan(w: IntMatrix, m: int):
     n = w.rows
     if m == 0:
         return 1, 0, {0: 1}
-    inv = w.to_rational().inverse()
+    inv = to_rational(w).inverse()
     verts = [tuple(0 for _ in range(n))] + [tuple(m * x for x in w.column(k))
                                             for k in range(n)]
     lo = [min(v[i] for v in verts) for i in range(n)]

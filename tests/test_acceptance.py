@@ -15,12 +15,14 @@ from math import comb
 from wps.cohomology import h0_line_bundle, hodge, rational_homology
 from wps.fan import canonical_fan, fan_from_weights, permutation_matrix, recognize_fan
 from wps.lattice import count_interior, count_points, face_histogram
-from wps.linalg import IntMatrix, transverse
+from wps.linalg import IntMatrix
 from wps.polytope import (LatticeSimplex, is_p_admissible, permute_polytope,
                           polytope_of, recognize_polytope, weighted_transverse)
 from wps.weights import WeightsVector, is_reduced, reduce_weights
 
-from oracles import random_permutation, random_unimodular, random_weights, simplex_census
+from oracles import (admissible_by_inversion, admissible_by_lattice_membership,
+                     random_permutation, random_unimodular, random_weights, simplex_census,
+                     to_rational, transverse)
 
 
 CANONICAL_MATRIX = IntMatrix.from_rows([
@@ -107,7 +109,7 @@ def test_criterion_05_equivariance_suite():
             w = weighted_transverse(fan)
             a = random_unimodular(rng, fan.n)
             left = weighted_transverse(recognize_fan(a @ fan.v))
-            right = (transverse(a.to_rational()) @ w.to_rational()).to_integer()
+            right = (transverse(to_rational(a)) @ to_rational(w)).to_integer()
             assert left == right
             sigma = random_permutation(rng, fan.n + 1)
             permuted = weighted_transverse(recognize_fan(fan.v @ permutation_matrix(sigma)))
@@ -125,9 +127,9 @@ def test_criterion_06_admissibility_condition_agreement():
             if m.det() == 0 or m.entry_gcd() != 1:
                 continue
             done += 1
-            report = is_p_admissible(m)
-            assert report.condition_a == report.condition_b == report.condition_c
-            admissible += report.admissible
+            verdict = is_p_admissible(m)
+            assert admissible_by_inversion(m) == verdict == admissible_by_lattice_membership(m)
+            admissible += verdict
         info["detail"] = f"{admissible} of 1000 admissible"
 
 

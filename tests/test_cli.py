@@ -146,6 +146,17 @@ def test_cohom_table(capsys):
     assert cells[(1, 1, "0")] == "1"
 
 
+def test_cohom_table_rejects_a_huge_range_at_once(capsys):
+    for m_range in ("0..1000000000000", "0..10000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cohom", "--weights", "1,1,2",
+                             "--table", "--m-range", m_range)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "at most 10000" in err
+
+
 def test_divisors_and_gorenstein(capsys):
     code, payload, _ = run_json(capsys, "divisors", "--weights", "1,1,2")
     assert code == 0

@@ -9,7 +9,7 @@ from wps.cohomology import (divisor_info, h0_line_bundle, hodge, hodge_table,
 from wps.lattice import count_points
 from wps.weights import WeightsVector, reduce_weights
 
-from oracles import random_weights
+from oracles import betti_by_cone_count, random_weights
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,11 @@ def test_rational_homology_values():
         assert len(h) == 2 * n + 1
         assert all(h[2 * k] == 1 for k in range(n + 1))
         assert all(h[2 * k + 1] == 0 for k in range(n))
+
+
+def test_rational_homology_matches_the_cone_count():
+    for n in range(1, 41):
+        assert rational_homology(WeightsVector((1,) * (n + 1))) == betti_by_cone_count(n)
 
 
 def test_rational_homology_middle_term_by_hand():

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wps.linalg import (DimensionError, IntMatrix, RatMatrix, SingularMatrixError,
-                        adjoint, hnf, is_hnf, kernel_basis, max_minors, row_gcds,
-                        transverse, what_matrix)
+from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint, hnf,
+                        is_hnf, kernel_basis, max_minors, row_gcds, what_matrix)
 
-from oracles import adjugate_cofactor, ext_gcd, random_unimodular
+from oracles import (RatMatrix, adjugate_cofactor, ext_gcd, random_unimodular,
+                     to_rational, transverse)
 
 
 def mat(rows):
@@ -236,7 +236,7 @@ def test_transverse_identity_and_diagonal():
 
 def test_transverse_of_canonical_block():
     block = mat([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 2]])
-    got = transverse(block.to_rational())
+    got = transverse(to_rational(block))
     expected = RatMatrix.from_rows([
         [1, 0, 0, 0],
         [0, 1, 0, 0],

@@ -1,0 +1,21 @@
+import wps
+
+
+def test_public_names_are_pinned():
+    # test-only derivations live in tests/oracles.py and are not exported
+    assert wps.__all__ == [
+        "IntMatrix", "HnfResult", "SingularMatrixError", "DimensionError",
+        "hnf", "is_hnf", "kernel_basis", "max_minors", "adjoint", "what_matrix",
+        "WeightsVector", "ReductionData", "reduction_data", "reduce_weights",
+        "is_reduced", "isomorphic",
+        "FanMatrix", "FanRejection", "recognize_fan", "fan_from_weights",
+        "canonical_fan", "fan_isomorphic", "permutation_matrix",
+        "LatticeSimplex", "PolarizedWps", "PolytopeRejection",
+        "weighted_transverse", "polytope_of", "is_p_admissible", "recognize_polytope",
+        "permute_polytope",
+        "LatticePoint", "count_points", "count_interior", "face_histogram",
+        "lattice_points",
+        "DivisorClassInfo", "HodgeTable", "divisor_info", "rational_homology",
+        "h0_line_bundle", "hodge", "hodge_table",
+    ]
+    assert all(hasattr(wps, name) for name in wps.__all__)

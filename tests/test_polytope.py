@@ -5,14 +5,16 @@ from math import gcd
 import pytest
 
 from wps.fan import canonical_fan, fan_from_weights, permutation_matrix, recognize_fan
-from wps.linalg import IntMatrix, SingularMatrixError, transverse, what_matrix
+from wps.linalg import IntMatrix, SingularMatrixError, what_matrix
 from wps.polytope import (LatticeSimplex, PolytopeRejection, is_p_admissible,
                           permute_polytope, polytope_of, recognize_polytope,
                           weighted_transverse)
 from wps.weights import (WeightsVector, is_reduced, reduce_weights,
                          reduction_data)
 
-from oracles import random_permutation, random_unimodular, random_weights
+from oracles import (admissible_by_inversion, admissible_by_lattice_membership,
+                     random_permutation, random_unimodular, random_weights, to_rational,
+                     transverse)
 
 
 W_2_3_4_15_25 = IntMatrix.from_rows([
@@ -206,22 +208,21 @@ def test_recognition_consistency_checks():
 
 
 def test_admissibility_of_the_worked_matrix():
-    report = is_p_admissible(W_2_3_4_15_25)
-    assert report.admissible
-    assert report.condition_a and report.condition_b and report.condition_c
+    assert is_p_admissible(W_2_3_4_15_25) is True
+    assert admissible_by_inversion(W_2_3_4_15_25)
+    assert admissible_by_lattice_membership(W_2_3_4_15_25)
 
 
 def test_admissibility_of_identity():
-    report = is_p_admissible(IntMatrix.identity(3))
-    assert report.admissible
+    assert is_p_admissible(IntMatrix.identity(3)) is True
 
 
 def test_admissibility_of_rectangular_diag():
     # conv(0, (2,0), (0,1)) is the polytope of P(1,1,2) with its minimal
     # polarization: the inversion yields the integral fan column (-1,-2)
-    report = is_p_admissible(IntMatrix.from_rows([[2, 0], [0, 1]]))
-    assert report.admissible
-    assert report.condition_a and report.condition_b and report.condition_c
+    w = IntMatrix.from_rows([[2, 0], [0, 1]])
+    assert is_p_admissible(w) is True
+    assert admissible_by_inversion(w) and admissible_by_lattice_membership(w)
     pol, _ = recognize_polytope(LatticeSimplex(vertices=((0, 0), (2, 0), (0, 1))))
     assert pol.weights.q == (1, 1, 2)
     assert pol.polarization == 1
@@ -248,10 +249,10 @@ def test_admissibility_conditions_agree_on_random_matrices():
         if m.det() == 0 or m.entry_gcd() != 1:
             continue
         trials += 1
-        report = is_p_admissible(m)
-        assert report.condition_a == report.condition_b == report.condition_c
-        seen_true += report.admissible
-        seen_false += not report.admissible
+        admissible = is_p_admissible(m)
+        assert admissible_by_inversion(m) == admissible == admissible_by_lattice_membership(m)
+        seen_true += admissible
+        seen_false += not admissible
     assert seen_true > 0 and seen_false > 0
 
 
@@ -278,7 +279,7 @@ def test_left_equivariance_of_transversion():
         fan = fan_from_weights(q)
         a = random_unimodular(rng, fan.n)
         left = weighted_transverse(recognize_fan(a @ fan.v))
-        right = (transverse(a.to_rational()) @ weighted_transverse(fan).to_rational()).to_integer()
+        right = (transverse(to_rational(a)) @ to_rational(weighted_transverse(fan))).to_integer()
         assert left == right
 
 
@@ -307,7 +308,7 @@ def test_permuted_polytope_stays_admissible():
         q = WeightsVector(random_weights(rng, n_min=1, n_max=4, w_max=20))
         w = weighted_transverse(fan_from_weights(q))
         sigma = random_permutation(rng, w.rows + 1)
-        assert is_p_admissible(permute_polytope(w, sigma)).admissible
+        assert is_p_admissible(permute_polytope(w, sigma))
 
 
 # ---------------------------------------------------------------------------
