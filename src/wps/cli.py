@@ -38,7 +38,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -116,8 +116,9 @@ def _cmd_fan(args):
 
 
 def _cmd_recognize_fan(args):
+    obj = _load_json(args.matrix)
     try:
-        m = FanMatrix.matrix_from_json(_load_json(args.matrix))
+        m = FanMatrix.matrix_from_json(obj)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"bad matrix payload in {args.matrix}: {exc}") from exc
     fan = recognize_fan(m)
@@ -132,8 +133,9 @@ def _cmd_polytope(args):
 
 
 def _cmd_recognize_polytope(args):
+    obj = _load_json(args.vertices)
     try:
-        simplex = LatticeSimplex.from_json(_load_json(args.vertices))
+        simplex = LatticeSimplex.from_json(obj)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"bad vertices payload in {args.vertices}: {exc}") from exc
     polarized, fan = recognize_polytope(simplex)
@@ -369,9 +371,6 @@ def main(argv=None) -> int:
             if as_json and not quiet:
                 print(_dump({"error": str(exc), "code": exc.code}))
             return 1
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

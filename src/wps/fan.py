@@ -5,7 +5,8 @@ the rays of the fan.  Its maximal minors recover the weights (up to an
 alternating sign), which gives both a recognition procedure and two
 constructions: one reading the fan off the unimodular witness of the
 Hermite normal form of the weights column, and a canonical one whose
-last ``n`` columns form a nonnegative HNF block.
+last ``n`` columns form a nonnegative HNF block, read off one more HNF:
+that of the first fan with column 0 moved last, ``[B | v_0]``.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ class FanMatrix:
         """Read a plain rows array or a ``{"columns": ...}`` object."""
         if isinstance(obj, dict):
             cols = obj["columns"]
-            rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-            return IntMatrix.from_json_rows(rows)
+            if not cols or any(len(col) != len(cols[0]) for col in cols):
+                raise DimensionError("columns must be nonempty and of equal length")
+            return IntMatrix.from_json_rows(zip(*cols))
         return IntMatrix.from_json_rows(obj)
 
 
@@ -133,17 +135,20 @@ def fan_from_weights(q: WeightsVector) -> FanMatrix:
 def canonical_fan(q: WeightsVector) -> FanMatrix:
     """The unique fan matrix whose columns 1..n form a nonnegative HNF block.
 
-    Obtained by HNF-normalizing any fan matrix of the space: left
-    multiplication by the unimodular witness of ``hnf`` applied to the
-    square block.  Column 0 then has strictly negative entries.
+    Obtained from one HNF of a fan matrix ``V`` of the space with column 0
+    moved last, ``[B | v_0]``.  ``B`` is nonsingular, so every pivot lies
+    in ``B`` and the result is ``U @ [B | v_0]`` with ``U @ B = HNF(B)``:
+    the canonical fan with column 0 last, rotated back to the front.
+    Column 0 then has strictly negative entries.
     """
     start = _witness_rows(q)
-    res = hnf(start.delete_column(0))
-    # Only the normalized matrix is recognized, and no check is lost:
-    # minors(U @ V) = det(U) * minors(V), and HnfResult has checked
+    res = hnf(IntMatrix(q.n, q.n + 1, tuple(r[1:] + r[:1] for r in start.entries)))
+    # The HNF rows, rotated back, are U @ V with U = res.transform (hnf
+    # has re-multiplied them).  Only U @ V is recognized, and no check is
+    # lost: minors(U @ V) = det(U) * minors(V), and HnfResult has checked
     # |det U| = 1, so ``out.weights.q == q`` implies every check that
     # recognizing ``start`` itself would make.
-    out = recognize_fan(res.transform @ start)
+    out = recognize_fan(IntMatrix(q.n, q.n + 1, tuple(r[-1:] + r[:-1] for r in res.hnf.entries)))
     if out.weights.q != q.q:
         raise AssertionError("normalization changed the weights")
     block = out.rays_block()

@@ -76,9 +76,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
@@ -123,9 +120,6 @@ class IntMatrix:
             for x in r:
                 g = gcd(g, x)
         return g
-
-    def to_json_rows(self) -> list[list[str]]:
-        return [[str(x) for x in r] for r in self.entries]
 
     @classmethod
     def from_json_rows(cls, rows) -> "IntMatrix":
@@ -226,45 +220,36 @@ def hnf(a: IntMatrix) -> HnfResult:
     canonical.
     """
     m, n = a.rows, a.cols
-    work = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    # each row carries its witness row, [a_i | e_i], so one statement
+    # updates both and the two blocks are split off at the end
+    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a.entries)]
     r = 0
     for c in range(n):
         if r == m:
             break
-        nz = [i for i in range(r, m) if work[i][c] != 0]
+        nz = [i for i in range(r, m) if rows[i][c] != 0]
         if not nz:
             continue
         while len(nz) > 1:
-            i0 = min(nz, key=lambda i: (abs(work[i][c]), i))
-            if i0 != r:
-                work[r], work[i0] = work[i0], work[r]
-                u[r], u[i0] = u[i0], u[r]
-            p = work[r][c]
+            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
+            rows[r], rows[i0] = rows[i0], rows[r]
+            p = rows[r][c]
             for i in nz:
-                if i == r:
-                    continue
-                q = work[i][c] // p
-                if q:
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-            nz = [i for i in range(r, m) if work[i][c] != 0]
-        i0 = nz[0]
-        if i0 != r:
-            work[r], work[i0] = work[i0], work[r]
-            u[r], u[i0] = u[i0], u[r]
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-            u[r] = [-x for x in u[r]]
-        p = work[r][c]
+                q = rows[i][c] // p
+                if i != r and q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+            nz = [i for i in range(r, m) if rows[i][c] != 0]
+        rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        p = rows[r][c]
         for i in range(r):
-            q = work[i][c] // p
+            q = rows[i][c] // p
             if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         r += 1
-    b = IntMatrix.from_rows(work, cols=n)
-    trans = IntMatrix.from_rows(u, cols=m)
+    b = IntMatrix.from_rows([row[:n] for row in rows], cols=n)
+    trans = IntMatrix.from_rows([row[n:] for row in rows], cols=m)
     if trans @ a != b:
         raise AssertionError("HNF witness failed re-multiplication check")
     return HnfResult(hnf=b, transform=trans, rank=r)

@@ -1,18 +1,22 @@
+import hashlib
 import json
+import random
 import sys
 import time
 from contextlib import contextmanager
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wps.cli
 import wps.lattice
 from wps.cli import main
 from wps.cohomology import divisor_info
+from wps.fan import canonical_fan, recognize_fan
 from wps.lattice import count_points
-from wps.polytope import polytope_of
-from wps.weights import WeightsVector
+from wps.polytope import polytope_of, recognize_polytope
+from wps.weights import WeightsVector, reduce_weights
 
 
 def run(capsys, *argv):
@@ -46,6 +50,27 @@ def test_fan_canonical_known_example(capsys):
         ["0", "0", "1", "0"],
         ["1", "0", "1", "2"],
     ]
+
+
+# the HNF witness is not unique, so the plain fan is pinned byte for byte:
+# a changed elimination order shows here and nowhere else
+PLAIN_FAN_2_3_4_15_25 = (
+    '{"columns": [["3", "-2", "-6", "-11"], ["-2", "0", "-1", "-1"], '
+    '["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]], '
+    '"n": 4, "weights": ["2", "3", "4", "15", "25"]}\n')
+PLAIN_FAN_1_TO_20_SHA256 = "4dbcc319e54e25c969d3bc78b4483de9f56ed6e615e500f935003c2f40d78951"
+
+
+def test_plain_fan_witness_is_pinned(capsys):
+    code, out, _ = run(capsys, "--json", "fan", "--weights", "2,3,4,15,25")
+    assert code == 0
+    assert out == PLAIN_FAN_2_3_4_15_25
+    code, out, _ = run(capsys, "--json", "fan", "--weights", ",".join(map(str, range(1, 21))))
+    assert code == 0
+    columns = json.loads(out)["columns"]
+    assert columns[0] == [str(-k) for k in range(2, 21)]
+    assert columns[1:] == [[str(int(i == j)) for j in range(19)] for i in range(19)]
+    assert hashlib.sha256(out.encode()).hexdigest() == PLAIN_FAN_1_TO_20_SHA256
 
 
 def test_fan_output_round_trips_through_recognition(capsys, tmp_path):
@@ -114,6 +139,32 @@ def test_recognize_polytope_rejection(capsys, tmp_path):
     assert code == 1
     assert payload["code"] == "not-wps"
     assert "not a wps polytope" in err
+
+
+@pytest.mark.parametrize("subcommand,flag", [("recognize-fan", "--matrix"),
+                                              ("recognize-polytope", "--vertices")])
+def test_deeply_nested_json_is_bad_input(capsys, tmp_path, subcommand, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, subcommand, flag, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read JSON from {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"columns": [[1], [-1, 7]]},        # cut to the first column's length: a valid fan
+    {"columns": [[1], [2, 3]]},         # cut to the first column's length: a rejection
+    {"columns": [[1, 2], [3]]},         # a later column too short
+    {"columns": []},
+])
+def test_ragged_fan_columns_are_bad_input(capsys, tmp_path, payload):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "recognize-fan", "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: bad matrix payload in {path}: "
+                   "columns must be nonempty and of equal length\n")
 
 
 def test_lattice_points(capsys):
@@ -326,3 +377,40 @@ def test_divisors_with_5000_digit_weights(capsys):
     assert len(lines[0]) > 15000
     for line in lines:
         assert line in out.splitlines()
+
+
+@has_digit_limit
+# capsys is read out after every run and the file is rewritten, so the
+# function-scoped fixtures are safe to share between examples
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_round_trips_with_4000_to_5000_digit_weights(capsys, tmp_path, n, seed):
+    # random weights, so the HNF of the weights column runs a long Euclid
+    # on huge entries; the library never converts them to decimal
+    rng = random.Random(seed)
+    q = (0,)
+    while gcd(*q) != 1:
+        q = tuple(rng.randrange(10 ** 3999, 10 ** 5000) for _ in range(n + 1))
+    weights = WeightsVector(q)
+    default = sys.int_info.default_max_str_digits
+    with digit_limit(default):
+        fan = canonical_fan(weights)
+        assert recognize_fan(fan.v) == fan
+        assert fan.weights == weights
+        polarized, _ = recognize_polytope(polytope_of(weights))
+        assert polarized.weights == reduce_weights(weights)
+        assert polarized.polarization == 1
+
+        text = unlimited(lambda: ",".join(map(str, q)))
+        code, out, err = run_at_default_limit(capsys, "--json", "fan", "--weights", text,
+                                              "--canonical")
+        assert code == 0, err
+        path = tmp_path / "fan.json"
+        path.write_text(out)
+        code, out, err = run_at_default_limit(capsys, "--json", "recognize-fan",
+                                              "--matrix", str(path))
+        assert code == 0, err
+        assert json.loads(out) == unlimited(fan.to_json)
+        assert json.loads(out)["weights"] == text.split(",")
+        assert sys.get_int_max_str_digits() == default
