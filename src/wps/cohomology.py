@@ -14,7 +14,7 @@ from math import comb
 
 from .lattice import count_points, face_histogram
 from .linalg import DimensionError
-from .weights import WeightsVector, reduce_weights
+from .weights import WeightsVector, _extended_gcd_combination, reduce_weights
 
 
 @dataclass(frozen=True)
@@ -47,40 +47,15 @@ class DivisorClassInfo:
         return k > 0 and k % self.picard_index == 0
 
 
-def _extended_gcd_combination(values: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients ``b`` with ``sum values[j] * b[j] = gcd(values)``."""
-
-    def ext(a: int, b: int) -> tuple[int, int, int]:
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            quo = old_r // r
-            old_r, r = r, old_r - quo * r
-            old_s, s = s, old_s - quo * s
-            old_t, t = t, old_t - quo * t
-        return old_r, old_s, old_t
-
-    coeffs = [1]
-    g = values[0]
-    for v in values[1:]:
-        g2, x, y = ext(g, v)
-        coeffs = [c * x for c in coeffs] + [y]
-        g = g2
-    assert g == sum(c * v for c, v in zip(coeffs, values))
-    return tuple(coeffs)
-
-
 def divisor_info(q: WeightsVector) -> DivisorClassInfo:
     """Divisor-class data of the space presented by ``q``."""
     if q.n < 1:
         raise DimensionError("need at least two weights")
     red = reduce_weights(q)
-    b = _extended_gcd_combination(red.q)
     delta = red.delta
     total = red.total
     return DivisorClassInfo(
-        chow_generator=b,
+        chow_generator=_extended_gcd_combination(red.q),
         picard_index=delta,
         canonical_degree=Fraction(-total, delta),
         gorenstein=total % delta == 0,

@@ -2,11 +2,10 @@
 
 A fan matrix is an ``n x (n+1)`` integer matrix whose columns generate
 the rays of the fan.  Its maximal minors recover the weights (up to an
-alternating sign), which gives both a recognition procedure and two
-constructions: one reading the fan off the unimodular witness of the
-Hermite normal form of the weights column, and a canonical one whose
-last ``n`` columns form a nonnegative HNF block, read off one more HNF:
-that of the first fan with column 0 moved last, ``[B | v_0]``.
+alternating sign), which gives a recognition procedure.  A fan is built
+from the HNF witness of the weights column, and the canonical one (its
+last ``n`` columns a nonnegative HNF block) with one extended-gcd
+combination per row.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .linalg import DimensionError, IntMatrix, hnf, is_hnf, max_minors
-from .weights import WeightsVector, isomorphic
+from .weights import WeightsVector, _extended_gcd_combination, isomorphic
 
 
 class FanRejection(ValueError):
@@ -69,12 +68,14 @@ class FanMatrix:
     @staticmethod
     def matrix_from_json(obj) -> IntMatrix:
         """Read a plain rows array or a ``{"columns": ...}`` object."""
+        lists = obj.get("columns") if isinstance(obj, dict) else obj
+        if not isinstance(lists, list) or not all(isinstance(x, list) for x in lists):
+            raise ValueError('expected {"columns": [[...], ...]} or a rows array [[...], ...]')
         if isinstance(obj, dict):
-            cols = obj["columns"]
-            if not cols or any(len(col) != len(cols[0]) for col in cols):
+            if not lists or any(len(col) != len(lists[0]) for col in lists):
                 raise DimensionError("columns must be nonempty and of equal length")
-            return IntMatrix.from_json_rows(zip(*cols))
-        return IntMatrix.from_json_rows(obj)
+            return IntMatrix.from_json_rows(zip(*lists))
+        return IntMatrix.from_json_rows(lists)
 
 
 def recognize_fan(v: IntMatrix) -> FanMatrix:
@@ -107,26 +108,19 @@ def recognize_fan(v: IntMatrix) -> FanMatrix:
     return FanMatrix(v=v, weights=WeightsVector(q), epsilon=epsilon)
 
 
-def _witness_rows(q: WeightsVector) -> IntMatrix:
-    """Last ``n`` rows of the unimodular witness ``U`` of the HNF of the
-    weights column, which satisfies ``U @ q^T = (1,0,...,0)^T``."""
-    if q.n < 1:
-        raise DimensionError("need at least two weights")
-    col = IntMatrix.from_rows([[x] for x in q])
-    res = hnf(col)
-    if res.hnf.column(0) != (1,) + (0,) * q.n:
-        raise AssertionError("weights column did not reduce to a unit vector")
-    return IntMatrix.from_rows(res.transform.entries[1:])
-
-
 def fan_from_weights(q: WeightsVector) -> FanMatrix:
     """Produce a fan matrix of the space with the given weights.
 
-    The last ``n`` rows of the unimodular witness of the HNF of the
-    weights column are a fan matrix whose recognized weights are
-    exactly ``q``.
+    The last ``n`` rows of the unimodular witness ``U`` of the HNF of
+    the weights column, ``U @ q^T = (1,0,...,0)^T``, are a fan matrix
+    whose recognized weights are exactly ``q``.
     """
-    out = recognize_fan(_witness_rows(q))
+    if q.n < 1:
+        raise DimensionError("need at least two weights")
+    res = hnf(IntMatrix.from_rows([[x] for x in q]))
+    if res.hnf.column(0) != (1,) + (0,) * q.n:
+        raise AssertionError("weights column did not reduce to a unit vector")
+    out = recognize_fan(IntMatrix.from_rows(res.transform.entries[1:]))
     if out.weights.q != q.q:
         raise AssertionError("constructed fan has the wrong weights")
     return out
@@ -135,20 +129,27 @@ def fan_from_weights(q: WeightsVector) -> FanMatrix:
 def canonical_fan(q: WeightsVector) -> FanMatrix:
     """The unique fan matrix whose columns 1..n form a nonnegative HNF block.
 
-    Obtained from one HNF of a fan matrix ``V`` of the space with column 0
-    moved last, ``[B | v_0]``.  ``B`` is nonsingular, so every pivot lies
-    in ``B`` and the result is ``U @ [B | v_0]`` with ``U @ B = HNF(B)``:
-    the canonical fan with column 0 last, rotated back to the front.
-    Column 0 then has strictly negative entries.
+    Its rows are the HNF basis of ``ker q``, built from row ``n`` up: row
+    ``i`` has pivot ``d_i = g / gcd(g, q_i)`` with ``g = gcd(q_0, q_{i+1},
+    ..., q_n)``, the extended-gcd combination of those weights times
+    ``-d_i q_i / g`` on columns ``0, i+1..n``, and each entry ``j > i``
+    reduced into ``[0, d_j)`` by row ``j``.  Column 0 is then negative.
     """
-    start = _witness_rows(q)
-    res = hnf(IntMatrix(q.n, q.n + 1, tuple(r[1:] + r[:1] for r in start.entries)))
-    # The HNF rows, rotated back, are U @ V with U = res.transform (hnf
-    # has re-multiplied them).  Only U @ V is recognized, and no check is
-    # lost: minors(U @ V) = det(U) * minors(V), and HnfResult has checked
-    # |det U| = 1, so ``out.weights.q == q`` implies every check that
-    # recognizing ``start`` itself would make.
-    out = recognize_fan(IntMatrix(q.n, q.n + 1, tuple(r[-1:] + r[:-1] for r in res.hnf.entries)))
+    if q.n < 1:
+        raise DimensionError("need at least two weights")
+    rows = {}                       # row i on columns 0..n
+    for i in range(q.n, 0, -1):
+        r = (q[0],) + q.q[i + 1:]
+        g = gcd(*r)
+        d = g // gcd(g, q[i])
+        t = -d * q[i] // g
+        c = _extended_gcd_combination(r)
+        x = [t * c[0]] + [0] * (i - 1) + [d] + [t * cj for cj in c[1:]]
+        for j in range(i + 1, q.n + 1):
+            f = x[j] // rows[j][j]
+            x = [a - f * b for a, b in zip(x, rows[j])]
+        rows[i] = x
+    out = recognize_fan(IntMatrix.from_rows([rows[i] for i in range(1, q.n + 1)]))
     if out.weights.q != q.q:
         raise AssertionError("normalization changed the weights")
     block = out.rays_block()

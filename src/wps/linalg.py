@@ -149,7 +149,8 @@ def _det_bareiss(mat: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
                 q, r = divmod(num, prev)
-                assert r == 0
+                if r:
+                    raise AssertionError("Bareiss division by the previous pivot is not exact")
                 mat[i][j] = q
             mat[i][k] = 0
         prev = mat[k][k]
@@ -304,7 +305,8 @@ def _jordan(a, e) -> tuple[int, list[list[int]]]:
             mik = row_i[k]
             for j in range(k + 1, width):
                 q, r = divmod(row_i[j] * mkk - mik * row_k[j], prev)
-                assert r == 0
+                if r:
+                    raise AssertionError("Gauss-Jordan division by the previous pivot is not exact")
                 row_i[j] = q
         prev = mkk
     return sign * prev, [[sign * x for x in r[n:]] for r in mat]

@@ -76,8 +76,10 @@ class LatticeSimplex:
 
     @classmethod
     def from_json(cls, obj) -> "LatticeSimplex":
-        return cls(vertices=tuple(tuple(int(str(x), 10) for x in v)
-                                  for v in obj["vertices"]))
+        verts = obj.get("vertices") if isinstance(obj, dict) else None
+        if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
+            raise ValueError('expected {"vertices": [[...], ...]}, a list of vertex lists')
+        return cls(vertices=tuple(tuple(int(str(x), 10) for x in v) for v in verts))
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,30 @@ class WeightsVector:
         return "(" + ",".join(str(x) for x in self.q) + ")"
 
 
+def _extended_gcd_combination(values: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients ``b`` with ``sum values[j] * b[j] = gcd(values)``."""
+
+    def ext(a: int, b: int) -> tuple[int, int, int]:
+        old_r, r = a, b
+        old_s, s = 1, 0
+        old_t, t = 0, 1
+        while r:
+            quo = old_r // r
+            old_r, r = r, old_r - quo * r
+            old_s, s = s, old_s - quo * s
+            old_t, t = t, old_t - quo * t
+        return old_r, old_s, old_t
+
+    coeffs = [1]
+    g = values[0]
+    for v in values[1:]:
+        g, x, y = ext(g, v)
+        coeffs = [c * x for c in coeffs] + [y]
+    if g != sum(c * v for c, v in zip(coeffs, values)):
+        raise AssertionError("extended gcd combination does not sum to the gcd")
+    return tuple(coeffs)
+
+
 @dataclass(frozen=True)
 class ReductionData:
     """Per-weight gcd/lcm bookkeeping and the reduced vector.

@@ -3,7 +3,8 @@
 Everything here deliberately re-derives results through a different
 route than the production code: cofactor expansion instead of
 elimination, rational Gauss-Jordan inverses instead of integer
-adjugates, direct diophantine solving instead of HNF normalization,
+adjugates, direct diophantine solving and two Hermite normal forms
+instead of one extended-gcd combination per canonical fan row,
 explicit fan reconstruction and lattice membership instead of the
 adjugate column-sum admissibility test, the alternating cone count
 instead of the closed-form Betti numbers, geometric half-space
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from wps.fan import recognize_fan
-from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint,
+from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint, hnf,
                         row_gcds, what_matrix)
 from wps.polytope import weighted_transverse
 from wps.weights import WeightsVector, reduce_weights
@@ -281,6 +282,21 @@ def canonical_fan_diophantine(q: tuple[int, ...]) -> IntMatrix:
         v[j][0] = num // q[0]
 
     return IntMatrix.from_rows([row for row in v[1:]])
+
+
+# ---------------------------------------------------------------------------
+# canonical fan by two Hermite normal forms
+#
+# The last n rows of the unimodular witness of the HNF of the weights
+# column are a fan V.  With column 0 moved last, [B | v_0] has B
+# nonsingular, so every pivot of its HNF lies in B: that HNF is the
+# canonical fan with column 0 last, and rotating it back gives the fan.
+
+
+def canonical_fan_by_hnf(q: tuple[int, ...]) -> IntMatrix:
+    start = hnf(IntMatrix.from_rows([[x] for x in q])).transform.entries[1:]
+    moved = hnf(IntMatrix.from_rows([r[1:] + r[:1] for r in start])).hnf
+    return IntMatrix.from_rows([r[-1:] + r[:-1] for r in moved.entries])
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,25 @@ def test_ragged_fan_columns_are_bad_input(capsys, tmp_path, payload):
                    "columns must be nonempty and of equal length\n")
 
 
+def test_payload_without_the_expected_key_names_it(capsys, tmp_path):
+    fan = ("bad matrix payload",
+           'expected {"columns": [[...], ...]} or a rows array [[...], ...]')
+    simplex = ("bad vertices payload",
+               'expected {"vertices": [[...], ...]}, a list of vertex lists')
+    cases = [
+        ("recognize-fan", "--matrix", {"vertices": []}, fan),
+        ("recognize-fan", "--matrix", [1, -1], fan),
+        ("recognize-polytope", "--vertices", [[0, 0], [1, 0], [0, 1]], simplex),
+        ("recognize-polytope", "--vertices", {"vertices": 5}, simplex),
+    ]
+    path = tmp_path / "payload.json"
+    for subcommand, flag, payload, (what, expected) in cases:
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, subcommand, flag, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {what} in {path}: {expected}\n"
+
+
 def test_lattice_points(capsys):
     code, payload, _ = run_json(capsys, "lattice-points", "--weights", "1,1,2", "-m", "1")
     assert code == 0
@@ -414,3 +433,62 @@ def test_round_trips_with_4000_to_5000_digit_weights(capsys, tmp_path, n, seed):
         assert json.loads(out) == unlimited(fan.to_json)
         assert json.loads(out)["weights"] == text.split(",")
         assert sys.get_int_max_str_digits() == default
+
+
+# ---------------------------------------------------------------------------
+# robustness at the boundary: random malformed and huge payloads
+
+ODD_ENTRIES = ("true", "false", "null", "NaN", "Infinity", "-Infinity", "1.5", "1e400",
+               '"7"', '"x"', "[]", "{}")
+ODD_FILES = (b"", b"{", b"[1,,2]", b"5", b'"text"', b"null", b"true", b"{}", b"[]",
+             b"[[]]", b"\xff\xfe", b'{"columns": 5}', b'{"vertices": [[], []]}')
+
+
+def fuzz_matrix(rng):
+    # mostly the shapes the two subcommands read (n x (n+1) rows, or n+1
+    # columns or vertices of length n), sometimes ragged or any shape
+    n = rng.randint(1, 3)
+    rows, width = rng.choice(((n, n + 1), (n + 1, n), (rng.randint(0, 4), rng.randint(0, 4))))
+    huge, odd = rng.random() < 0.3, rng.random() < 0.3
+
+    def entry():
+        if odd and rng.random() < 0.3:
+            return rng.choice(ODD_ENTRIES)
+        if huge and rng.random() < 0.5:     # 10,000 digits, written without converting
+            return rng.choice(("", "-")) + "".join(rng.choices("123456789", k=10_000))
+        return str(rng.randint(-6, 6))
+
+    lines = []
+    for _ in range(rows):
+        w = width if rng.random() < 0.9 else rng.randint(0, 4)
+        lines.append("[" + ", ".join(entry() for _ in range(w)) + "]")
+    return "[" + ", ".join(lines) + "]"
+
+
+def fuzz_payload(rng) -> bytes:
+    m = fuzz_matrix(rng)
+    text = rng.choice((m, '{"columns": %s}' % m, '{"vertices": %s}' % m, '{"rows": %s}' % m,
+                       m[:rng.randint(0, len(m))]))
+    return text.encode() if rng.random() < 0.9 else rng.choice(ODD_FILES)
+
+
+def test_random_payloads_exit_cleanly(capsys, tmp_path):
+    rng = random.Random(20261018)
+    path = tmp_path / "payload.json"
+    seen = set()
+    for _ in range(150):
+        data = fuzz_payload(rng)
+        path.write_bytes(data)
+        for subcommand, flag in (("recognize-fan", "--matrix"),
+                                 ("recognize-polytope", "--vertices")):
+            argv = ("--json",) if rng.random() < 0.5 else ()
+            code, out, err = run(capsys, *argv, subcommand, flag, str(path))
+            assert code in (0, 1, 2), (data[:200], err[:500])
+            if code == 0:
+                assert out and err == ""
+            else:
+                lines = err.splitlines()
+                assert len(lines) == 1, (data[:200], err[:500])
+                assert lines[0].startswith(("error: ", "rejected: "))
+            seen.add(code)
+    assert seen == {0, 1, 2}

@@ -9,7 +9,7 @@ from wps.fan import (FanRejection, canonical_fan, fan_from_weights, fan_isomorph
 from wps.linalg import DimensionError, IntMatrix, is_hnf
 from wps.weights import WeightsVector
 
-from oracles import (canonical_fan_diophantine, random_permutation,
+from oracles import (canonical_fan_by_hnf, canonical_fan_diophantine, random_permutation,
                      random_unimodular, random_weights)
 
 
@@ -92,6 +92,21 @@ def test_canonical_fan_matches_diophantine_oracle():
         got = canonical_fan(q).v
         want = canonical_fan_diophantine(q.q)
         assert got == want, f"mismatch for {q}"
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(1, 2 ** 64), min_size=2, max_size=9))
+def test_canonical_fan_matches_both_oracles(raw):
+    q = WeightsVector(tuple(raw))
+    assert canonical_fan(q).v == canonical_fan_diophantine(q.q) == canonical_fan_by_hnf(q.q)
+
+
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_canonical_fan_matches_both_oracles_at_4000_to_5000_digits(n, seed):
+    rng = random.Random(seed)
+    q = WeightsVector(tuple(rng.randrange(10 ** 3999, 10 ** 5000) for _ in range(n + 1)))
+    assert canonical_fan(q).v == canonical_fan_diophantine(q.q) == canonical_fan_by_hnf(q.q)
 
 
 def test_canonical_block_is_nonneg_hnf_and_first_column_negative():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import wps
 
 
@@ -19,3 +22,12 @@ def test_public_names_are_pinned():
         "h0_line_bundle", "hodge", "hodge_table",
     ]
     assert all(hasattr(wps, name) for name in wps.__all__)
+
+
+def test_no_bare_assert_in_the_package():
+    # python -O strips assert statements, so every self-check raises
+    # AssertionError explicitly and the CLI still reports it as exit 3
+    for path in sorted(Path(wps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"assert statements in {path.name} at lines {lines}"
