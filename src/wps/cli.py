@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from .cohomology import divisor_info, hodge, hodge_table, rational_homology
 from .fan import FanMatrix, FanRejection, canonical_fan, fan_from_weights, recognize_fan
 from .lattice import count_interior, count_points, face_histogram
-from .linalg import IntMatrix
+from .linalg import DimensionError, IntMatrix
 from .polytope import LatticeSimplex, PolytopeRejection, polytope_of, recognize_polytope
 from .weights import WeightsVector, is_reduced, isomorphic, reduction_data
 
@@ -121,7 +121,10 @@ def _cmd_recognize_fan(args):
         m = FanMatrix.matrix_from_json(obj)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"bad matrix payload in {args.matrix}: {exc}") from exc
-    fan = recognize_fan(m)
+    try:
+        fan = recognize_fan(m)
+    except DimensionError as exc:       # a rejection is not a payload fault
+        raise InputError(f"bad matrix payload in {args.matrix}: {exc}") from exc
     return _fan_payload(fan)
 
 

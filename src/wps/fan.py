@@ -78,6 +78,13 @@ class FanMatrix:
         return IntMatrix.from_json_rows(lists)
 
 
+def _fmt_int(x: int) -> str:
+    """Decimal up to about 60 digits, else ``<N-bit integer>``: no decimal
+    conversion of a huge value, so messages stay short and under the
+    interpreter's int/str digit limit."""
+    return str(x) if x.bit_length() <= 200 else f"<{x.bit_length()}-bit integer>"
+
+
 def recognize_fan(v: IntMatrix) -> FanMatrix:
     """Decide whether ``v`` is a fan matrix and recover its weights.
 
@@ -94,7 +101,8 @@ def recognize_fan(v: IntMatrix) -> FanMatrix:
     q = tuple(abs(mj) for mj in minors)
     if gcd(*q) != 1:
         raise FanRejection("non-coprime-minors",
-                           f"maximal minors {q} have gcd {gcd(*q)}")
+                           f"maximal minors ({', '.join(map(_fmt_int, q))}) "
+                           f"have gcd {_fmt_int(gcd(*q))}")
     n = v.rows
     for i in range(n):
         s = sum(qj * v.entries[i][j] for j, qj in enumerate(q))

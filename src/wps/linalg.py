@@ -66,7 +66,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal((1,) * n)
+
+    @classmethod
+    def diagonal(cls, d) -> "IntMatrix":
+        return cls.from_rows([[x * (i == j) for j in range(len(d))] for i, x in enumerate(d)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -354,34 +358,67 @@ def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
     return d, out
 
 
-def what_matrix(w: IntMatrix,
-                adjugate: tuple[int, IntMatrix] | None = None) -> tuple[IntMatrix, IntMatrix]:
-    """Row-normalized, sign-corrected adjugate and its product with ``w``.
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` over its gcd: a candidate from two entries, checked by one
+    ``divmod`` per entry; a remainder shrinks it and rescales the quotients."""
+    nz = [x for x in row if x]
+    c = gcd(nz[0], nz[-1])
+    out = []
+    for x in row:
+        if c == 1:
+            return row
+        q, r = divmod(x, c)
+        if r:
+            g = gcd(c, r)
+            out = [y * (c // g) for y in out]
+            q, c = q * (c // g) + r // g, g
+        out.append(q)
+    return out
 
-    Divides each adjugate row by its gcd and fixes the overall sign so
-    that ``what @ w`` is diagonal with positive entries, each dividing
-    ``|det w|``; returns ``(what, what @ w)`` so that callers reuse the
-    checked product.  ``what`` is the exact inverse of the weighted
-    transversion that maps fan matrices to polytope matrices.
-    ``adjugate`` is ``adjoint(w)`` when the caller already holds it, so
-    one elimination serves both; otherwise it is computed here.  The
-    determinant of ``what`` is ``|det w|^(n-1) / prod(row gcds)`` up to
-    sign.
+
+def _primitive_rows(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
+    """Primitive rows ``r_k`` with ``r_k @ a == lam_k * e_k``, ``lam_k > 0``.
+
+    Gauss-Jordan on ``[a | I]`` that divides each updated row by its
+    content (that of its right block ``r``, as the left is ``r @ a``), so
+    a row stays the primitive vector of its direction, never larger than
+    the Bareiss row: ``r_k`` is adjugate row ``k`` over its gcd.  Pivot
+    rows are made positive and later only scaled by positive factors, so
+    ``lam_k > 0``.  As in :func:`_jordan` only columns right of the pivot
+    are updated.  Checked by ``R @ a == diag(lam)``, rows primitive;
+    raises :class:`SingularMatrixError` for a singular ``a``.
     """
-    d, adj = adjoint(w) if adjugate is None else adjugate
-    sign = 1 if d > 0 else -1
-    out = IntMatrix.from_rows([[sign * x // g for x in row]
-                               for row, g in zip(adj.entries, row_gcds(adj))])
-    prod = out @ w
-    for i in range(w.rows):
-        for j in range(w.rows):
-            x = prod.entries[i][j]
-            if i == j:
-                if x <= 0 or abs(d) % x != 0:
-                    raise AssertionError("normalized adjugate product is not admissible")
-            elif x != 0:
-                raise AssertionError("normalized adjugate product is not diagonal")
-    return out, prod
+    if not a.is_square:
+        raise DimensionError("primitive rows of a non-square matrix")
+    n = a.rows
+    mat = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.entries)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if mat[i][k]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        mat[k], mat[piv] = mat[piv], mat[k]
+        if mat[k][k] < 0:
+            mat[k] = [-x for x in mat[k]]
+        mkk, tail = mat[k][k], mat[k][k + 1:]
+        for i, row in enumerate(mat):
+            if i != k and row[k]:
+                g = gcd(mkk, row[k])
+                s, t = mkk // g, row[k] // g
+                row[k + 1:] = _primitive([s * x - t * y for x, y in zip(row[k + 1:], tail)])
+    rows = IntMatrix.from_rows([r[n:] for r in mat])
+    prod = rows @ a
+    lam = tuple(prod.entries[k][k] for k in range(n))
+    if prod != IntMatrix.diagonal(lam) or min(lam) < 1 or set(row_gcds(rows)) != {1}:
+        raise AssertionError("primitive rows failed their defining identity")
+    return rows, lam
+
+
+def what_matrix(w: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Primitive facet normals ``what`` of ``w`` and ``what @ w = diag(lam)``:
+    adjugate rows over their gcds, signed so ``lam > 0``, computed by
+    :func:`_primitive_rows`.  ``what`` inverts the weighted transversion."""
+    what, lam = _primitive_rows(w)
+    return what, IntMatrix.diagonal(lam)
 
 
 def row_gcds(m: IntMatrix) -> tuple[int, ...]:

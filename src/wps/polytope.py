@@ -4,18 +4,18 @@ The fan-to-polytope map deletes column 0 of the fan matrix, takes the
 transposed inverse and rescales column ``k`` by ``lcm(weights)/q_k``.
 The result is an integer matrix whose columns, together with the
 origin, span the polytope of the minimal very ample polarization.  The
-inverse direction divides out the entry gcd, row-normalizes the
-adjugate and reads the weights off the row gcds, which is also the
-recognition procedure for arbitrary origin-anchored simplices.
+inverse direction divides out the entry gcd and reads the weights off
+the primitive facet normals (:func:`what_matrix`, no adjugate), which
+is also the recognition procedure for arbitrary origin-anchored simplices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import lcm
 
 from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int,
-                     adjoint, row_gcds, what_matrix)
+                     _primitive_rows, what_matrix)
 from .fan import FanMatrix, fan_from_weights, recognize_fan
 from .weights import WeightsVector, is_reduced
 
@@ -101,19 +101,17 @@ def weighted_transverse(v: FanMatrix) -> IntMatrix:
 
     Entry ``(i, k)`` is ``delta * cof_ik / (q_k * det)`` where ``cof``
     ranges over the cofactors of the square block and ``delta`` is the
-    lcm of the weights; the division is always exact.  The determinant
-    and the cofactors come from one elimination (:func:`adjoint`).
+    lcm of the weights; the division is always exact.  With ``r_k @ B
+    = mu_k * e_k`` primitive (:func:`_primitive_rows`) cofactor row ``k``
+    is ``det / mu_k * r_k``, so the entry is ``delta * r_k[i] / (q_k * mu_k)``.
     """
-    det, adj = adjoint(v.rays_block())   # adj[k][i] is the (i, k) cofactor
-    delta = v.weights.delta
-    q = v.weights.q
+    r, mu = _primitive_rows(v.rays_block())
+    delta, q = v.weights.delta, v.weights.q
     rows = []
     for i in range(v.n):
         row = []
         for k in range(v.n):
-            num = delta * adj.entries[k][i]
-            den = q[k + 1] * det
-            quo, rem = divmod(num, den)
+            quo, rem = divmod(delta * r.entries[k][i], q[k + 1] * mu[k])
             if rem:
                 raise AssertionError("weighted transverse is not integral")
             row.append(quo)
@@ -139,45 +137,40 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
     return LatticeSimplex(vertices=verts, normalized=True)
 
 
-def _adjugate_weights(det: int, adj: IntMatrix) -> tuple[tuple[int, ...], int]:
-    """Weights and scale read off ``(det, adj) = adjoint(w)``.
-
-    Returns ``(q, s)`` with ``s`` the gcd of the adjugate's row gcds
-    ``s_k``, ``q_k = s_k / s`` for ``k >= 1`` and ``q_0 = |det what|``
-    in closed form, ``|det|^(n-1)`` over the product of the row gcds,
-    not from another determinant.
-    """
-    s_rows = row_gcds(adj)
-    s = gcd(*s_rows)
-    q0 = abs(det) ** (adj.rows - 1) // prod(s_rows)
-    return (q0,) + tuple(si // s for si in s_rows), s
+def _normal_weights(what: IntMatrix, lam: tuple[int, ...]) -> tuple[int, ...]:
+    """Weights of the normals ``what_k @ w = lam_k * e_k``: ``q_0 = |det
+    what|`` and ``q_k = lcm(lam) / lam_k``, as ``adj_k = det / lam_k * what_k``."""
+    big_l = lcm(*lam)
+    return (abs(what.det()),) + tuple(big_l // x for x in lam)
 
 
 def is_p_admissible(w: IntMatrix) -> bool:
     """Test whether a primitive square matrix is a polytope matrix.
 
-    It is one exactly when every column sum of its adjugate is divisible
-    by ``q_0 * s`` (see :func:`_adjugate_weights`).
+    It is one exactly when ``sum_k q_k * what_k == 0 (mod q_0)`` in every
+    component (:func:`_normal_weights`): the adjugate column sums over
+    ``|det w| / lcm(lam)``.
     """
     if not w.is_square:
         raise DimensionError("admissibility needs a square matrix")
-    det, adj = adjoint(w)          # raises SingularMatrixError when det w == 0
+    what, lam = _primitive_rows(w)   # raises SingularMatrixError when det w == 0
     if w.entry_gcd() != 1:
         raise ValueError("entries are not primitive: divide by their gcd first")
-    q, s = _adjugate_weights(det, adj)
-    return all(sum(col) % (q[0] * s) == 0 for col in adj.transpose().entries)
+    q = _normal_weights(what, lam)
+    return all(sum(qk * x for qk, x in zip(q[1:], col)) % q[0] == 0
+               for col in what.columns())
 
 
 def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     """Recognize an origin-anchored simplex as a polarized space.
 
     Translates by the first vertex, divides the edge matrix by its
-    entry gcd ``m``, inverts the transversion through the normalized
-    adjugate and reconstructs the fan matrix.  One fraction-free
-    elimination gives the determinant and the adjugate; the weights,
-    the fan and every consistency check are read off those two.  Fails
-    with ``degenerate`` when the edge matrix is zero or singular, and
-    with ``not-wps`` when the derived first fan column is not integral.
+    entry gcd ``m`` and inverts the transversion through the primitive
+    facet normals of :func:`what_matrix`, which are the rays of the
+    fan.  The weights, the fan and every consistency check are read off
+    the normals and their multiples ``lam``.  Fails with ``degenerate``
+    when the edge matrix is zero or singular, and with ``not-wps`` when
+    the derived first fan column is not integral.
     """
     s = s.normalize()
     w = s.edge_matrix()
@@ -186,13 +179,13 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional")
     w_prime = IntMatrix.from_rows([[x // m for x in row] for row in w.entries])
     try:
-        det, adj = adjoint(w_prime)
+        what, what_w = what_matrix(w_prime)
     except SingularMatrixError:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
 
     n = w_prime.rows
-    q, s_all = _adjugate_weights(det, adj)
-    what, what_w = what_matrix(w_prime, (det, adj))
+    lam = tuple(what_w.entries[k][k] for k in range(n))
+    q = _normal_weights(what, lam)
     # the fan has the rows of ``what`` as columns 1..n; its first column
     # ``v0`` is fixed by the weighted column sum being zero
     v0 = []
@@ -208,13 +201,13 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
         raise AssertionError("reconstructed fan disagrees with the derived weights")
     if not is_reduced(fan.weights):
         raise AssertionError("recognition must produce reduced weights")
-    # consistency: the lcm of the recognized weights against the adjugate data
-    if lcm(*q) != abs(det) // s_all:
+    # consistency: the lcm of the recognized weights against the normals
+    if lcm(*q) != lcm(*lam):
         raise AssertionError("weights lcm mismatch during recognition")
     # ``weighted_transverse(fan) == w'`` is decided by the equivalent
     # identity ``B^T @ w' @ diag(q_1..q_n) == delta * I`` for the rays
     # block ``B``: that block is ``what^T``, so ``B^T @ w'`` is the product
-    # ``what_w`` that ``what_matrix`` already built and checked
+    # ``what_w = diag(lam)`` that ``what_matrix`` already checked
     delta = fan.weights.delta
     if not all(x * q[k + 1] == (delta if i == k else 0)
                for i, row in enumerate(what_w.entries) for k, x in enumerate(row)):

@@ -5,8 +5,10 @@ route than the production code: cofactor expansion instead of
 elimination, rational Gauss-Jordan inverses instead of integer
 adjugates, direct diophantine solving and two Hermite normal forms
 instead of one extended-gcd combination per canonical fan row,
-explicit fan reconstruction and lattice membership instead of the
-adjugate column-sum admissibility test, the alternating cone count
+the Bareiss adjugate and its row gcds instead of primitive facet
+normals for transversion, recognition and admissibility, explicit fan
+reconstruction and lattice membership instead of the facet-normal
+admissibility test, the alternating cone count
 instead of the closed-form Betti numbers, geometric half-space
 enumeration instead of composition counting, and dynamic programming
 over the full target instead of sampled Ehrhart polynomials.
@@ -16,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
 
-from wps.fan import recognize_fan
-from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint, hnf,
-                        row_gcds, what_matrix)
-from wps.polytope import weighted_transverse
-from wps.weights import WeightsVector, reduce_weights
+from wps.fan import FanMatrix, recognize_fan
+from wps.linalg import DimensionError, IntMatrix, SingularMatrixError, adjoint, hnf, row_gcds
+from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection,
+                          weighted_transverse)
+from wps.weights import WeightsVector, is_reduced, reduce_weights
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +149,101 @@ def adjugate_cofactor(rows):
 
 
 # ---------------------------------------------------------------------------
+# transversion, recognition and admissibility through the adjugate
+#
+# The library reads everything off the primitive facet normals ``what_k``
+# with ``what_k @ w = lam_k * e_k``.  These routes build the Bareiss
+# adjugate instead and divide each row by its gcd ``s_k``: then
+# q_k = s_k / s with s = gcd(s_k), q_0 = |det w|^(n-1) / prod(s_k) and
+# lcm(q) = |det w| / s.
+
+
+def what_by_adjugate(det: int, adj: IntMatrix) -> IntMatrix:
+    """Each row of ``adj = adjoint(w)[1]`` over its gcd, signed like
+    ``det`` so that ``what @ w`` has a positive diagonal."""
+    sign = 1 if det > 0 else -1
+    return IntMatrix.from_rows([[sign * x // g for x in row]
+                                for row, g in zip(adj.entries, row_gcds(adj))])
+
+
+def _adjugate_weights(det: int, adj: IntMatrix) -> tuple[tuple[int, ...], int]:
+    s_rows = row_gcds(adj)
+    s = gcd(*s_rows)
+    q0 = abs(det) ** (adj.rows - 1) // prod(s_rows)
+    return (q0,) + tuple(si // s for si in s_rows), s
+
+
+def weighted_transverse_by_adjugate(v: FanMatrix) -> IntMatrix:
+    """Entry ``(i, k)`` is ``delta * cof_ik / (q_k * det)``."""
+    det, adj = adjoint(v.rays_block())   # adj[k][i] is the (i, k) cofactor
+    delta, q = v.weights.delta, v.weights.q
+    rows = []
+    for i in range(v.n):
+        row = []
+        for k in range(v.n):
+            quo, rem = divmod(delta * adj.entries[k][i], q[k + 1] * det)
+            if rem:
+                raise AssertionError("weighted transverse is not integral")
+            row.append(quo)
+        rows.append(row)
+    return IntMatrix.from_rows(rows)
+
+
+def is_p_admissible_by_adjugate(w: IntMatrix) -> bool:
+    """Every column sum of the adjugate is divisible by ``q_0 * s``."""
+    if not w.is_square:
+        raise DimensionError("admissibility needs a square matrix")
+    det, adj = adjoint(w)
+    if w.entry_gcd() != 1:
+        raise ValueError("entries are not primitive: divide by their gcd first")
+    q, s = _adjugate_weights(det, adj)
+    return all(sum(col) % (q[0] * s) == 0 for col in adj.transpose().entries)
+
+
+def recognize_polytope_by_adjugate(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
+    """Recognition with the same rejections, weights read off the adjugate."""
+    s = s.normalize()
+    w = s.edge_matrix()
+    m = w.entry_gcd()
+    if m == 0:
+        raise PolytopeRejection("degenerate", "simplex is not full-dimensional")
+    w_prime = IntMatrix.from_rows([[x // m for x in row] for row in w.entries])
+    try:
+        det, adj = adjoint(w_prime)
+    except SingularMatrixError:
+        raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
+    n = w_prime.rows
+    q, s_all = _adjugate_weights(det, adj)
+    what = what_by_adjugate(det, adj)
+    v0 = []
+    for i in range(n):
+        quo, rem = divmod(-sum(q[k + 1] * what.entries[k][i] for k in range(n)), q[0])
+        if rem:
+            raise PolytopeRejection("not-wps", "not a wps polytope: "
+                                    "reconstructed fan column is not integral")
+        v0.append(quo)
+    fan = recognize_fan(IntMatrix.from_rows([[v0[i]] + list(what.column(i))
+                                             for i in range(n)]))
+    assert fan.weights.q == q and is_reduced(fan.weights)
+    assert lcm(*q) == abs(det) // s_all
+    assert weighted_transverse_by_adjugate(fan) == w_prime
+    return PolarizedWps(weights=fan.weights, polarization=m), fan
+
+
+# ---------------------------------------------------------------------------
 # polytope-matrix admissibility, the two formulations that the library's
-# verdict (adjugate column sums divisible by q_0 * s) is checked against
+# verdict (facet-normal sums divisible by q_0) is checked against
 #
 # Both read the weights off the row-normalized adjugate ``what``:
 # q_k = s_k / s for the adjugate's row gcds s_k and s = gcd(s_k), and
-# q_0 = |det what| from a determinant, not from the library's closed form.
+# q_0 = |det what| from a determinant, not from a closed form.
 
 
 def _inversion_data(w: IntMatrix):
     det, adj = adjoint(w)
     s_rows = row_gcds(adj)
     s = gcd(*s_rows)
-    what, _ = what_matrix(w, (det, adj))
+    what = what_by_adjugate(det, adj)
     q = (abs(what.det()),) + tuple(si // s for si in s_rows)
     return det, adj, what, q, s
 

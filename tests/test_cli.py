@@ -13,8 +13,9 @@ import wps.cli
 import wps.lattice
 from wps.cli import main
 from wps.cohomology import divisor_info
-from wps.fan import canonical_fan, recognize_fan
+from wps.fan import FanRejection, canonical_fan, recognize_fan
 from wps.lattice import count_points
+from wps.linalg import IntMatrix
 from wps.polytope import polytope_of, recognize_polytope
 from wps.weights import WeightsVector, reduce_weights
 
@@ -184,6 +185,15 @@ def test_payload_without_the_expected_key_names_it(capsys, tmp_path):
         code, out, err = run(capsys, subcommand, flag, str(path))
         assert code == 2 and out == ""
         assert err == f"error: {what} in {path}: {expected}\n"
+
+
+def test_wrong_shape_payload_names_the_file(capsys, tmp_path):
+    path = tmp_path / "rows.json"
+    path.write_text("[[1], [2]]")
+    code, out, err = run(capsys, "recognize-fan", "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: bad matrix payload in {path}: "
+                   "fan matrix must be n x (n+1) with n >= 1, got 2x1\n")
 
 
 def test_lattice_points(capsys):
@@ -433,6 +443,38 @@ def test_round_trips_with_4000_to_5000_digit_weights(capsys, tmp_path, n, seed):
         assert json.loads(out) == unlimited(fan.to_json)
         assert json.loads(out)["weights"] == text.split(",")
         assert sys.get_int_max_str_digits() == default
+
+
+@has_digit_limit
+def test_huge_non_coprime_minors_are_named_by_bit_length():
+    # 6,001-digit minors: under the default int/str digit limit a decimal
+    # message would raise a plain ValueError in place of the rejection
+    d = 10 ** 3000
+    with digit_limit(sys.int_info.default_max_str_digits), pytest.raises(FanRejection) as exc:
+        recognize_fan(IntMatrix.from_rows([[2 * d, 0, -2 * d], [0, 2 * d, -2 * d]]))
+    assert exc.value.code == "non-coprime-minors"
+    big = "<19934-bit integer>"
+    assert str(exc.value) == f"maximal minors ({big}, {big}, {big}) have gcd {big}"
+    # minors of up to 60 digits are still written in decimal
+    with pytest.raises(FanRejection) as exc:
+        recognize_fan(IntMatrix.from_rows([[2 * 10 ** 29, 0, -2], [0, 2 * 10 ** 30, -2]]))
+    assert str(exc.value) == (f"maximal minors ({4 * 10 ** 30}, {4 * 10 ** 29}, "
+                              f"{4 * 10 ** 59}) have gcd {4 * 10 ** 29}")
+
+
+@has_digit_limit
+def test_huge_non_coprime_minors_give_a_short_rejection(capsys, tmp_path):
+    # 3,001-digit entries, so the minors have 6,001 digits: past the
+    # default limit, and 24 KB per message if printed in decimal
+    d = "2" + "0" * 3000
+    path = tmp_path / "fan.json"
+    path.write_text(f"[[{d}, 0, -{d}], [0, {d}, -{d}]]")
+    code, out, err = run_at_default_limit(capsys, "--json", "recognize-fan", "--matrix",
+                                          str(path))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and len(err) < 2048
+    assert err.startswith("rejected: maximal minors (<19934-bit integer>, ")
+    assert len(out) < 2048 and json.loads(out)["code"] == "non-coprime-minors"
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint, hnf,
-                        is_hnf, kernel_basis, max_minors, row_gcds, what_matrix)
+from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, _primitive_rows,
+                        adjoint, hnf, is_hnf, kernel_basis, max_minors, row_gcds, what_matrix)
 
 from oracles import (RatMatrix, adjugate_cofactor, ext_gcd, random_unimodular,
-                     to_rational, transverse)
+                     to_rational, transverse, what_by_adjugate)
 
 
 def mat(rows):
@@ -267,7 +267,7 @@ def test_transverse_involution_and_multiplicativity(pair):
 
 
 # ---------------------------------------------------------------------------
-# row-normalized adjugate
+# primitive facet normals (the row-normalized adjugate)
 
 
 def test_what_matrix_examples():
@@ -295,6 +295,51 @@ def test_what_matrix_product_is_positive_diagonal(rows):
                 assert x > 0 and abs(d) % x == 0
             else:
                 assert x == 0
+
+
+def random_square(rng, n, bits):
+    # about one in six has a repeated row or a zero column, so is singular
+    rows = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(12)
+    if kind == 0 and n > 1:
+        rows[-1] = [3 * x for x in rows[0]]
+    elif kind == 1:
+        for r in rows:
+            r[rng.randrange(n)] = 0
+        for r in rows:
+            r[0] = 0
+    return mat(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 9), st.sampled_from((3, 8, 64, 256)), st.integers(0, 2 ** 32))
+def test_primitive_rows_match_the_normalized_adjugate(n, bits, seed):
+    a = random_square(random.Random(seed), n, bits)
+    if a.det() == 0:
+        with pytest.raises(SingularMatrixError):
+            _primitive_rows(a)
+        return
+    rows, lam = _primitive_rows(a)
+    assert rows == what_by_adjugate(*adjoint(a))
+    assert lam == tuple((rows @ a).entries[k][k] for k in range(n))
+    assert what_matrix(a) == (rows, IntMatrix.diagonal(lam))
+
+
+def test_primitive_rows_of_large_entries():
+    # entries of 1,024 bits, and a matrix whose rows share content
+    rng = random.Random(11)
+    for n in (2, 3, 5):
+        a = random_square(rng, n, 1024)
+        if a.det():
+            assert _primitive_rows(a)[0] == what_by_adjugate(*adjoint(a))
+    a = mat([[6, 4, 2], [10, 0, 5], [0, 9, 3]])      # det -210
+    rows, lam = _primitive_rows(a)
+    assert rows == what_by_adjugate(*adjoint(a)) and lam == (210, 105, 105)
+
+
+def test_primitive_rows_reject_non_square():
+    with pytest.raises(DimensionError):
+        _primitive_rows(mat([[1, 2]]))
 
 
 def test_row_gcds():

@@ -3,8 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wps.fan import canonical_fan, fan_from_weights, permutation_matrix, recognize_fan
+import wps.linalg
+from wps.fan import (FanRejection, canonical_fan, fan_from_weights, permutation_matrix,
+                     recognize_fan)
 from wps.linalg import IntMatrix, SingularMatrixError, what_matrix
 from wps.polytope import (LatticeSimplex, PolytopeRejection, is_p_admissible,
                           permute_polytope, polytope_of, recognize_polytope,
@@ -13,8 +16,9 @@ from wps.weights import (WeightsVector, is_reduced, reduce_weights,
                          reduction_data)
 
 from oracles import (admissible_by_inversion, admissible_by_lattice_membership,
-                     random_permutation, random_unimodular, random_weights, to_rational,
-                     transverse)
+                     is_p_admissible_by_adjugate, random_permutation, random_unimodular,
+                     random_weights, recognize_polytope_by_adjugate, to_rational, transverse,
+                     weighted_transverse_by_adjugate)
 
 
 W_2_3_4_15_25 = IntMatrix.from_rows([
@@ -334,3 +338,110 @@ def test_simplex_rejects_non_integral_vertices():
 def test_simplex_json_round_trip():
     s = simplex_2_3_4_15_25()
     assert LatticeSimplex.from_json(s.to_json()).vertices == s.vertices
+
+
+# ---------------------------------------------------------------------------
+# primitive facet normals against the adjugate route of tests/oracles.py
+
+
+def outcome(f, *args):
+    """The value, or the exception type with its rejection code."""
+    try:
+        return "value", f(*args)
+    except (FanRejection, PolytopeRejection) as exc:
+        return type(exc), exc.code
+    except ValueError as exc:
+        return (type(exc),)
+
+
+def moved_simplex(rng, w: IntMatrix, m: int) -> LatticeSimplex:
+    """Vertices of ``m * conv(0, columns of w)`` under a random unimodular
+    map, translated and listed in a random order."""
+    n = w.rows
+    a = random_unimodular(rng, n, c_max=2)
+    shift = [rng.randint(-50, 50) for _ in range(n)]
+    cols = [(0,) * n] + [tuple(m * x for x in col) for col in (a @ w).columns()]
+    verts = [tuple(x + t for x, t in zip(v, shift)) for v in cols]
+    rng.shuffle(verts)
+    return LatticeSimplex(vertices=tuple(verts))
+
+
+def random_weights_of_bits(rng, n, bits):
+    while True:
+        q = tuple(rng.randint(1, 1 << bits) for _ in range(n + 1))
+        if gcd(*q) == 1:
+            return WeightsVector(q)
+
+
+def assert_routes_agree(simplex: LatticeSimplex):
+    got = outcome(recognize_polytope, simplex)
+    assert got == outcome(recognize_polytope_by_adjugate, simplex)
+    w = simplex.edge_matrix()
+    assert outcome(is_p_admissible, w) == outcome(is_p_admissible_by_adjugate, w)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.sampled_from((2, 8, 64, 256, 1024)), st.integers(1, 3),
+       st.integers(0, 2 ** 32))
+def test_recognition_of_genuine_simplices_matches_the_adjugate_route(n, bits, m, seed):
+    rng = random.Random(seed)
+    q = random_weights_of_bits(rng, n, bits)
+    fan = fan_from_weights(q)
+    w = weighted_transverse(fan)
+    assert w == weighted_transverse_by_adjugate(fan)
+    kind, value = assert_routes_agree(moved_simplex(rng, w, m))
+    assert kind == "value", value
+    pol, _ = value
+    assert sorted(pol.weights.q) == sorted(reduce_weights(q).q) and pol.polarization == m
+
+
+@pytest.mark.parametrize("n,seed", [(2, 1), (2, 2), (3, 3)])
+def test_recognition_at_4096_bits_matches_the_adjugate_route(n, seed):
+    rng = random.Random(seed)
+    q = random_weights_of_bits(rng, n, 4096)
+    fan = canonical_fan(q)
+    w = weighted_transverse(fan)
+    assert w == weighted_transverse_by_adjugate(fan)
+    kind, value = assert_routes_agree(moved_simplex(rng, w, 1))
+    assert kind == "value", value
+    pol, _ = value
+    assert sorted(pol.weights.q) == sorted(reduce_weights(q).q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 2 ** 32))
+def test_recognition_of_random_simplices_matches_the_adjugate_route(n, size, seed):
+    # small random vertices: mostly not wps polytopes, often singular,
+    # sometimes with a repeated vertex or a common factor in the edges
+    rng = random.Random(seed)
+    verts = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n + 1)]
+    if rng.random() < 0.15:
+        verts[-1] = list(verts[0])
+    if rng.random() < 0.15:
+        verts = [[2 * x for x in v] for v in verts]
+    assert_routes_agree(LatticeSimplex(vertices=tuple(map(tuple, verts))))
+
+
+def test_the_random_simplices_reach_every_outcome():
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        verts = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + 1))
+        got = assert_routes_agree(LatticeSimplex(vertices=verts))
+        seen.add(got[0] if got[0] == "value" else got[1])
+    assert seen >= {"value", "degenerate", "not-wps"}
+
+
+def test_polytope_layer_builds_no_adjugate(monkeypatch):
+    def no_adjugate(*_):
+        raise AssertionError("adjugate built")
+
+    monkeypatch.setattr(wps.linalg, "adjoint", no_adjugate)
+    monkeypatch.setattr(wps, "adjoint", no_adjugate)
+    fan = canonical_fan(WeightsVector((2, 3, 4, 15, 25)))
+    assert weighted_transverse(fan) == W_2_3_4_15_25
+    assert is_p_admissible(W_2_3_4_15_25) is True
+    pol, _ = recognize_polytope(simplex_2_3_4_15_25())
+    assert pol.weights.q == (2, 3, 4, 15, 25)
