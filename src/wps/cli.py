@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from .cohomology import divisor_info, hodge, hodge_table, rational_homology
 from .fan import FanMatrix, FanRejection, canonical_fan, fan_from_weights, recognize_fan
@@ -245,7 +246,9 @@ def _cmd_iso(args):
     return payload, human
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wps`` parser, built once per process: parsing leaves it unchanged."""
     # the output flags are accepted both before and after the subcommand;
     # SUPPRESS keeps the subparser from clobbering a value set up front
     common = argparse.ArgumentParser(add_help=False)

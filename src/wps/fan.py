@@ -94,7 +94,11 @@ def recognize_fan(v: IntMatrix) -> FanMatrix:
     """
     if v.rows < 1 or v.cols != v.rows + 1:
         raise DimensionError(f"fan matrix must be n x (n+1) with n >= 1, got {v.rows}x{v.cols}")
-    minors = max_minors(v)
+    return _fan_of(v, max_minors(v))
+
+
+def _fan_of(v: IntMatrix, minors: tuple[int, ...]) -> FanMatrix:
+    """The checks of :func:`recognize_fan` on ``v`` and its maximal minors."""
     for j, mj in enumerate(minors):
         if mj == 0:
             raise FanRejection("zero-minor", f"zero maximal minor at index {j}", index=j)

@@ -3,7 +3,8 @@
 Everything here is arbitrary precision: matrices carry Python ints and
 every operation is exact.  Floating point is never used anywhere in
 this package; maximal minors of fan matrices are products of weights
-and overflow fixed-width integers almost immediately.
+and overflow fixed-width integers almost immediately.  One Bareiss
+kernel, :func:`_jordan`, computes every determinant.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ class DimensionError(ValueError):
 
 
 def _as_int(x) -> int:
+    if type(x) is int:
+        return x
     if isinstance(x, int):
         return int(x)
     if isinstance(x, Fraction):
@@ -114,9 +117,13 @@ class IntMatrix:
                          tuple(tuple(k * x for x in r) for r in self.entries))
 
     def det(self) -> int:
+        """Determinant by :func:`_jordan` with an empty right block; 0 when singular."""
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
-        return _det_bareiss([list(r) for r in self.entries])
+        try:
+            return _jordan(self.entries, [()] * self.rows)[0]
+        except SingularMatrixError:
+            return 0
 
     def entry_gcd(self) -> int:
         g = 0
@@ -132,33 +139,6 @@ class IntMatrix:
     def __str__(self) -> str:
         width = max((len(str(x)) for r in self.entries for x in r), default=1)
         return "\n".join(" ".join(str(x).rjust(width) for x in r) for r in self.entries)
-
-
-def _det_bareiss(mat: list[list[int]]) -> int:
-    """Fraction-free determinant; every interior division is exact."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, n):
-                if mat[i][k]:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise AssertionError("Bareiss division by the previous pivot is not exact")
-                mat[i][j] = q
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +299,30 @@ def _jordan(a, e) -> tuple[int, list[list[int]]]:
 def max_minors(v: IntMatrix) -> tuple[int, ...]:
     """Signed maximal minors of an ``n x (n+1)`` matrix.
 
-    Entry ``j`` is the determinant of ``v`` with column ``j`` deleted.
-    One fraction-free elimination on ``[B | v_0]``, with ``B`` the
-    columns ``1..n`` and ``v_0`` column 0, gives ``minor_0 = det B`` and
-    ``minor_j = (-1)^(j-1) (adj(B) @ v_0)_(j-1)`` by Cramer's rule, at
-    the cost of one determinant.  The result is checked against
-    ``B @ adj(B) @ v_0 == det(B) * v_0``.  When ``B`` is singular the
-    minors are computed one Bareiss determinant at a time.
+    Entry ``i`` is the determinant of ``v`` with column ``i`` deleted.
+    One :func:`_jordan` on ``[B_j | v_j]``, ``B_j`` being ``v`` without
+    its column ``v_j``, gives ``minor_j = det B_j`` and, by Cramer's rule,
+    ``minor_i = (-1)^(|i-j|-1)`` times the entry of ``adj(B_j) @ v_j`` at
+    column ``i``'s position in ``B_j``.  ``j`` is the first column with a
+    nonsingular block (0 for generic input); all minors are 0 when there
+    is none.  Checked by ``B_j @ adj(B_j) @ v_j == det(B_j) * v_j``.
     """
     if v.rows < 1 or v.cols != v.rows + 1:
         raise DimensionError(f"expected n x (n+1) with n >= 1, got {v.rows}x{v.cols}")
-    try:
-        d, adj_v0 = _jordan([r[1:] for r in v.entries], [r[:1] for r in v.entries])
-    except SingularMatrixError:
-        return tuple(v.delete_column(j).det() for j in range(v.cols))
-    x = [r[0] for r in adj_v0]
-    for r in v.entries:
-        if sum(b * xk for b, xk in zip(r[1:], x)) != d * r[0]:
-            raise AssertionError("maximal minors failed Cramer's identity")
-    return (d,) + tuple(xk if k % 2 == 0 else -xk for k, xk in enumerate(x))
+    for j in range(v.cols):
+        block = [r[:j] + r[j + 1:] for r in v.entries]
+        try:
+            d, adj_vj = _jordan(block, [r[j:j + 1] for r in v.entries])
+        except SingularMatrixError:
+            continue
+        x = [r[0] for r in adj_vj]
+        for b, r in zip(block, v.entries):
+            if sum(map(mul, b, x)) != d * r[j]:
+                raise AssertionError("maximal minors failed Cramer's identity")
+        return tuple(d if i == j else
+                     (-1) ** (abs(i - j) - 1) * x[i if i < j else i - 1]
+                     for i in range(v.cols))
+    return (0,) * v.cols
 
 
 def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:

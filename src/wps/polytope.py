@@ -5,7 +5,7 @@ transposed inverse and rescales column ``k`` by ``lcm(weights)/q_k``.
 The result is an integer matrix whose columns, together with the
 origin, span the polytope of the minimal very ample polarization.  The
 inverse direction divides out the entry gcd and reads the weights off
-the primitive facet normals (:func:`what_matrix`, no adjugate), which
+the primitive facet normals and one maximal-minor elimination, which
 is also the recognition procedure for arbitrary origin-anchored simplices.
 """
 
@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int,
-                     _primitive_rows, what_matrix)
-from .fan import FanMatrix, fan_from_weights, recognize_fan
+                     _primitive_rows, max_minors)
+from .fan import FanMatrix, _fan_of, fan_from_weights
 from .weights import WeightsVector, is_reduced
 
 
@@ -30,15 +31,13 @@ class PolytopeRejection(ValueError):
 
 @dataclass(frozen=True)
 class LatticeSimplex:
-    """Origin-anchored full-dimensional lattice simplex.
+    """Lattice simplex given by its vertices.
 
-    ``vertices`` holds ``n+1`` integer points of ``Z^n``.  Once
-    ``normalized`` the first vertex is the origin and the matrix of the
-    remaining vertices is nonsingular.
+    ``vertices`` holds ``n+1`` integer points of ``Z^n``; the first one
+    is the anchor that :meth:`normalize` moves to the origin.
     """
 
     vertices: tuple[tuple[int, ...], ...]
-    normalized: bool = False
 
     def __post_init__(self):
         if len(self.vertices) < 2:
@@ -50,8 +49,6 @@ class LatticeSimplex:
             raise DimensionError(f"need {dim + 1} vertices in dimension {dim}")
         object.__setattr__(self, "vertices",
                            tuple(tuple(_as_int(x) for x in v) for v in self.vertices))
-        if self.normalized and any(self.vertices[0]):
-            raise ValueError("normalized simplex must have the origin first")
 
     @property
     def n(self) -> int:
@@ -59,17 +56,17 @@ class LatticeSimplex:
 
     def normalize(self) -> "LatticeSimplex":
         """Translate so the first listed vertex becomes the origin."""
-        if self.normalized:
-            return self
         p0 = self.vertices[0]
+        if not any(p0):
+            return self
         moved = tuple(tuple(a - b for a, b in zip(v, p0)) for v in self.vertices)
-        return LatticeSimplex(vertices=moved, normalized=True)
+        return LatticeSimplex(vertices=moved)
 
     def edge_matrix(self) -> IntMatrix:
         """Columns ``vertex_i - vertex_0`` for ``i = 1..n``."""
-        s = self.normalize()
+        p0 = self.vertices[0]
         return IntMatrix.from_rows(
-            [[s.vertices[k + 1][i] for k in range(self.n)] for i in range(self.n)])
+            [[v[i] - p0[i] for v in self.vertices[1:]] for i in range(self.n)])
 
     def to_json(self) -> dict:
         return {"vertices": [[str(x) for x in v] for v in self.vertices]}
@@ -134,31 +131,42 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
         raise AssertionError("minimal polytope matrix must be primitive")
     origin = tuple(0 for _ in range(q.n))
     verts = (origin,) + tuple(tuple(m * x for x in w.column(k)) for k in range(q.n))
-    return LatticeSimplex(vertices=verts, normalized=True)
+    return LatticeSimplex(vertices=verts)
 
 
-def _normal_weights(what: IntMatrix, lam: tuple[int, ...]) -> tuple[int, ...]:
-    """Weights of the normals ``what_k @ w = lam_k * e_k``: ``q_0 = |det
-    what|`` and ``q_k = lcm(lam) / lam_k``, as ``adj_k = det / lam_k * what_k``."""
+def _normal_weights(what: IntMatrix, lam: tuple[int, ...]) -> tuple[tuple, list, tuple]:
+    """Weights ``q`` of the normals ``what_k @ w = lam_k * e_k``, their sum
+    ``s = sum_k q_k * what_k`` and the minors of the fan ``[-s/q_0 | what^T]``.
+
+    ``q_k = lcm(lam) / lam_k`` for ``k >= 1``.  One :func:`max_minors` of
+    ``[-s | what^T]`` gives ``q_0 = |minor_0| = |det what|`` and, as its
+    first column is ``q_0`` times the fan's, ``q_0`` times the fan's other minors.
+    """
     big_l = lcm(*lam)
-    return (abs(what.det()),) + tuple(big_l // x for x in lam)
+    q = tuple(big_l // x for x in lam)
+    cols = list(zip(*what.entries))
+    s = [sum(map(mul, q, col)) for col in cols]
+    minors = max_minors(IntMatrix.from_rows([[-si, *col] for si, col in zip(s, cols)]))
+    q0 = abs(minors[0])
+    if any(mi % q0 for mi in minors[1:]):
+        raise AssertionError("fan minors are not a multiple of |det what|")
+    return (q0,) + q, s, (minors[0],) + tuple(mi // q0 for mi in minors[1:])
 
 
 def is_p_admissible(w: IntMatrix) -> bool:
     """Test whether a primitive square matrix is a polytope matrix.
 
-    It is one exactly when ``sum_k q_k * what_k == 0 (mod q_0)`` in every
-    component (:func:`_normal_weights`): the adjugate column sums over
-    ``|det w| / lcm(lam)``.
+    It is one exactly when ``s = sum_k q_k * what_k == 0 (mod q_0)`` in
+    every component (:func:`_normal_weights`): the adjugate column sums
+    over ``|det w| / lcm(lam)``.
     """
     if not w.is_square:
         raise DimensionError("admissibility needs a square matrix")
     what, lam = _primitive_rows(w)   # raises SingularMatrixError when det w == 0
     if w.entry_gcd() != 1:
         raise ValueError("entries are not primitive: divide by their gcd first")
-    q = _normal_weights(what, lam)
-    return all(sum(qk * x for qk, x in zip(q[1:], col)) % q[0] == 0
-               for col in what.columns())
+    q, s, _ = _normal_weights(what, lam)
+    return all(si % q[0] == 0 for si in s)
 
 
 def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
@@ -166,37 +174,34 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
 
     Translates by the first vertex, divides the edge matrix by its
     entry gcd ``m`` and inverts the transversion through the primitive
-    facet normals of :func:`what_matrix`, which are the rays of the
-    fan.  The weights, the fan and every consistency check are read off
-    the normals and their multiples ``lam``.  Fails with ``degenerate``
-    when the edge matrix is zero or singular, and with ``not-wps`` when
-    the derived first fan column is not integral.
+    facet normals (:func:`_primitive_rows`), which are the rays of the
+    fan.  The weights, the fan's minors and every consistency check are
+    read off the normals, their multiples ``lam`` and :func:`_normal_weights`.
+    Fails with ``degenerate`` when the edge matrix is zero or singular,
+    and with ``not-wps`` when the derived first fan column is not integral.
     """
-    s = s.normalize()
     w = s.edge_matrix()
     m = w.entry_gcd()
     if m == 0:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional")
     w_prime = IntMatrix.from_rows([[x // m for x in row] for row in w.entries])
     try:
-        what, what_w = what_matrix(w_prime)
+        what, lam = _primitive_rows(w_prime)
     except SingularMatrixError:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
 
-    n = w_prime.rows
-    lam = tuple(what_w.entries[k][k] for k in range(n))
-    q = _normal_weights(what, lam)
+    q, wsum, minors = _normal_weights(what, lam)
     # the fan has the rows of ``what`` as columns 1..n; its first column
-    # ``v0`` is fixed by the weighted column sum being zero
+    # ``v0 = -wsum / q_0`` is fixed by the weighted column sum being zero
     v0 = []
-    for i in range(n):
-        quo, rem = divmod(-sum(q[k + 1] * what.entries[k][i] for k in range(n)), q[0])
+    for si in wsum:
+        quo, rem = divmod(-si, q[0])
         if rem:
             raise PolytopeRejection("not-wps", "not a wps polytope: "
                                     "reconstructed fan column is not integral")
         v0.append(quo)
-    fan = recognize_fan(IntMatrix.from_rows([[v0[i]] + list(what.column(i))
-                                             for i in range(n)]))
+    fan = _fan_of(IntMatrix.from_rows([[x, *col] for x, col in zip(v0, zip(*what.entries))]),
+                  minors)
     if fan.weights.q != q:
         raise AssertionError("reconstructed fan disagrees with the derived weights")
     if not is_reduced(fan.weights):
@@ -207,10 +212,9 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     # ``weighted_transverse(fan) == w'`` is decided by the equivalent
     # identity ``B^T @ w' @ diag(q_1..q_n) == delta * I`` for the rays
     # block ``B``: that block is ``what^T``, so ``B^T @ w'`` is the product
-    # ``what_w = diag(lam)`` that ``what_matrix`` already checked
+    # ``diag(lam)`` that ``_primitive_rows`` already checked
     delta = fan.weights.delta
-    if not all(x * q[k + 1] == (delta if i == k else 0)
-               for i, row in enumerate(what_w.entries) for k, x in enumerate(row)):
+    if any(x * qk != delta for x, qk in zip(lam, q[1:])):
         raise AssertionError("recognized fan does not map back to the polytope")
     return PolarizedWps(weights=fan.weights, polarization=m), fan
 

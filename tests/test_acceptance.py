@@ -76,7 +76,7 @@ def test_criterion_02_polytope_reproduction():
 def test_criterion_03_recognition_closure():
     with criterion(3, "recognizing the known simplex returns Q, m=1 and the known fan"):
         verts = ((0, 0, 0, 0),) + tuple(POLYTOPE_MATRIX.column(k) for k in range(4))
-        pol, fan = recognize_polytope(LatticeSimplex(vertices=verts, normalized=True))
+        pol, fan = recognize_polytope(LatticeSimplex(vertices=verts))
         assert pol.weights.q == (2, 3, 4, 15, 25)
         assert pol.polarization == 1
         assert fan.v == CANONICAL_MATRIX

@@ -284,6 +284,24 @@ def test_quiet_suppresses_stdout(capsys):
     assert code == 0 and out == ""
 
 
+def test_shared_parser_leaks_no_flag(capsys):
+    # main() builds its parser once per process; every call must print
+    # what it prints on a freshly built parser, in any order
+    calls = [("--json", "reduce", "--weights", "2,3,4,15,25"),
+             ("reduce", "--weights", "2,3,4,15,25"),
+             ("--quiet", "fan", "--weights", "2,3,4,15,25"),
+             ("fan", "--weights", "2,3,4,15,25", "--canonical")]
+    alone = []
+    for argv in calls:
+        wps.cli.build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert alone[0][1].startswith("{") and not alone[1][1].startswith("{")
+    assert alone[2][1] == "" and not alone[3][1].startswith("{")
+    shared = [run(capsys, *argv) for argv in calls + calls[::-1]]
+    assert shared == alone + alone[::-1]
+    assert wps.cli.build_parser() is wps.cli.build_parser()
+
+
 def test_human_output_annotates_weights(capsys):
     code, out, _ = run(capsys, "fan", "--weights", "2,3,4,15,25", "--canonical")
     assert code == 0

@@ -121,7 +121,60 @@ def test_kernel_rows_annihilate_and_are_saturated(rows):
 
 
 # ---------------------------------------------------------------------------
+# determinants
+
+
+@st.composite
+def det_inputs(draw):
+    """A square matrix, n = 1..7, singular about half the time: its last
+    row an integer combination of the others (zero when n = 1)."""
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(det_inputs())
+def test_det_matches_rational_elimination(rows):
+    a = mat(rows)
+    assert a.det() == to_rational(a).det()
+
+
+def test_det_of_large_entries():
+    # 1,024-bit entries, nonsingular and with a dependent last row
+    rng = random.Random(23)
+    for n in (1, 2, 3, 5, 8):
+        rows = [[rng.randint(-(1 << 1024), 1 << 1024) for _ in range(n)] for _ in range(n)]
+        a = mat(rows)
+        assert a.det() == to_rational(a).det() != 0
+        if n > 1:
+            rows[-1] = [3 * x - 7 * y for x, y in zip(rows[0], rows[-2])]
+            assert mat(rows).det() == to_rational(mat(rows)).det() == 0
+
+
+def test_det_shape_check():
+    with pytest.raises(DimensionError):
+        mat([[1, 2]]).det()
+
+
+# ---------------------------------------------------------------------------
 # maximal minors
+
+
+def test_entries_keep_their_conversions():
+    # exact ints pass through unchanged; bools, integral fractions and
+    # decimal strings convert, anything inexact is refused
+    big = 3 ** 700
+    assert mat([[big]]).entries[0][0] is big
+    assert mat([[True, Fraction(4, 2), "-7", 5]]).entries == ((1, 2, -7, 5),)
+    with pytest.raises(ValueError):
+        mat([[Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        mat([[2.0]])
 
 
 def test_minors_of_1x2():
@@ -163,10 +216,41 @@ def test_minors_match_deleted_column_determinants(case):
     v = mat(rows)
     minors = max_minors(v)
     assert minors == tuple(v.delete_column(j).det() for j in range(v.cols))
+    # .det() runs the same kernel as max_minors; the rational elimination does not
+    assert minors == tuple(to_rational(v.delete_column(j)).det() for j in range(v.cols))
     if shape == "singular-block" and v.rows >= 2:
         assert minors[0] == 0
     if shape == "rank-deficient":
         assert not any(minors)
+
+
+@st.composite
+def dependent_column_inputs(draw):
+    """An ``n x (n+1)`` matrix, n = 2..8, whose column ``t`` is an integer
+    combination of the columns in ``support``: each block ``B_j`` with
+    ``j`` outside ``support`` and ``t`` is singular, so the first block
+    that is not sits at a random column."""
+    n = draw(st.integers(2, 8))
+    rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n + 1, max_size=n + 1),
+                         min_size=n, max_size=n))
+    t = draw(st.integers(0, n))
+    support = draw(st.lists(st.sampled_from([j for j in range(n + 1) if j != t]),
+                            min_size=1, max_size=n - 1, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                           min_size=len(support), max_size=len(support)))
+    for r in rows:
+        r[t] = sum(c * r[j] for c, j in zip(coeffs, support))
+    return rows, set(support) | {t}
+
+
+@settings(max_examples=150, deadline=None)
+@given(dependent_column_inputs())
+def test_minors_with_a_singular_block_at_a_random_column(case):
+    rows, dependent = case
+    v = mat(rows)
+    minors = max_minors(v)
+    assert minors == tuple(to_rational(v.delete_column(j)).det() for j in range(v.cols))
+    assert all(minors[j] == 0 for j in range(v.cols) if j not in dependent)
 
 
 def test_minors_shape_check():

@@ -38,7 +38,7 @@ CANONICAL_2_3_4_15_25 = IntMatrix.from_rows([
 
 def simplex_2_3_4_15_25():
     verts = ((0, 0, 0, 0),) + tuple(W_2_3_4_15_25.column(k) for k in range(4))
-    return LatticeSimplex(vertices=verts, normalized=True)
+    return LatticeSimplex(vertices=verts)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +195,7 @@ def test_what_inverts_transversion_for_reduced_weights():
         w = weighted_transverse(fan)
         assert what_matrix(w)[0].transpose() == fan.rays_block()
         pol, refan = recognize_polytope(
-            LatticeSimplex(vertices=((0,) * fan.n,) + tuple(w.column(k) for k in range(fan.n)),
-                           normalized=True))
+            LatticeSimplex(vertices=((0,) * fan.n,) + tuple(w.column(k) for k in range(fan.n))))
         assert weighted_transverse(refan) == w
 
 
@@ -322,8 +321,6 @@ def test_permuted_polytope_stays_admissible():
 def test_simplex_validation():
     with pytest.raises(ValueError):
         LatticeSimplex(vertices=((0, 0), (1, 0)))          # too few vertices
-    with pytest.raises(ValueError):
-        LatticeSimplex(vertices=((1, 0), (0, 1), (2, 2)), normalized=True)
 
 
 def test_simplex_rejects_non_integral_vertices():
@@ -338,6 +335,17 @@ def test_simplex_rejects_non_integral_vertices():
 def test_simplex_json_round_trip():
     s = simplex_2_3_4_15_25()
     assert LatticeSimplex.from_json(s.to_json()).vertices == s.vertices
+    for q, m in (((2, 3, 4, 15, 25), 1), ((3, 5, 7), 2), ((1, 1), 3)):
+        s = polytope_of(WeightsVector(q), m)
+        assert LatticeSimplex.from_json(s.to_json()) == s
+
+
+def test_simplex_normalize_and_edges():
+    s = LatticeSimplex(vertices=((1, 2), (3, 2), (1, 7)))
+    moved = s.normalize()
+    assert moved.vertices == ((0, 0), (2, 0), (0, 5))
+    assert moved.normalize() is moved
+    assert s.edge_matrix() == moved.edge_matrix() == IntMatrix.from_rows([[2, 0], [0, 5]])
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +440,30 @@ def test_the_random_simplices_reach_every_outcome():
         got = assert_routes_agree(LatticeSimplex(vertices=verts))
         seen.add(got[0] if got[0] == "value" else got[1])
     assert seen >= {"value", "degenerate", "not-wps"}
+
+
+def test_recognition_takes_no_determinant(monkeypatch):
+    simplex = simplex_2_3_4_15_25()
+
+    def no_det(self):
+        raise AssertionError("determinant taken")
+
+    calls = []
+    jordan = wps.linalg._jordan
+
+    def counted(a, e):
+        calls.append(len(a))
+        return jordan(a, e)
+
+    monkeypatch.setattr(IntMatrix, "det", no_det)
+    monkeypatch.setattr(wps.linalg, "_jordan", counted)
+    pol, fan = recognize_polytope(simplex)
+    assert pol.weights.q == (2, 3, 4, 15, 25) and fan.v == CANONICAL_2_3_4_15_25
+    assert calls == [4]                 # one elimination: the fan minors
+    assert is_p_admissible(W_2_3_4_15_25) is True
+    canonical = canonical_fan(WeightsVector((2, 3, 4, 15, 25)))
+    assert weighted_transverse(canonical) == W_2_3_4_15_25
+    assert recognize_fan(CANONICAL_2_3_4_15_25).weights.q == (2, 3, 4, 15, 25)
 
 
 def test_polytope_layer_builds_no_adjugate(monkeypatch):
