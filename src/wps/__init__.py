@@ -15,8 +15,7 @@ from .fan import (FanMatrix, FanRejection, canonical_fan, fan_from_weights,
 from .polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection,
                        is_p_admissible, permute_polytope, polytope_of,
                        recognize_polytope, weighted_transverse)
-from .lattice import (LatticePoint, count_interior, count_points, face_histogram,
-                      lattice_points)
+from .lattice import count_interior, count_points, face_histogram
 from .cohomology import (DivisorClassInfo, HodgeTable, divisor_info, h0_line_bundle,
                          hodge, hodge_table, rational_homology)
 
@@ -32,8 +31,7 @@ __all__ = [
     "LatticeSimplex", "PolarizedWps", "PolytopeRejection",
     "weighted_transverse", "polytope_of", "is_p_admissible", "recognize_polytope",
     "permute_polytope",
-    "LatticePoint", "count_points", "count_interior", "face_histogram",
-    "lattice_points",
+    "count_points", "count_interior", "face_histogram",
     "DivisorClassInfo", "HodgeTable", "divisor_info", "rational_homology",
     "h0_line_bundle", "hodge", "hodge_table",
 ]

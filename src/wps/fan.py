@@ -3,18 +3,21 @@
 A fan matrix is an ``n x (n+1)`` integer matrix whose columns generate
 the rays of the fan.  Its maximal minors recover the weights (up to an
 alternating sign), which gives a recognition procedure.  A fan is built
-from the HNF witness of the weights column, and the canonical one (its
-last ``n`` columns a nonnegative HNF block) with one extended-gcd
-combination per row.
+from the HNF witness of the weights column.  The canonical one (its
+last ``n`` columns a nonnegative HNF block of determinant ``q_0``) is
+solved by congruences, as in Domich, Kannan and Trotter's HNF modulo
+the determinant: every entry above a pivot is a residue, found with one
+modular inverse per column, and the result is certified without a
+determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .linalg import DimensionError, IntMatrix, hnf, is_hnf, max_minors
-from .weights import WeightsVector, _extended_gcd_combination, isomorphic
+from .weights import WeightsVector, isomorphic
 
 
 class FanRejection(ValueError):
@@ -141,35 +144,58 @@ def fan_from_weights(q: WeightsVector) -> FanMatrix:
 def canonical_fan(q: WeightsVector) -> FanMatrix:
     """The unique fan matrix whose columns 1..n form a nonnegative HNF block.
 
-    Its rows are the HNF basis of ``ker q``, built from row ``n`` up: row
-    ``i`` has pivot ``d_i = g / gcd(g, q_i)`` with ``g = gcd(q_0, q_{i+1},
-    ..., q_n)``, the extended-gcd combination of those weights times
-    ``-d_i q_i / g`` on columns ``0, i+1..n``, and each entry ``j > i``
-    reduced into ``[0, d_j)`` by row ``j``.  Column 0 is then negative.
+    Its rows are the HNF basis of ``ker q``, solved as congruences: with
+    ``g_i = gcd(q_0, q_{i+1}, ..., q_n)`` the pivot of column ``i`` is
+    ``d_i = g_i / g_{i-1}``, and the entry of row ``i`` in column
+    ``j > i`` is the one residue mod ``d_j`` that keeps the partial sum
+    ``d_i q_i + ... + q_j x_j`` divisible by ``g_j``; it needs
+    ``(q_j / g_{j-1})^-1 mod d_j``, one inverse per column.  Column 0
+    closes each row to ``row . q = 0``.
+
+    The result is certified without a determinant: rows in ``ker q``, a
+    nonnegative HNF block whose pivots multiply to ``q_0``, and a
+    negative column 0.  The block then has rank ``n`` and determinant
+    ``q_0``, so the cofactor vector, which spans the kernel, is ``q``
+    itself: the maximal minors are ``(-1)^j q_j`` and ``epsilon = 0``.
     """
     if q.n < 1:
         raise DimensionError("need at least two weights")
-    rows = {}                       # row i on columns 0..n
-    for i in range(q.n, 0, -1):
-        r = (q[0],) + q.q[i + 1:]
-        g = gcd(*r)
-        d = g // gcd(g, q[i])
-        t = -d * q[i] // g
-        c = _extended_gcd_combination(r)
-        x = [t * c[0]] + [0] * (i - 1) + [d] + [t * cj for cj in c[1:]]
-        for j in range(i + 1, q.n + 1):
-            f = x[j] // rows[j][j]
-            x = [a - f * b for a, b in zip(x, rows[j])]
-        rows[i] = x
-    out = recognize_fan(IntMatrix.from_rows([rows[i] for i in range(1, q.n + 1)]))
-    if out.weights.q != q.q:
-        raise AssertionError("normalization changed the weights")
-    block = out.rays_block()
+    n = q.n
+    g = [0] * n + [q[0]]
+    for i in range(n - 1, -1, -1):
+        g[i] = gcd(g[i + 1], q[i + 1])
+    d = [1] + [g[i] // g[i - 1] for i in range(1, n + 1)]
+    inv = [pow(q[j] // g[j - 1], -1, d[j]) if d[j] > 1 else 0 for j in range(n + 1)]
+    v = IntMatrix.from_rows([_canonical_row(q.q, i, g, d, inv) for i in range(1, n + 1)])
+    block = v.delete_column(0)
     if not is_hnf(block) or any(x < 0 for row in block.entries for x in row):
         raise AssertionError("canonical block is not a nonnegative HNF")
-    if any(x >= 0 for x in out.v.column(0)):
+    if any(x >= 0 for x in v.column(0)):
         raise AssertionError("canonical first column must be negative")
-    return out
+    if prod(block.entries[i][i] for i in range(n)) != q[0]:
+        raise AssertionError("canonical pivots do not multiply to q_0")
+    if any(sum(a * b for a, b in zip(row, q.q)) for row in v.entries):
+        raise AssertionError("canonical rows are not in the kernel of the weights")
+    return FanMatrix(v=v, weights=q, epsilon=0)
+
+
+def _canonical_row(q: tuple[int, ...], i: int, g: list[int], d: list[int],
+                   inv: list[int]) -> list[int]:
+    """Row ``i`` of the canonical fan: pivot ``d_i``, then each entry
+    ``j > i`` the residue mod ``d_j`` that makes the partial sum ``S``
+    divisible by ``g_j``, and ``x_0 = -S / q_0``."""
+    x = [0] * len(q)
+    x[i] = d[i]
+    s = d[i] * q[i]
+    for j in range(i + 1, len(q)):
+        if d[j] > 1:
+            x[j] = -(s // g[j - 1]) * inv[j] % d[j]
+            s += q[j] * x[j]
+    x0, rem = divmod(-s, q[0])
+    if rem:
+        raise AssertionError(f"row {i} does not close on column 0")
+    x[0] = x0
+    return x
 
 
 def permutation_matrix(sigma: tuple[int, ...]) -> IntMatrix:

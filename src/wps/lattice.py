@@ -39,41 +39,14 @@ as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 from operator import add
-from typing import Iterator
 
 from .weights import WeightsVector, reduce_weights
 
 # longest slice one table update materializes at a time
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """A solution of the weighted composition equation with its face data.
-
-    ``face_dim`` is the dimension of the smallest face of the dilated
-    polytope containing the point: the ambient dimension minus the
-    number of vanishing coordinates.
-    """
-
-    composition: tuple[int, ...]
-    face_dim: int
-
-    def __post_init__(self):
-        n = len(self.composition) - 1
-        if any(x < 0 for x in self.composition):
-            raise ValueError("composition entries must be nonnegative")
-        zeros = sum(1 for x in self.composition if x == 0)
-        if self.face_dim != n - zeros:
-            raise ValueError(f"face_dim {self.face_dim} does not match {zeros} zeros")
-
-    @property
-    def interior(self) -> bool:
-        return all(x > 0 for x in self.composition)
 
 
 def _reduced(q: WeightsVector) -> tuple[tuple[int, ...], int]:
@@ -249,31 +222,6 @@ def count_points(q: WeightsVector, m: int) -> int:
     if len(samples) == n + 1:
         _check_volume(top, weights, delta)
     return value
-
-
-def lattice_points(q: WeightsVector, m: int) -> Iterator[LatticePoint]:
-    """Enumerate the points of the ``m``-th dilate (``m >= 1``).
-
-    Intended for inspection and small cases; counting goes through the
-    polynomial-time routines instead.
-    """
-    if m < 1:
-        raise ValueError("enumeration needs a positive dilation factor")
-    weights, delta = _reduced(q)
-    target = m * delta
-    n = len(weights) - 1
-
-    def solve(j: int, remaining: int, acc: tuple[int, ...]):
-        if j == n:
-            if remaining % weights[n] == 0:
-                yield acc + (remaining // weights[n],)
-            return
-        for x in range(remaining // weights[j] + 1):
-            yield from solve(j + 1, remaining - x * weights[j], acc + (x,))
-
-    for comp in solve(0, target, ()):
-        zeros = sum(1 for x in comp if x == 0)
-        yield LatticePoint(composition=comp, face_dim=n - zeros)
 
 
 def count_interior(q: WeightsVector, m: int) -> int:

@@ -3,15 +3,17 @@
 Everything here deliberately re-derives results through a different
 route than the production code: cofactor expansion instead of
 elimination, rational Gauss-Jordan inverses instead of integer
-adjugates, direct diophantine solving and two Hermite normal forms
-instead of one extended-gcd combination per canonical fan row,
+adjugates, two Hermite normal forms instead of the congruences of
+the canonical fan (the direct diophantine construction here solves
+those same congruences),
 the Bareiss adjugate and its row gcds instead of primitive facet
 normals for transversion, recognition and admissibility, explicit fan
 reconstruction and lattice membership instead of the facet-normal
 admissibility test, the alternating cone count
 instead of the closed-form Betti numbers, geometric half-space
 enumeration instead of composition counting, and dynamic programming
-over the full target instead of sampled Ehrhart polynomials.
+over the full target and point-by-point enumeration instead of sampled
+Ehrhart polynomials.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
+from typing import Iterator
 
 from wps.fan import FanMatrix, recognize_fan
 from wps.linalg import DimensionError, IntMatrix, SingularMatrixError, adjoint, hnf, row_gcds
@@ -318,7 +321,10 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 #
 # Builds the triangular block column by column from the gcd chain
 # k_j = gcd(q_0, q_j, ..., q_n), solving each row equation by modular
-# inversion, instead of normalizing an existing fan matrix.
+# inversion, instead of normalizing an existing fan matrix.  The
+# library's canonical_fan now solves the same congruences (per row, on
+# the running sum), so this is a second implementation of one idea;
+# canonical_fan_by_hnf below is the independent route.
 
 
 def canonical_fan_diophantine(q: tuple[int, ...]) -> IntMatrix:
@@ -587,6 +593,57 @@ def dp_face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
             for p in range(n + 2):
                 row[p] += pos[p]
     return {p - 1: ways for p, ways in enumerate(table[target]) if ways and p >= 1}
+
+
+# ---------------------------------------------------------------------------
+# lattice points enumerated one by one
+#
+# Exponential in the target m * delta: for small cases only.
+
+
+@dataclass(frozen=True)
+class LatticePoint:
+    """A solution of the weighted composition equation with its face data.
+
+    ``face_dim`` is the dimension of the smallest face of the dilated
+    polytope containing the point: the ambient dimension minus the
+    number of vanishing coordinates.
+    """
+
+    composition: tuple[int, ...]
+    face_dim: int
+
+    def __post_init__(self):
+        n = len(self.composition) - 1
+        if any(x < 0 for x in self.composition):
+            raise ValueError("composition entries must be nonnegative")
+        zeros = sum(1 for x in self.composition if x == 0)
+        if self.face_dim != n - zeros:
+            raise ValueError(f"face_dim {self.face_dim} does not match {zeros} zeros")
+
+    @property
+    def interior(self) -> bool:
+        return all(x > 0 for x in self.composition)
+
+
+def lattice_points(q: WeightsVector, m: int) -> Iterator[LatticePoint]:
+    """Enumerate the points of the ``m``-th dilate (``m >= 1``)."""
+    if m < 1:
+        raise ValueError("enumeration needs a positive dilation factor")
+    red = reduce_weights(q)
+    weights, target, n = red.q, m * red.delta, q.n
+
+    def solve(j: int, remaining: int, acc: tuple[int, ...]):
+        if j == n:
+            if remaining % weights[n] == 0:
+                yield acc + (remaining // weights[n],)
+            return
+        for x in range(remaining // weights[j] + 1):
+            yield from solve(j + 1, remaining - x * weights[j], acc + (x,))
+
+    for comp in solve(0, target, ()):
+        zeros = sum(1 for x in comp if x == 0)
+        yield LatticePoint(composition=comp, face_dim=n - zeros)
 
 
 # ---------------------------------------------------------------------------

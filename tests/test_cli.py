@@ -464,6 +464,36 @@ def test_round_trips_with_4000_to_5000_digit_weights(capsys, tmp_path, n, seed):
 
 
 @has_digit_limit
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fan_round_trips_with_20000_digit_weights(capsys, tmp_path, n):
+    # one 66,000-bit modular inverse per canonical fan; the polytope leg
+    # stays at 5,000 digits above, since fan_from_weights runs a Hermite
+    # form whose Euclid is far slower at this size
+    rng = random.Random(20000 + n)
+    q = (0,)
+    while gcd(*q) != 1:
+        q = tuple(rng.randrange(10 ** 19999, 10 ** 20000) for _ in range(n + 1))
+    weights = WeightsVector(q)
+    default = sys.int_info.default_max_str_digits
+    with digit_limit(default):
+        fan = canonical_fan(weights)
+        assert recognize_fan(fan.v) == fan
+        assert fan.weights == weights
+
+        text = unlimited(lambda: ",".join(map(str, q)))
+        code, out, err = run_at_default_limit(capsys, "--json", "fan", "--weights", text,
+                                              "--canonical")
+        assert code == 0, err
+        path = tmp_path / "fan.json"
+        path.write_text(out)
+        code, out, err = run_at_default_limit(capsys, "--json", "recognize-fan",
+                                              "--matrix", str(path))
+        assert code == 0, err
+        assert json.loads(out) == unlimited(fan.to_json)
+        assert json.loads(out)["weights"] == text.split(",")
+
+
+@has_digit_limit
 def test_huge_non_coprime_minors_are_named_by_bit_length():
     # 6,001-digit minors: under the default int/str digit limit a decimal
     # message would raise a plain ValueError in place of the rejection

@@ -4,6 +4,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wps.fan
+import wps.linalg
+import wps.weights
+from wps.cli import main
 from wps.fan import (FanRejection, canonical_fan, fan_from_weights, fan_isomorphic,
                      permutation_matrix, recognize_fan)
 from wps.linalg import DimensionError, IntMatrix, is_hnf
@@ -107,6 +111,117 @@ def test_canonical_fan_matches_both_oracles_at_4000_to_5000_digits(n, seed):
     rng = random.Random(seed)
     q = WeightsVector(tuple(rng.randrange(10 ** 3999, 10 ** 5000) for _ in range(n + 1)))
     assert canonical_fan(q).v == canonical_fan_diophantine(q.q) == canonical_fan_by_hnf(q.q)
+
+
+@st.composite
+def weights_of_size(draw, n_max, bits_max):
+    n = draw(st.integers(1, n_max))
+    bits = draw(st.integers(1, bits_max))
+    return WeightsVector(tuple(draw(st.lists(st.integers(1, 2 ** bits),
+                                             min_size=n + 1, max_size=n + 1))))
+
+
+def assert_canonical_fan_checks_out(q):
+    # the certificate stands in for recognize_fan, so recognition must
+    # return the same fan, and the fan must be the HNF one of the oracle
+    fan = canonical_fan(q)
+    assert recognize_fan(fan.v) == fan
+    assert fan.weights == q and fan.epsilon == 0
+    assert fan.v == canonical_fan_by_hnf(q.q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights_of_size(n_max=12, bits_max=256))
+def test_canonical_fan_is_recognized_and_matches_the_hnf_oracle(q):
+    assert_canonical_fan_checks_out(q)
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 3), seed=st.integers(0, 2 ** 32))
+def test_canonical_fan_is_recognized_at_4096_bits(n, seed):
+    rng = random.Random(seed)
+    assert_canonical_fan_checks_out(WeightsVector(tuple(rng.getrandbits(4096) | 1
+                                                        for _ in range(n + 1))))
+
+
+def test_canonical_fan_with_every_pivot_two():
+    # every entry above the diagonal is a nonzero residue
+    assert canonical_fan(WeightsVector((8, 3, 6, 4))).v == IntMatrix.from_rows([
+        [-2, 2, 1, 1],
+        [-2, 0, 2, 1],
+        [-1, 0, 0, 2],
+    ])
+
+
+def test_canonical_fan_with_pivots_one_three_four():
+    assert canonical_fan(WeightsVector((12, 18, 8, 27))).v == IntMatrix.from_rows([
+        [-6, 1, 0, 2],
+        [-2, 0, 3, 0],
+        [-9, 0, 0, 4],
+    ])
+
+
+# ---------------------------------------------------------------------------
+# the certificate that replaces recognition inside canonical_fan
+
+
+def corrupt_rows(monkeypatch, change):
+    """Make ``_canonical_row`` return ``change(i, row, last_row)``."""
+    row_of = wps.fan._canonical_row
+
+    def corrupted(q, i, g, d, inv):
+        return change(i, row_of(q, i, g, d, inv), row_of(q, len(q) - 1, g, d, inv))
+
+    monkeypatch.setattr(wps.fan, "_canonical_row", corrupted)
+
+
+@pytest.mark.parametrize("change, message", [
+    # row 1 plus row 3 of (8,3,6,4): in the kernel, pivots unchanged, but
+    # its column-3 entry is 3, not reduced below the pivot 2
+    (lambda i, row, last: [a + b for a, b in zip(row, last)] if i == 1 else row,
+     "canonical block is not a nonnegative HNF"),
+    # row 1 minus row 3: in the kernel with the same pivots, one entry -1
+    (lambda i, row, last: [a - b for a, b in zip(row, last)] if i == 1 else row,
+     "canonical block is not a nonnegative HNF"),
+    # a nonnegative column 0 with a valid block; with the other conditions
+    # it cannot occur, so this row also leaves the kernel
+    (lambda i, row, last: [0] + row[1:], "canonical first column must be negative"),
+    # the last row doubled: in the kernel and still an HNF, pivots 2*q_0
+    (lambda i, row, last: [2 * x for x in row] if i == 3 else row,
+     "canonical pivots do not multiply to q_0"),
+    # row 2 with column 0 shifted: an HNF with the right pivots, off the kernel
+    (lambda i, row, last: [row[0] - 1] + row[1:] if i == 2 else row,
+     "canonical rows are not in the kernel of the weights"),
+], ids=["unreduced-entry", "negative-entry", "nonnegative-column-0", "scaled-row",
+        "non-kernel-row"])
+def test_each_certificate_condition_is_checked(monkeypatch, capsys, change, message):
+    corrupt_rows(monkeypatch, change)
+    with pytest.raises(AssertionError, match=message):
+        canonical_fan(WeightsVector((8, 3, 6, 4)))
+    assert main(["fan", "--weights", "8,3,6,4", "--canonical"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"internal error: {message}\n"
+
+
+def test_a_row_that_does_not_close_on_column_0_is_an_error():
+    # g and d of (8,3,6,4); with the inverses zeroed, row 1 sums to 6,
+    # which q_0 = 8 does not divide
+    with pytest.raises(AssertionError, match="row 1 does not close on column 0"):
+        wps.fan._canonical_row((8, 3, 6, 4), 1, [1, 2, 4, 8], [1, 2, 2, 2], [0] * 4)
+
+
+def test_canonical_fan_runs_no_elimination_and_no_euclid(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("canonical_fan must not call this")
+
+    monkeypatch.setattr(wps.linalg, "_jordan", forbidden)
+    monkeypatch.setattr(wps.fan, "max_minors", forbidden)
+    monkeypatch.setattr(wps.weights, "_extended_gcd_combination", forbidden)
+    assert canonical_fan(WeightsVector((2, 3, 4, 15, 25))).v == CANONICAL_2_3_4_15_25
+    rng = random.Random(9)
+    for _ in range(20):
+        q = WeightsVector(random_weights(rng, n_min=1, n_max=8, w_max=10 ** 6))
+        assert canonical_fan(q).weights == q
 
 
 def test_canonical_block_is_nonneg_hnf_and_first_column_negative():

@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import wps.lattice
 from wps.fan import canonical_fan
-from wps.lattice import (LatticePoint, count_interior, count_points,
-                         face_histogram, lattice_points)
+from wps.lattice import count_interior, count_points, face_histogram
 from wps.polytope import weighted_transverse
 from wps.weights import WeightsVector, reduce_weights
 
-from oracles import (dp_count_interior, dp_count_points, dp_face_histogram,
-                     random_weights, simplex_census, simplex_census_boxscan)
+from oracles import (LatticePoint, dp_count_interior, dp_count_points, dp_face_histogram,
+                     lattice_points, random_weights, simplex_census, simplex_census_boxscan)
 
 
 def census_of(q: WeightsVector, m: int):

@@ -16,8 +16,7 @@ def test_public_names_are_pinned():
         "LatticeSimplex", "PolarizedWps", "PolytopeRejection",
         "weighted_transverse", "polytope_of", "is_p_admissible", "recognize_polytope",
         "permute_polytope",
-        "LatticePoint", "count_points", "count_interior", "face_histogram",
-        "lattice_points",
+        "count_points", "count_interior", "face_histogram",
         "DivisorClassInfo", "HodgeTable", "divisor_info", "rational_homology",
         "h0_line_bundle", "hodge", "hodge_table",
     ]
