@@ -6,12 +6,12 @@ decide whether a given integer matrix or lattice simplex presents such
 a space.
 """
 
-from .linalg import (DimensionError, HnfResult, IntMatrix, SingularMatrixError,
-                     adjoint, hnf, is_hnf, kernel_basis, max_minors, what_matrix)
+from .linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint, is_hnf,
+                     max_minors, what_matrix)
 from .weights import (ReductionData, WeightsVector, is_reduced, isomorphic,
                       reduce_weights, reduction_data)
-from .fan import (FanMatrix, FanRejection, canonical_fan, fan_from_weights,
-                  fan_isomorphic, permutation_matrix, recognize_fan)
+from .fan import (FanMatrix, FanRejection, canonical_fan, fan_isomorphic,
+                  permutation_matrix, recognize_fan)
 from .polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection,
                        is_p_admissible, permute_polytope, polytope_of,
                        recognize_polytope, weighted_transverse)
@@ -22,11 +22,11 @@ from .cohomology import (DivisorClassInfo, HodgeTable, divisor_info, h0_line_bun
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntMatrix", "HnfResult", "SingularMatrixError", "DimensionError",
-    "hnf", "is_hnf", "kernel_basis", "max_minors", "adjoint", "what_matrix",
+    "IntMatrix", "SingularMatrixError", "DimensionError",
+    "is_hnf", "max_minors", "adjoint", "what_matrix",
     "WeightsVector", "ReductionData", "reduction_data", "reduce_weights",
     "is_reduced", "isomorphic",
-    "FanMatrix", "FanRejection", "recognize_fan", "fan_from_weights",
+    "FanMatrix", "FanRejection", "recognize_fan",
     "canonical_fan", "fan_isomorphic", "permutation_matrix",
     "LatticeSimplex", "PolarizedWps", "PolytopeRejection",
     "weighted_transverse", "polytope_of", "is_p_admissible", "recognize_polytope",

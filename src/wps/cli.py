@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from functools import cache
 
 from .cohomology import divisor_info, hodge, hodge_table, rational_homology
-from .fan import FanMatrix, FanRejection, canonical_fan, fan_from_weights, recognize_fan
+from .fan import FanMatrix, FanRejection, canonical_fan, recognize_fan
 from .lattice import count_interior, count_points, face_histogram
 from .linalg import DimensionError, IntMatrix
 from .polytope import LatticeSimplex, PolytopeRejection, polytope_of, recognize_polytope
@@ -111,9 +111,7 @@ def _fan_payload(fan: FanMatrix):
 
 
 def _cmd_fan(args):
-    q = _parse_weights(args.weights)
-    fan = canonical_fan(q) if args.canonical else fan_from_weights(q)
-    return _fan_payload(fan)
+    return _fan_payload(canonical_fan(_parse_weights(args.weights)))
 
 
 def _cmd_recognize_fan(args):
@@ -279,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fan", "produce a fan matrix from weights")
     wflag(p)
     p.add_argument("--canonical", action="store_true",
-                   help="return the unique fan whose square block is a nonnegative HNF")
+                   help="accepted for older scripts; the canonical fan is the default")
     p.set_defaults(handler=_cmd_fan)
 
     p = add("recognize-fan", "recognize a fan matrix from a JSON file")

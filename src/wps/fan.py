@@ -2,11 +2,12 @@
 
 A fan matrix is an ``n x (n+1)`` integer matrix whose columns generate
 the rays of the fan.  Its maximal minors recover the weights (up to an
-alternating sign), which gives a recognition procedure.  A fan is built
-from the HNF witness of the weights column.  The canonical one (its
-last ``n`` columns a nonnegative HNF block of determinant ``q_0``) is
-solved by congruences, as in Domich, Kannan and Trotter's HNF modulo
-the determinant: every entry above a pivot is a residue, found with one
+alternating sign), which gives a recognition procedure.  The fans of
+one weights vector are equal up to ``GL(n, Z)``, and the package builds
+only their normal form, the canonical fan: its last ``n`` columns are a
+nonnegative HNF block of determinant ``q_0``.  It is solved by
+congruences, as in Domich, Kannan and Trotter's HNF modulo the
+determinant: every entry above a pivot is a residue, found with one
 modular inverse per column, and the result is certified without a
 determinant.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .linalg import DimensionError, IntMatrix, hnf, is_hnf, max_minors
+from .linalg import DimensionError, IntMatrix, is_hnf, max_minors
 from .weights import WeightsVector, isomorphic
 
 
@@ -121,24 +122,6 @@ def _fan_of(v: IntMatrix, minors: tuple[int, ...]) -> FanMatrix:
         if mj != (-1) ** (epsilon + j) * q[j]:
             raise AssertionError("minor signs do not alternate")
     return FanMatrix(v=v, weights=WeightsVector(q), epsilon=epsilon)
-
-
-def fan_from_weights(q: WeightsVector) -> FanMatrix:
-    """Produce a fan matrix of the space with the given weights.
-
-    The last ``n`` rows of the unimodular witness ``U`` of the HNF of
-    the weights column, ``U @ q^T = (1,0,...,0)^T``, are a fan matrix
-    whose recognized weights are exactly ``q``.
-    """
-    if q.n < 1:
-        raise DimensionError("need at least two weights")
-    res = hnf(IntMatrix.from_rows([[x] for x in q]))
-    if res.hnf.column(0) != (1,) + (0,) * q.n:
-        raise AssertionError("weights column did not reduce to a unit vector")
-    out = recognize_fan(IntMatrix.from_rows(res.transform.entries[1:]))
-    if out.weights.q != q.q:
-        raise AssertionError("constructed fan has the wrong weights")
-    return out
 
 
 def canonical_fan(q: WeightsVector) -> FanMatrix:

@@ -4,7 +4,9 @@ Everything here is arbitrary precision: matrices carry Python ints and
 every operation is exact.  Floating point is never used anywhere in
 this package; maximal minors of fan matrices are products of weights
 and overflow fixed-width integers almost immediately.  One Bareiss
-kernel, :func:`_jordan`, computes every determinant.
+kernel, :func:`_jordan`, computes every determinant.  Hermite normal
+forms are only recognized (:func:`is_hnf`), never computed: the
+canonical fan solves its HNF block directly.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ def _as_int(x) -> int:
 class IntMatrix:
     """Immutable integer matrix, entries in row-major order.
 
-    Zero-row matrices are allowed so that empty kernel bases have a
-    natural representation; the column count must still be positive.
+    Zero-row matrices are allowed (``from_rows`` then needs an explicit
+    column count); the column count must still be positive.
     """
 
     rows: int
@@ -142,7 +144,7 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form
+# Hermite normal form predicate
 
 
 def is_hnf(m: IntMatrix) -> bool:
@@ -169,86 +171,6 @@ def is_hnf(m: IntMatrix) -> bool:
                 return False
         prev_col = piv
     return True
-
-
-@dataclass(frozen=True)
-class HnfResult:
-    """Hermite normal form together with a unimodular witness.
-
-    ``transform @ input == hnf`` holds for the matrix the result was
-    computed from; the witness is not unique and callers must rely only
-    on unimodularity and that product identity.
-    """
-
-    hnf: IntMatrix
-    transform: IntMatrix
-    rank: int
-
-    def __post_init__(self):
-        if not self.transform.is_square or self.transform.rows != self.hnf.rows:
-            raise DimensionError("transform must be square with as many rows as the HNF")
-        if abs(self.transform.det()) != 1:
-            raise ValueError("transform is not unimodular")
-        if not is_hnf(self.hnf):
-            raise ValueError("matrix is not in Hermite normal form")
-        nonzero = sum(1 for r in self.hnf.entries if any(r))
-        if nonzero != self.rank:
-            raise ValueError("rank does not match the number of nonzero rows")
-
-
-def hnf(a: IntMatrix) -> HnfResult:
-    """Hermite normal form ``B = U @ a`` with ``U`` unimodular.
-
-    The elimination order is fixed (leftmost pivot column, Euclid on the
-    smallest surviving entry, entries above a pivot reduced last) so one
-    build always returns the same witness, but only the HNF itself is
-    canonical.
-    """
-    m, n = a.rows, a.cols
-    # each row carries its witness row, [a_i | e_i], so one statement
-    # updates both and the two blocks are split off at the end
-    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a.entries)]
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = [i for i in range(r, m) if rows[i][c] != 0]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            p = rows[r][c]
-            for i in nz:
-                q = rows[i][c] // p
-                if i != r and q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-            nz = [i for i in range(r, m) if rows[i][c] != 0]
-        rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        p = rows[r][c]
-        for i in range(r):
-            q = rows[i][c] // p
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    b = IntMatrix.from_rows([row[:n] for row in rows], cols=n)
-    trans = IntMatrix.from_rows([row[n:] for row in rows], cols=m)
-    if trans @ a != b:
-        raise AssertionError("HNF witness failed re-multiplication check")
-    return HnfResult(hnf=b, transform=trans, rank=r)
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel ``{x : a @ x = 0}``, one vector per row.
-
-    Computed from the unimodular witness of ``hnf(a.transpose())``: the
-    rows of the witness beyond the rank kill every column of ``a``.
-    """
-    res = hnf(a.transpose())
-    rows = res.transform.entries[res.rank:]
-    return IntMatrix.from_rows(rows, cols=a.cols)
 
 
 # ---------------------------------------------------------------------------

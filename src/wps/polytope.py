@@ -17,7 +17,7 @@ from operator import mul
 
 from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int,
                      _primitive_rows, max_minors)
-from .fan import FanMatrix, _fan_of, fan_from_weights
+from .fan import FanMatrix, _fan_of, canonical_fan
 from .weights import WeightsVector, is_reduced
 
 
@@ -120,13 +120,15 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
     """Polytope of the ``m``-th multiple of the minimal polarization.
 
     Vertices are the origin and ``m`` times the columns of the weighted
-    transverse of a fan produced from the weights.
+    transverse of the canonical fan; any fan of ``q`` gives the same
+    polytope up to ``GL(n, Z)``, and this one is what
+    :func:`recognize_polytope` returns for reduced ``q``.
     """
     if q.n < 1:
         raise DimensionError("need at least two weights")
     if m < 1:
         raise ValueError("polarization must be positive")
-    w = weighted_transverse(fan_from_weights(q))
+    w = weighted_transverse(canonical_fan(q))
     if w.entry_gcd() != 1:
         raise AssertionError("minimal polytope matrix must be primitive")
     origin = tuple(0 for _ in range(q.n))

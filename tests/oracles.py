@@ -13,7 +13,9 @@ admissibility test, the alternating cone count
 instead of the closed-form Betti numbers, geometric half-space
 enumeration instead of composition counting, and dynamic programming
 over the full target and point-by-point enumeration instead of sampled
-Ehrhart polynomials.
+Ehrhart polynomials.  It also keeps :func:`witness_fan`, the fan read
+off the HNF witness of the weights column, for tests that need a fan
+which is not the canonical one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from math import comb, gcd, lcm, prod
 from typing import Iterator
 
 from wps.fan import FanMatrix, recognize_fan
-from wps.linalg import DimensionError, IntMatrix, SingularMatrixError, adjoint, hnf, row_gcds
+from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint, is_hnf,
+                        row_gcds)
 from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection,
                           weighted_transverse)
 from wps.weights import WeightsVector, is_reduced, reduce_weights
@@ -375,7 +378,82 @@ def canonical_fan_diophantine(q: tuple[int, ...]) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# canonical fan by two Hermite normal forms
+# Hermite normal form with a unimodular witness, by Euclid on the
+# smallest entry of each column
+
+
+@dataclass(frozen=True)
+class HnfResult:
+    """Hermite normal form together with a unimodular witness.
+
+    ``transform @ input == hnf`` holds for the matrix the result was
+    computed from; the witness is not unique and callers must rely only
+    on unimodularity and that product identity.
+    """
+
+    hnf: IntMatrix
+    transform: IntMatrix
+    rank: int
+
+    def __post_init__(self):
+        if not self.transform.is_square or self.transform.rows != self.hnf.rows:
+            raise DimensionError("transform must be square with as many rows as the HNF")
+        if abs(self.transform.det()) != 1:
+            raise ValueError("transform is not unimodular")
+        if not is_hnf(self.hnf):
+            raise ValueError("matrix is not in Hermite normal form")
+        nonzero = sum(1 for r in self.hnf.entries if any(r))
+        if nonzero != self.rank:
+            raise ValueError("rank does not match the number of nonzero rows")
+
+
+def hnf(a: IntMatrix) -> HnfResult:
+    """Hermite normal form ``B = U @ a`` with ``U`` unimodular.
+
+    The elimination order is fixed (leftmost pivot column, Euclid on the
+    smallest surviving entry, entries above a pivot reduced last) so one
+    build always returns the same witness, but only the HNF itself is
+    canonical.
+    """
+    m, n = a.rows, a.cols
+    # each row carries its witness row, [a_i | e_i], so one statement
+    # updates both and the two blocks are split off at the end
+    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a.entries)]
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = [i for i in range(r, m) if rows[i][c] != 0]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
+            rows[r], rows[i0] = rows[i0], rows[r]
+            p = rows[r][c]
+            for i in nz:
+                q = rows[i][c] // p
+                if i != r and q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+            nz = [i for i in range(r, m) if rows[i][c] != 0]
+        rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        p = rows[r][c]
+        for i in range(r):
+            q = rows[i][c] // p
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    b = IntMatrix.from_rows([row[:n] for row in rows], cols=n)
+    trans = IntMatrix.from_rows([row[n:] for row in rows], cols=m)
+    if trans @ a != b:
+        raise AssertionError("HNF witness failed re-multiplication check")
+    return HnfResult(hnf=b, transform=trans, rank=r)
+
+
+# ---------------------------------------------------------------------------
+# a fan that is not canonical, and the canonical fan by two Hermite
+# normal forms
 #
 # The last n rows of the unimodular witness of the HNF of the weights
 # column are a fan V.  With column 0 moved last, [B | v_0] has B
@@ -383,8 +461,26 @@ def canonical_fan_diophantine(q: tuple[int, ...]) -> IntMatrix:
 # canonical fan with column 0 last, and rotating it back gives the fan.
 
 
+def witness_fan(q: WeightsVector) -> FanMatrix:
+    """Produce a fan matrix of the space with the given weights.
+
+    The last ``n`` rows of the unimodular witness ``U`` of the HNF of
+    the weights column, ``U @ q^T = (1,0,...,0)^T``, are a fan matrix
+    whose recognized weights are exactly ``q``.
+    """
+    if q.n < 1:
+        raise DimensionError("need at least two weights")
+    res = hnf(IntMatrix.from_rows([[x] for x in q]))
+    if res.hnf.column(0) != (1,) + (0,) * q.n:
+        raise AssertionError("weights column did not reduce to a unit vector")
+    out = recognize_fan(IntMatrix.from_rows(res.transform.entries[1:]))
+    if out.weights.q != q.q:
+        raise AssertionError("constructed fan has the wrong weights")
+    return out
+
+
 def canonical_fan_by_hnf(q: tuple[int, ...]) -> IntMatrix:
-    start = hnf(IntMatrix.from_rows([[x] for x in q])).transform.entries[1:]
+    start = witness_fan(WeightsVector(q)).v.entries
     moved = hnf(IntMatrix.from_rows([r[1:] + r[:1] for r in start])).hnf
     return IntMatrix.from_rows([r[-1:] + r[:-1] for r in moved.entries])
 

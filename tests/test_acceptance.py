@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from math import comb
 
 from wps.cohomology import h0_line_bundle, hodge, rational_homology
-from wps.fan import canonical_fan, fan_from_weights, permutation_matrix, recognize_fan
+from wps.fan import canonical_fan, permutation_matrix, recognize_fan
 from wps.lattice import count_interior, count_points, face_histogram
 from wps.linalg import IntMatrix
 from wps.polytope import (LatticeSimplex, is_p_admissible, permute_polytope,
@@ -22,7 +22,7 @@ from wps.weights import WeightsVector, is_reduced, reduce_weights
 
 from oracles import (admissible_by_inversion, admissible_by_lattice_membership,
                      random_permutation, random_unimodular, random_weights, simplex_census,
-                     to_rational, transverse)
+                     to_rational, transverse, witness_fan)
 
 
 CANONICAL_MATRIX = IntMatrix.from_rows([
@@ -88,7 +88,7 @@ def test_criterion_04_round_trip_suite():
         t0 = time.perf_counter()
         for _ in range(500):
             q = WeightsVector(random_weights(rng, n_min=2, n_max=5, w_max=50))
-            assert recognize_fan(fan_from_weights(q).v).weights == q
+            assert recognize_fan(witness_fan(q).v).weights == q
             expected = reduce_weights(q)
             for m in (1, 2, 3):
                 pol, _ = recognize_polytope(polytope_of(q, m))
@@ -104,7 +104,7 @@ def test_criterion_05_equivariance_suite():
         rng = random.Random(20241)
         for _ in range(200):
             q = WeightsVector(random_weights(rng, n_min=1, n_max=5, w_max=30))
-            base = fan_from_weights(q)
+            base = canonical_fan(q)
             fan = recognize_fan(random_unimodular(rng, base.n) @ base.v)
             w = weighted_transverse(fan)
             a = random_unimodular(rng, fan.n)

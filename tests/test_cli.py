@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 import sys
@@ -53,25 +52,29 @@ def test_fan_canonical_known_example(capsys):
     ]
 
 
-# the HNF witness is not unique, so the plain fan is pinned byte for byte:
-# a changed elimination order shows here and nowhere else
-PLAIN_FAN_2_3_4_15_25 = (
-    '{"columns": [["3", "-2", "-6", "-11"], ["-2", "0", "-1", "-1"], '
-    '["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]], '
-    '"n": 4, "weights": ["2", "3", "4", "15", "25"]}\n')
-PLAIN_FAN_1_TO_20_SHA256 = "4dbcc319e54e25c969d3bc78b4483de9f56ed6e615e500f935003c2f40d78951"
+@pytest.mark.parametrize("weights", ["2,3,4,15,25", ",".join(map(str, range(1, 21)))],
+                         ids=["paper", "1-to-20"])
+@pytest.mark.parametrize("output", [(), ("--json",)], ids=["text", "json"])
+def test_plain_fan_is_the_canonical_fan(capsys, weights, output):
+    # --canonical is still accepted and changes nothing; the canonical fan
+    # itself is pinned in test_fan_canonical_known_example
+    code, plain, _ = run(capsys, *output, "fan", "--weights", weights)
+    assert code == 0
+    code, canonical, _ = run(capsys, *output, "fan", "--weights", weights, "--canonical")
+    assert code == 0
+    assert plain == canonical
 
 
-def test_plain_fan_witness_is_pinned(capsys):
-    code, out, _ = run(capsys, "--json", "fan", "--weights", "2,3,4,15,25")
+# the weighted transverse of the canonical fan: the paper's worked polytope
+POLYTOPE_2_3_4_15_25 = (
+    '{"vertices": [["0", "0", "0", "0"], ["100", "0", "0", "-50"], ["0", "75", "0", "0"], '
+    '["0", "0", "20", "-10"], ["0", "0", "0", "6"]]}\n')
+
+
+def test_polytope_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "--json", "polytope", "--weights", "2,3,4,15,25")
     assert code == 0
-    assert out == PLAIN_FAN_2_3_4_15_25
-    code, out, _ = run(capsys, "--json", "fan", "--weights", ",".join(map(str, range(1, 21))))
-    assert code == 0
-    columns = json.loads(out)["columns"]
-    assert columns[0] == [str(-k) for k in range(2, 21)]
-    assert columns[1:] == [[str(int(i == j)) for j in range(19)] for i in range(19)]
-    assert hashlib.sha256(out.encode()).hexdigest() == PLAIN_FAN_1_TO_20_SHA256
+    assert out == POLYTOPE_2_3_4_15_25
 
 
 def test_fan_output_round_trips_through_recognition(capsys, tmp_path):
@@ -114,9 +117,10 @@ def test_polytope_and_recognition_round_trip(capsys, tmp_path):
     assert rec["weights"] == ["2", "3", "4", "15", "25"]
     assert rec["m"] == "1"
     assert rec["weights_sorted"] == ["2", "3", "4", "15", "25"]
-    # the constructed simplex is GL-equivalent to the canonical one, so the
-    # reconstructed fan carries the same weights (not necessarily the same rays)
-    assert rec["fan"]["weights"] == ["2", "3", "4", "15", "25"]
+    # the simplex is built from the canonical fan, and recognition gives it back
+    code, fan, _ = run(capsys, "--json", "fan", "--weights", "2,3,4,15,25")
+    assert code == 0
+    assert rec["fan"] == json.loads(fan)
 
 
 def test_recognize_polytope_of_known_simplex(capsys, tmp_path):
@@ -433,8 +437,8 @@ def test_divisors_with_5000_digit_weights(capsys):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
 def test_round_trips_with_4000_to_5000_digit_weights(capsys, tmp_path, n, seed):
-    # random weights, so the HNF of the weights column runs a long Euclid
-    # on huge entries; the library never converts them to decimal
+    # random weights far above the default int/str digit limit; the
+    # library never converts them to decimal
     rng = random.Random(seed)
     q = (0,)
     while gcd(*q) != 1:
@@ -466,9 +470,8 @@ def test_round_trips_with_4000_to_5000_digit_weights(capsys, tmp_path, n, seed):
 @has_digit_limit
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fan_round_trips_with_20000_digit_weights(capsys, tmp_path, n):
-    # one 66,000-bit modular inverse per canonical fan; the polytope leg
-    # stays at 5,000 digits above, since fan_from_weights runs a Hermite
-    # form whose Euclid is far slower at this size
+    # one 66,000-bit modular inverse per canonical fan, which the polytope
+    # leg builds too
     rng = random.Random(20000 + n)
     q = (0,)
     while gcd(*q) != 1:
@@ -479,6 +482,11 @@ def test_fan_round_trips_with_20000_digit_weights(capsys, tmp_path, n):
         fan = canonical_fan(weights)
         assert recognize_fan(fan.v) == fan
         assert fan.weights == weights
+        polarized, refan = recognize_polytope(polytope_of(weights))
+        assert polarized.weights == reduce_weights(weights)
+        assert polarized.polarization == 1
+        assert refan == (fan if polarized.weights == weights
+                         else canonical_fan(polarized.weights))
 
         text = unlimited(lambda: ",".join(map(str, q)))
         code, out, err = run_at_default_limit(capsys, "--json", "fan", "--weights", text,

@@ -8,13 +8,13 @@ import wps.fan
 import wps.linalg
 import wps.weights
 from wps.cli import main
-from wps.fan import (FanRejection, canonical_fan, fan_from_weights, fan_isomorphic,
-                     permutation_matrix, recognize_fan)
+from wps.fan import (FanRejection, canonical_fan, fan_isomorphic, permutation_matrix,
+                     recognize_fan)
 from wps.linalg import DimensionError, IntMatrix, is_hnf
 from wps.weights import WeightsVector
 
 from oracles import (canonical_fan_by_hnf, canonical_fan_diophantine, random_permutation,
-                     random_unimodular, random_weights)
+                     random_unimodular, random_weights, witness_fan)
 
 
 CANONICAL_2_3_4_15_25 = IntMatrix.from_rows([
@@ -70,11 +70,13 @@ def test_recognize_shape_check():
 # construction
 
 
-def test_fan_from_weights_small():
+def test_witness_fan_small():
+    # the oracle fan that tests use where the fan must not be canonical
     for raw in ((1, 1), (2, 3), (2, 3, 4, 15, 25)):
         q = WeightsVector(raw)
-        fan = fan_from_weights(q)
+        fan = witness_fan(q)
         assert fan.weights.q == q.q
+    assert witness_fan(WeightsVector((2, 3, 4, 15, 25))).v != CANONICAL_2_3_4_15_25
 
 
 def test_canonical_fan_of_paper_weights():
@@ -274,7 +276,7 @@ def test_round_trip_recognition():
     rng = random.Random(11)
     for _ in range(150):
         q = WeightsVector(random_weights(rng, n_min=1, n_max=6, w_max=10 ** 4))
-        fan = fan_from_weights(q)
+        fan = witness_fan(q)
         assert recognize_fan(fan.v).weights == q
 
 
@@ -282,7 +284,7 @@ def test_recognition_is_gl_invariant_on_the_left():
     rng = random.Random(12)
     for _ in range(80):
         q = WeightsVector(random_weights(rng, n_min=1, n_max=5))
-        v = fan_from_weights(q).v
+        v = canonical_fan(q).v
         a = random_unimodular(rng, v.rows)
         assert recognize_fan(a @ v).weights == q
 
@@ -291,7 +293,7 @@ def test_recognition_is_permutation_equivariant_on_the_right():
     rng = random.Random(13)
     for _ in range(80):
         q = WeightsVector(random_weights(rng, n_min=1, n_max=5))
-        v = fan_from_weights(q).v
+        v = canonical_fan(q).v
         sigma = random_permutation(rng, v.cols)
         permuted = recognize_fan(v @ permutation_matrix(sigma))
         assert permuted.weights.q == tuple(q[sigma[j]] for j in range(v.cols))
@@ -299,18 +301,18 @@ def test_recognition_is_permutation_equivariant_on_the_right():
 
 def test_fan_isomorphism():
     assert fan_isomorphic(canonical_fan(WeightsVector((2, 3))),
-                          fan_from_weights(WeightsVector((3, 2))))
-    assert fan_isomorphic(fan_from_weights(WeightsVector((1, 2, 2))),
+                          witness_fan(WeightsVector((3, 2))))
+    assert fan_isomorphic(witness_fan(WeightsVector((1, 2, 2))),
                           canonical_fan(WeightsVector((1, 1, 1))))
-    assert not fan_isomorphic(fan_from_weights(WeightsVector((1, 1, 2))),
-                              fan_from_weights(WeightsVector((1, 2, 3))))
+    assert not fan_isomorphic(witness_fan(WeightsVector((1, 1, 2))),
+                              canonical_fan(WeightsVector((1, 2, 3))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 25), min_size=2, max_size=5).map(tuple))
 def test_epsilon_is_recorded_not_normalized(raw):
     q = WeightsVector(raw)
-    v = fan_from_weights(q).v
+    v = witness_fan(q).v
     flipped = IntMatrix.from_rows([[-x for x in v.entries[0]]] + [list(r) for r in v.entries[1:]])
     fan = recognize_fan(flipped)
     assert fan.weights == q

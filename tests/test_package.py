@@ -7,11 +7,11 @@ import wps
 def test_public_names_are_pinned():
     # test-only derivations live in tests/oracles.py and are not exported
     assert wps.__all__ == [
-        "IntMatrix", "HnfResult", "SingularMatrixError", "DimensionError",
-        "hnf", "is_hnf", "kernel_basis", "max_minors", "adjoint", "what_matrix",
+        "IntMatrix", "SingularMatrixError", "DimensionError",
+        "is_hnf", "max_minors", "adjoint", "what_matrix",
         "WeightsVector", "ReductionData", "reduction_data", "reduce_weights",
         "is_reduced", "isomorphic",
-        "FanMatrix", "FanRejection", "recognize_fan", "fan_from_weights",
+        "FanMatrix", "FanRejection", "recognize_fan",
         "canonical_fan", "fan_isomorphic", "permutation_matrix",
         "LatticeSimplex", "PolarizedWps", "PolytopeRejection",
         "weighted_transverse", "polytope_of", "is_p_admissible", "recognize_polytope",

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wps.linalg
-from wps.fan import (FanRejection, canonical_fan, fan_from_weights, permutation_matrix,
-                     recognize_fan)
+from wps.fan import FanRejection, canonical_fan, permutation_matrix, recognize_fan
 from wps.linalg import IntMatrix, SingularMatrixError, what_matrix
-from wps.polytope import (LatticeSimplex, PolytopeRejection, is_p_admissible,
+from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection, is_p_admissible,
                           permute_polytope, polytope_of, recognize_polytope,
                           weighted_transverse)
 from wps.weights import (WeightsVector, is_reduced, reduce_weights,
@@ -18,7 +17,7 @@ from wps.weights import (WeightsVector, is_reduced, reduce_weights,
 from oracles import (admissible_by_inversion, admissible_by_lattice_membership,
                      is_p_admissible_by_adjugate, random_permutation, random_unimodular,
                      random_weights, recognize_polytope_by_adjugate, to_rational, transverse,
-                     weighted_transverse_by_adjugate)
+                     weighted_transverse_by_adjugate, witness_fan)
 
 
 W_2_3_4_15_25 = IntMatrix.from_rows([
@@ -61,7 +60,7 @@ def test_weighted_transverse_always_integral():
     rng = random.Random(21)
     for _ in range(150):
         q = WeightsVector(random_weights(rng, n_min=1, n_max=5, w_max=60))
-        v = fan_from_weights(q).v
+        v = canonical_fan(q).v
         a = random_unimodular(rng, v.rows)
         fan = recognize_fan(a @ v)
         weighted_transverse(fan)  # raises if any division fails
@@ -78,7 +77,7 @@ def test_weighted_transverse_ignores_reduction():
         if red == q:
             continue
         done += 1
-        fan = fan_from_weights(q)
+        fan = canonical_fan(q)
         d = reduction_data(q).d
         primitive_cols = []
         for j in range(fan.n + 1):
@@ -170,6 +169,27 @@ def test_round_trip_weights_and_polarization():
         assert is_reduced(pol.weights)
 
 
+@st.composite
+def weights_and_multiple(draw):
+    n = draw(st.integers(1, 8))
+    bits = draw(st.integers(1, 256))
+    raw = draw(st.lists(st.integers(1, 2 ** bits), min_size=n + 1, max_size=n + 1))
+    return WeightsVector(tuple(raw)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights_and_multiple())
+def test_polytope_recognizes_as_the_canonical_fan(qm):
+    # polytope_of builds on canonical_fan, and recognition returns that
+    # fan exactly; unreduced weights come back reduced, with the
+    # canonical fan of the reduced weights
+    q, m = qm
+    red = reduce_weights(q)
+    pol, fan = recognize_polytope(polytope_of(q, m))
+    assert pol == PolarizedWps(weights=red, polarization=m)
+    assert fan == canonical_fan(red)
+
+
 def test_recognition_is_deterministic():
     s = simplex_2_3_4_15_25()
     first = recognize_polytope(s)
@@ -189,7 +209,7 @@ def test_what_inverts_transversion_for_reduced_weights():
         if not is_reduced(q):
             continue
         done += 1
-        v = fan_from_weights(q).v
+        v = canonical_fan(q).v
         a = random_unimodular(rng, v.rows)
         fan = recognize_fan(a @ v)
         w = weighted_transverse(fan)
@@ -279,7 +299,7 @@ def test_left_equivariance_of_transversion():
     rng = random.Random(61)
     for _ in range(100):
         q = WeightsVector(random_weights(rng, n_min=1, n_max=5, w_max=30))
-        fan = fan_from_weights(q)
+        fan = canonical_fan(q)
         a = random_unimodular(rng, fan.n)
         left = weighted_transverse(recognize_fan(a @ fan.v))
         right = (transverse(to_rational(a)) @ to_rational(weighted_transverse(fan))).to_integer()
@@ -290,7 +310,7 @@ def test_right_equivariance_of_transversion():
     rng = random.Random(62)
     for _ in range(100):
         q = WeightsVector(random_weights(rng, n_min=1, n_max=5, w_max=30))
-        fan = fan_from_weights(q)
+        fan = canonical_fan(q)
         sigma = random_permutation(rng, fan.n + 1)
         permuted_fan = recognize_fan(fan.v @ permutation_matrix(sigma))
         assert weighted_transverse(permuted_fan) == \
@@ -309,7 +329,7 @@ def test_permuted_polytope_stays_admissible():
     rng = random.Random(64)
     for _ in range(40):
         q = WeightsVector(random_weights(rng, n_min=1, n_max=4, w_max=20))
-        w = weighted_transverse(fan_from_weights(q))
+        w = weighted_transverse(canonical_fan(q))
         sigma = random_permutation(rng, w.rows + 1)
         assert is_p_admissible(permute_polytope(w, sigma))
 
@@ -389,13 +409,13 @@ def assert_routes_agree(simplex: LatticeSimplex):
     return got
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 8), st.sampled_from((2, 8, 64, 256, 1024)), st.integers(1, 3),
        st.integers(0, 2 ** 32))
 def test_recognition_of_genuine_simplices_matches_the_adjugate_route(n, bits, m, seed):
     rng = random.Random(seed)
     q = random_weights_of_bits(rng, n, bits)
-    fan = fan_from_weights(q)
+    fan = witness_fan(q)
     w = weighted_transverse(fan)
     assert w == weighted_transverse_by_adjugate(fan)
     kind, value = assert_routes_agree(moved_simplex(rng, w, m))
