@@ -6,8 +6,7 @@ decide whether a given integer matrix or lattice simplex presents such
 a space.
 """
 
-from .linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint, is_hnf,
-                     max_minors, what_matrix)
+from .linalg import DimensionError, IntMatrix, SingularMatrixError, is_hnf, max_minors
 from .weights import (ReductionData, WeightsVector, is_reduced, isomorphic,
                       reduce_weights, reduction_data)
 from .fan import (FanMatrix, FanRejection, canonical_fan, fan_isomorphic,
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntMatrix", "SingularMatrixError", "DimensionError",
-    "is_hnf", "max_minors", "adjoint", "what_matrix",
+    "is_hnf", "max_minors",
     "WeightsVector", "ReductionData", "reduction_data", "reduce_weights",
     "is_reduced", "isomorphic",
     "FanMatrix", "FanRejection", "recognize_fan",

@@ -3,10 +3,12 @@
 Everything here is arbitrary precision: matrices carry Python ints and
 every operation is exact.  Floating point is never used anywhere in
 this package; maximal minors of fan matrices are products of weights
-and overflow fixed-width integers almost immediately.  One Bareiss
-kernel, :func:`_jordan`, computes every determinant.  Hermite normal
-forms are only recognized (:func:`is_hnf`), never computed: the
-canonical fan solves its HNF block directly.
+and overflow fixed-width integers almost immediately.  Kept is what the
+answers use: :class:`IntMatrix`, the Hermite form predicate :func:`is_hnf`
+(the canonical fan solves its HNF block, never reduces to it), and two
+eliminations, the Bareiss kernel :func:`_jordan` behind :func:`max_minors`
+and :func:`_primitive_rows`, whose primitive facet normals (the paper's
+W-hat) transversion and polytope recognition read their answers off.
 """
 
 from __future__ import annotations
@@ -70,16 +72,8 @@ class IntMatrix:
         return cls(len(ent), len(ent[0]), ent)
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.diagonal((1,) * n)
-
-    @classmethod
     def diagonal(cls, d) -> "IntMatrix":
         return cls.from_rows([[x * (i == j) for j in range(len(d))] for i, x in enumerate(d)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     @property
     def is_square(self) -> bool:
@@ -87,9 +81,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
@@ -110,16 +101,12 @@ class IntMatrix:
                          tuple(tuple(sum(map(mul, r, c)) for c in cols)
                                for r in self.entries))
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-x for x in r) for r in self.entries))
-
-    def scaled(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(k * x for x in r) for r in self.entries))
-
     def det(self) -> int:
-        """Determinant by :func:`_jordan` with an empty right block; 0 when singular."""
+        """Determinant by :func:`_jordan` with an empty right block; 0 when singular.
+
+        No answer calls it; it stays because the benchmark's tracer
+        (``perfbench/spans.py``) wraps it by name.
+        """
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
         try:
@@ -174,7 +161,7 @@ def is_hnf(m: IntMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Minors, adjugates, transversion
+# Eliminations: maximal minors and primitive facet normals
 
 
 def _jordan(a, e) -> tuple[int, list[list[int]]]:
@@ -247,24 +234,6 @@ def max_minors(v: IntMatrix) -> tuple[int, ...]:
     return (0,) * v.cols
 
 
-def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
-    """Determinant and adjugate: ``(det w, adj w)``.
-
-    Both come from one fraction-free Gauss-Jordan elimination on
-    ``[w | I]``, which keeps intermediate entries polynomial in the
-    input size, and are checked against ``adj(w) @ w == det(w) * I``.
-    Raises :class:`SingularMatrixError` when ``det w == 0``.
-    """
-    if not w.is_square:
-        raise DimensionError("adjugate of a non-square matrix")
-    n = w.rows
-    d, adj = _jordan(w.entries, [[int(i == j) for j in range(n)] for i in range(n)])
-    out = IntMatrix.from_rows(adj)
-    if out @ w != IntMatrix.identity(n).scaled(d):
-        raise AssertionError("adjugate failed its defining identity")
-    return d, out
-
-
 def _primitive(row: list[int]) -> list[int]:
     """``row`` over its gcd: a candidate from two entries, checked by one
     ``divmod`` per entry; a remainder shrinks it and rescales the quotients."""
@@ -315,25 +284,7 @@ def _primitive_rows(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
     rows = IntMatrix.from_rows([r[n:] for r in mat])
     prod = rows @ a
     lam = tuple(prod.entries[k][k] for k in range(n))
-    if prod != IntMatrix.diagonal(lam) or min(lam) < 1 or set(row_gcds(rows)) != {1}:
+    if (prod != IntMatrix.diagonal(lam) or min(lam) < 1
+            or any(gcd(*r) != 1 for r in rows.entries)):
         raise AssertionError("primitive rows failed their defining identity")
     return rows, lam
-
-
-def what_matrix(w: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Primitive facet normals ``what`` of ``w`` and ``what @ w = diag(lam)``:
-    adjugate rows over their gcds, signed so ``lam > 0``, computed by
-    :func:`_primitive_rows`.  ``what`` inverts the weighted transversion."""
-    what, lam = _primitive_rows(w)
-    return what, IntMatrix.diagonal(lam)
-
-
-def row_gcds(m: IntMatrix) -> tuple[int, ...]:
-    """gcd of each row's entries (0 for an all-zero row)."""
-    out = []
-    for row in m.entries:
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        out.append(g)
-    return tuple(out)

@@ -176,9 +176,10 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
 
     Translates by the first vertex, divides the edge matrix by its
     entry gcd ``m`` and inverts the transversion through the primitive
-    facet normals (:func:`_primitive_rows`), which are the rays of the
-    fan.  The weights, the fan's minors and every consistency check are
-    read off the normals, their multiples ``lam`` and :func:`_normal_weights`.
+    facet normals (:func:`_primitive_rows`), the rows of the paper's
+    W-hat, which are the rays (columns 1..n) of the returned fan.  The
+    weights, the fan's minors and every consistency check are read off
+    the normals, their multiples ``lam`` and :func:`_normal_weights`.
     Fails with ``degenerate`` when the edge matrix is zero or singular,
     and with ``not-wps`` when the derived first fan column is not integral.
     """

@@ -26,8 +26,7 @@ from math import comb, gcd, lcm, prod
 from typing import Iterator
 
 from wps.fan import FanMatrix, recognize_fan
-from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, adjoint, is_hnf,
-                        row_gcds)
+from wps.linalg import DimensionError, IntMatrix, SingularMatrixError, _jordan, is_hnf
 from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection,
                           weighted_transverse)
 from wps.weights import WeightsVector, is_reduced, reduce_weights
@@ -134,7 +133,30 @@ def transverse(a: RatMatrix) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# adjugate by recursive cofactor expansion
+# adjugates: fraction-free elimination and recursive cofactor expansion
+
+
+def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
+    """Determinant and adjugate: ``(det w, adj w)``.
+
+    Both come from one fraction-free Gauss-Jordan elimination on
+    ``[w | I]``, which keeps intermediate entries polynomial in the
+    input size, and are checked against ``adj(w) @ w == det(w) * I``.
+    Raises :class:`SingularMatrixError` when ``det w == 0``.
+    """
+    if not w.is_square:
+        raise DimensionError("adjugate of a non-square matrix")
+    n = w.rows
+    d, adj = _jordan(w.entries, [[int(i == j) for j in range(n)] for i in range(n)])
+    out = IntMatrix.from_rows(adj)
+    if out @ w != IntMatrix.diagonal((d,) * n):
+        raise AssertionError("adjugate failed its defining identity")
+    return d, out
+
+
+def row_gcds(m: IntMatrix) -> tuple[int, ...]:
+    """gcd of each row's entries (0 for an all-zero row)."""
+    return tuple(gcd(*r) for r in m.entries)
 
 
 def adjugate_cofactor(rows):

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, _primitive_rows,
-                        adjoint, is_hnf, max_minors, row_gcds, what_matrix)
+                        is_hnf, max_minors)
 
-from oracles import (RatMatrix, adjugate_cofactor, ext_gcd, hnf, random_unimodular,
-                     to_rational, transverse, what_by_adjugate)
+from oracles import (RatMatrix, adjoint, adjugate_cofactor, ext_gcd, hnf, random_unimodular,
+                     row_gcds, to_rational, transverse, what_by_adjugate)
 
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
+
+
+def scalar(n, d=1):
+    return IntMatrix.diagonal((d,) * n)
 
 
 small_square = st.integers(1, 5).flatmap(
@@ -40,9 +44,9 @@ def test_hnf_column_3_6():
 
 def test_hnf_identity_fixed_point():
     for n in (1, 2, 4):
-        res = hnf(IntMatrix.identity(n))
-        assert res.hnf == IntMatrix.identity(n)
-        assert res.transform == IntMatrix.identity(n)
+        res = hnf(scalar(n))
+        assert res.hnf == scalar(n)
+        assert res.transform == scalar(n)
         assert res.rank == n
 
 
@@ -57,11 +61,11 @@ def test_hnf_column_2_3_reaches_unit():
 
 
 def test_hnf_zero_matrix():
-    z = IntMatrix.zeros(3, 2)
+    z = mat([[0, 0]] * 3)
     res = hnf(z)
     assert res.hnf == z
     assert res.rank == 0
-    assert res.transform == IntMatrix.identity(3)
+    assert res.transform == scalar(3)
 
 
 def test_hnf_predicate_rejects_bad_layouts():
@@ -224,12 +228,12 @@ def test_minors_shape_check():
 
 
 # ---------------------------------------------------------------------------
-# adjugate
+# the oracle adjugate (fraction-free elimination) against cofactor expansion
 
 
 def test_adjoint_scalar_and_identity():
     assert adjoint(mat([[2, 0], [0, 2]])) == (4, mat([[2, 0], [0, 2]]))
-    assert adjoint(IntMatrix.identity(3)) == (1, IntMatrix.identity(3))
+    assert adjoint(scalar(3)) == (1, scalar(3))
 
 
 def test_adjoint_of_polytope_matrix():
@@ -256,7 +260,7 @@ def test_adjoint_matches_cofactor_oracle(rows):
     d, adj = adjoint(a)
     assert d == a.det()
     assert adj == mat(adjugate_cofactor([list(r) for r in rows]))
-    assert adj @ a == IntMatrix.identity(a.rows).scaled(d)
+    assert adj @ a == scalar(a.rows, d)
 
 
 def test_adjoint_large_entries_stay_exact():
@@ -269,7 +273,7 @@ def test_adjoint_large_entries_stay_exact():
             continue
         det, adj = adjoint(a)
         assert det == d
-        assert adj @ a == IntMatrix.identity(5).scaled(d)
+        assert adj @ a == scalar(5, d)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +320,17 @@ def test_transverse_involution_and_multiplicativity(pair):
 
 
 # ---------------------------------------------------------------------------
-# primitive facet normals (the row-normalized adjugate)
+# primitive facet normals (the row-normalized adjugate): the rows of the
+# paper's W-hat matrix, as _primitive_rows computes them
 
 
 def test_what_matrix_examples():
-    assert what_matrix(mat([[2, 0], [0, 2]]))[0] == IntMatrix.identity(2)
-    assert what_matrix(IntMatrix.identity(4))[0] == IntMatrix.identity(4)
+    assert _primitive_rows(mat([[2, 0], [0, 2]]))[0] == scalar(2)
+    assert _primitive_rows(scalar(4))[0] == scalar(4)
     w = mat([[100, 0, 0, 0], [0, 75, 0, 0], [0, 0, 20, 0], [-50, 0, -10, 6]])
     # adjugate rows divided by their gcds (9000, 12000, 45000, 75000)
-    assert what_matrix(w)[0] == mat([[1, 0, 0, 0], [0, 1, 0, 0],
-                                     [0, 0, 1, 0], [1, 0, 1, 2]])
+    assert _primitive_rows(w)[0] == mat([[1, 0, 0, 0], [0, 1, 0, 0],
+                                         [0, 0, 1, 0], [1, 0, 1, 2]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,7 +340,8 @@ def test_what_matrix_product_is_positive_diagonal(rows):
     d = a.det()
     if d == 0:
         return
-    what, prod = what_matrix(a)
+    what, lam = _primitive_rows(a)
+    prod = IntMatrix.diagonal(lam)
     assert prod == what @ a
     for i in range(a.rows):
         for j in range(a.rows):
@@ -370,8 +376,7 @@ def test_primitive_rows_match_the_normalized_adjugate(n, bits, seed):
         return
     rows, lam = _primitive_rows(a)
     assert rows == what_by_adjugate(*adjoint(a))
-    assert lam == tuple((rows @ a).entries[k][k] for k in range(n))
-    assert what_matrix(a) == (rows, IntMatrix.diagonal(lam))
+    assert rows @ a == IntMatrix.diagonal(lam)
 
 
 def test_primitive_rows_of_large_entries():
