@@ -7,8 +7,12 @@ and overflow fixed-width integers almost immediately.  Kept is what the
 answers use: :class:`IntMatrix`, the Hermite form predicate :func:`is_hnf`
 (the canonical fan solves its HNF block, never reduces to it), and two
 eliminations, the Bareiss kernel :func:`_jordan` behind :func:`max_minors`
-and :func:`_primitive_rows`, whose primitive facet normals (the paper's
-W-hat) transversion and polytope recognition read their answers off.
+and :func:`_primitive_rows`: the primitive facet normals (the paper's
+W-hat) with their determinant tracked through the elimination, which
+transversion and polytope recognition read their answers off.  Their
+defining identity ``W-hat @ a == diag(lam)`` is checked by Kronecker
+substitution (:func:`_diagonal_of`), ``n^2`` big-integer products where
+the matrix product takes ``n^3``.
 """
 
 from __future__ import annotations
@@ -71,10 +75,6 @@ class IntMatrix:
             return cls(0, cols, ())
         return cls(len(ent), len(ent[0]), ent)
 
-    @classmethod
-    def diagonal(cls, d) -> "IntMatrix":
-        return cls.from_rows([[x * (i == j) for j in range(len(d))] for i, x in enumerate(d)])
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -94,6 +94,11 @@ class IntMatrix:
                          tuple(r[:j] + r[j + 1:] for r in self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Matrix product.
+
+        No answer calls it; it stays because the benchmark's tracer
+        (``perfbench/spans.py``) wraps it by name.
+        """
         if self.cols != other.rows:
             raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         cols = other.transpose().entries
@@ -234,26 +239,50 @@ def max_minors(v: IntMatrix) -> tuple[int, ...]:
     return (0,) * v.cols
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """``row`` over its gcd: a candidate from two entries, checked by one
-    ``divmod`` per entry; a remainder shrinks it and rescales the quotients."""
+def _primitive(row: list[int]) -> tuple[list[int], int]:
+    """``row`` over its gcd, and that gcd: a candidate from two entries,
+    checked by one ``divmod`` per entry; a remainder shrinks it and
+    rescales the quotients."""
     nz = [x for x in row if x]
     c = gcd(nz[0], nz[-1])
     out = []
     for x in row:
         if c == 1:
-            return row
+            return row, 1
         q, r = divmod(x, c)
         if r:
             g = gcd(c, r)
             out = [y * (c // g) for y in out]
             q, c = q * (c // g) + r // g, g
         out.append(q)
-    return out
+    return out, c
 
 
-def _primitive_rows(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
-    """Primitive rows ``r_k`` with ``r_k @ a == lam_k * e_k``, ``lam_k > 0``.
+def _diagonal_of(r: list[list[int]], a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """``lam`` with ``r @ a == diag(lam)``, ``lam_i > 0``, checked with ``n^2``
+    products by Kronecker substitution: with ``X = 2^w`` above twice
+    ``bound = n * max|r| * max|a|``, which bounds every entry of ``r @ a``,
+    and row ``l`` of ``a`` packed as ``sum_j a_lj * X^j``, ``sum_l r_il *
+    packed_l`` has row ``i`` of ``r @ a`` as its balanced base-``X``
+    digits, so it is ``lam_i * X^i`` with ``0 < lam_i <= bound`` exactly
+    when that row is ``lam_i * e_i``."""
+    bound = (len(a) * max(max(map(abs, row)) for row in r)
+             * max(max(map(abs, row)) for row in a))
+    w = bound.bit_length() + 1
+    packed = [sum(x << (w * j) for j, x in enumerate(row)) for row in a]
+    lam = []
+    for i, ri in enumerate(r):
+        p = sum(map(mul, ri, packed))
+        li = p >> (w * i)
+        if li << (w * i) != p or not 0 < li <= bound:
+            raise AssertionError("primitive rows failed their defining identity")
+        lam.append(li)
+    return tuple(lam)
+
+
+def _primitive_rows(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...], int]:
+    """Primitive rows ``r_k`` with ``r_k @ a == lam_k * e_k``, ``lam_k > 0``,
+    and ``det`` of the matrix ``R`` of those rows (the paper's W-hat).
 
     Gauss-Jordan on ``[a | I]`` that divides each updated row by its
     content (that of its right block ``r``, as the left is ``r @ a``), so
@@ -261,30 +290,39 @@ def _primitive_rows(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
     the Bareiss row: ``r_k`` is adjugate row ``k`` over its gcd.  Pivot
     rows are made positive and later only scaled by positive factors, so
     ``lam_k > 0``.  As in :func:`_jordan` only columns right of the pivot
-    are updated.  Checked by ``R @ a == diag(lam)``, rows primitive;
+    are updated.  ``det`` is that of the right block, tracked through
+    the elimination: a row swap or a pivot negation flips its sign, and
+    the update ``row <- (s * row - t * pivot row) / c`` multiplies it by
+    ``s / c``, an exact division as the block stays integral.  Checked
+    by ``R @ a == diag(lam)`` (:func:`_diagonal_of`), rows primitive;
     raises :class:`SingularMatrixError` for a singular ``a``.
     """
     if not a.is_square:
         raise DimensionError("primitive rows of a non-square matrix")
     n = a.rows
     mat = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.entries)]
+    det = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if mat[i][k]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
-        mat[k], mat[piv] = mat[piv], mat[k]
+        if piv != k:
+            mat[k], mat[piv] = mat[piv], mat[k]
+            det = -det
         if mat[k][k] < 0:
             mat[k] = [-x for x in mat[k]]
+            det = -det
         mkk, tail = mat[k][k], mat[k][k + 1:]
         for i, row in enumerate(mat):
             if i != k and row[k]:
                 g = gcd(mkk, row[k])
                 s, t = mkk // g, row[k] // g
-                row[k + 1:] = _primitive([s * x - t * y for x, y in zip(row[k + 1:], tail)])
-    rows = IntMatrix.from_rows([r[n:] for r in mat])
-    prod = rows @ a
-    lam = tuple(prod.entries[k][k] for k in range(n))
-    if (prod != IntMatrix.diagonal(lam) or min(lam) < 1
-            or any(gcd(*r) != 1 for r in rows.entries)):
+                row[k + 1:], c = _primitive([s * x - t * y for x, y in zip(row[k + 1:], tail)])
+                det, rem = divmod(det * s, c)
+                if rem:
+                    raise AssertionError("primitive rows lost their determinant")
+    rows = [r[n:] for r in mat]
+    lam = _diagonal_of(rows, a.entries)
+    if any(gcd(*r) != 1 for r in rows):
         raise AssertionError("primitive rows failed their defining identity")
-    return rows, lam
+    return IntMatrix.from_rows(rows), lam, det

@@ -4,19 +4,19 @@ The fan-to-polytope map deletes column 0 of the fan matrix, takes the
 transposed inverse and rescales column ``k`` by ``lcm(weights)/q_k``.
 The result is an integer matrix whose columns, together with the
 origin, span the polytope of the minimal very ample polarization.  The
-inverse direction divides out the entry gcd and reads the weights off
-the primitive facet normals and one maximal-minor elimination, which
-is also the recognition procedure for arbitrary origin-anchored simplices.
+inverse direction divides out the entry gcd and reads the weights and
+the fan's minors off one elimination, the primitive facet normals with
+their determinant, which is also the recognition procedure for
+arbitrary origin-anchored simplices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
-from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int,
-                     _primitive_rows, max_minors)
+from .linalg import DimensionError, IntMatrix, SingularMatrixError, _as_int, _primitive_rows
 from .fan import FanMatrix, _fan_of, canonical_fan
 from .weights import WeightsVector, is_reduced
 
@@ -101,19 +101,18 @@ def weighted_transverse(v: FanMatrix) -> IntMatrix:
     lcm of the weights; the division is always exact.  With ``r_k @ B
     = mu_k * e_k`` primitive (:func:`_primitive_rows`) cofactor row ``k``
     is ``det / mu_k * r_k``, so the entry is ``delta * r_k[i] / (q_k * mu_k)``.
+    As ``r_k`` is primitive, column ``k`` is integral exactly when
+    ``q_k * mu_k`` divides ``delta``: one division per column.
     """
-    r, mu = _primitive_rows(v.rays_block())
+    r, mu, _ = _primitive_rows(v.rays_block())
     delta, q = v.weights.delta, v.weights.q
-    rows = []
-    for i in range(v.n):
-        row = []
-        for k in range(v.n):
-            quo, rem = divmod(delta * r.entries[k][i], q[k + 1] * mu[k])
-            if rem:
-                raise AssertionError("weighted transverse is not integral")
-            row.append(quo)
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+    scale = []
+    for qk, mk in zip(q[1:], mu):
+        f, rem = divmod(delta, qk * mk)
+        if rem:
+            raise AssertionError("weighted transverse is not integral")
+        scale.append(f)
+    return IntMatrix.from_rows([[f * x for f, x in zip(scale, col)] for col in zip(*r.entries)])
 
 
 def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
@@ -136,23 +135,26 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
     return LatticeSimplex(vertices=verts)
 
 
-def _normal_weights(what: IntMatrix, lam: tuple[int, ...]) -> tuple[tuple, list, tuple]:
+def _normal_weights(what: IntMatrix, lam: tuple[int, ...],
+                    det: int) -> tuple[tuple, list, tuple, int]:
     """Weights ``q`` of the normals ``what_k @ w = lam_k * e_k``, their sum
-    ``s = sum_k q_k * what_k`` and the minors of the fan ``[-s/q_0 | what^T]``.
+    ``s = sum_k q_k * what_k``, the minors of the fan ``[-s/q_0 | what^T]``
+    and ``lcm(lam)``.
 
-    ``q_k = lcm(lam) / lam_k`` for ``k >= 1``.  One :func:`max_minors` of
-    ``[-s | what^T]`` gives ``q_0 = |minor_0| = |det what|`` and, as its
-    first column is ``q_0`` times the fan's, ``q_0`` times the fan's other minors.
+    ``q_k = lcm(lam) / lam_k`` for ``k >= 1`` and ``q_0 = |det|``, with
+    ``det = det what`` from :func:`_primitive_rows`; it divides ``prod(lam)
+    = det what * det w``.  The fan's minor ``0`` is ``det`` and, its first
+    column being ``-s / q_0``, minor ``k`` is ``sign(det) * (-1)^k * q_k``
+    by multilinearity.
     """
     big_l = lcm(*lam)
-    q = tuple(big_l // x for x in lam)
-    cols = list(zip(*what.entries))
-    s = [sum(map(mul, q, col)) for col in cols]
-    minors = max_minors(IntMatrix.from_rows([[-si, *col] for si, col in zip(s, cols)]))
-    q0 = abs(minors[0])
-    if any(mi % q0 for mi in minors[1:]):
-        raise AssertionError("fan minors are not a multiple of |det what|")
-    return (q0,) + q, s, (minors[0],) + tuple(mi // q0 for mi in minors[1:])
+    q0 = abs(det)
+    if prod(lam) % q0:
+        raise AssertionError("|det what| does not divide the product of the normal multiples")
+    q = (q0,) + tuple(big_l // x for x in lam)
+    s = [sum(map(mul, q[1:], col)) for col in zip(*what.entries)]
+    sign = 1 if det > 0 else -1
+    return q, s, tuple(sign * (-1) ** k * qk for k, qk in enumerate(q)), big_l
 
 
 def is_p_admissible(w: IntMatrix) -> bool:
@@ -164,10 +166,10 @@ def is_p_admissible(w: IntMatrix) -> bool:
     """
     if not w.is_square:
         raise DimensionError("admissibility needs a square matrix")
-    what, lam = _primitive_rows(w)   # raises SingularMatrixError when det w == 0
+    what, lam, det = _primitive_rows(w)   # raises SingularMatrixError when det w == 0
     if w.entry_gcd() != 1:
         raise ValueError("entries are not primitive: divide by their gcd first")
-    q, s, _ = _normal_weights(what, lam)
+    q, s, _, _ = _normal_weights(what, lam, det)
     return all(si % q[0] == 0 for si in s)
 
 
@@ -179,7 +181,8 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     facet normals (:func:`_primitive_rows`), the rows of the paper's
     W-hat, which are the rays (columns 1..n) of the returned fan.  The
     weights, the fan's minors and every consistency check are read off
-    the normals, their multiples ``lam`` and :func:`_normal_weights`.
+    the normals, their multiples ``lam`` and determinant, through
+    :func:`_normal_weights`: one elimination in all.
     Fails with ``degenerate`` when the edge matrix is zero or singular,
     and with ``not-wps`` when the derived first fan column is not integral.
     """
@@ -189,11 +192,11 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional")
     w_prime = IntMatrix.from_rows([[x // m for x in row] for row in w.entries])
     try:
-        what, lam = _primitive_rows(w_prime)
+        what, lam, det = _primitive_rows(w_prime)
     except SingularMatrixError:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
 
-    q, wsum, minors = _normal_weights(what, lam)
+    q, wsum, minors, lam_lcm = _normal_weights(what, lam, det)
     # the fan has the rows of ``what`` as columns 1..n; its first column
     # ``v0 = -wsum / q_0`` is fixed by the weighted column sum being zero
     v0 = []
@@ -210,13 +213,13 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     if not is_reduced(fan.weights):
         raise AssertionError("recognition must produce reduced weights")
     # consistency: the lcm of the recognized weights against the normals
-    if lcm(*q) != lcm(*lam):
+    delta = lcm(*q)
+    if delta != lam_lcm:
         raise AssertionError("weights lcm mismatch during recognition")
     # ``weighted_transverse(fan) == w'`` is decided by the equivalent
     # identity ``B^T @ w' @ diag(q_1..q_n) == delta * I`` for the rays
     # block ``B``: that block is ``what^T``, so ``B^T @ w'`` is the product
     # ``diag(lam)`` that ``_primitive_rows`` already checked
-    delta = fan.weights.delta
     if any(x * qk != delta for x, qk in zip(lam, q[1:])):
         raise AssertionError("recognized fan does not map back to the polytope")
     return PolarizedWps(weights=fan.weights, polarization=m), fan

@@ -136,6 +136,11 @@ def transverse(a: RatMatrix) -> RatMatrix:
 # adjugates: fraction-free elimination and recursive cofactor expansion
 
 
+def diagonal(d) -> IntMatrix:
+    """The square integer matrix with diagonal ``d``."""
+    return IntMatrix.from_rows([[x * (i == j) for j in range(len(d))] for i, x in enumerate(d)])
+
+
 def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
     """Determinant and adjugate: ``(det w, adj w)``.
 
@@ -149,7 +154,7 @@ def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
     n = w.rows
     d, adj = _jordan(w.entries, [[int(i == j) for j in range(n)] for i in range(n)])
     out = IntMatrix.from_rows(adj)
-    if out @ w != IntMatrix.diagonal((d,) * n):
+    if out @ w != diagonal((d,) * n):
         raise AssertionError("adjugate failed its defining identity")
     return d, out
 

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wps.cli
 import wps.lattice
+import wps.linalg
 from wps.cli import main
 from wps.cohomology import divisor_info
 from wps.fan import FanRejection, canonical_fan, recognize_fan
@@ -359,6 +360,25 @@ def test_internal_error_from_the_counting_self_check(capsys, monkeypatch):
     assert err.startswith("internal error: lattice counts fail the volume check")
 
 
+def test_internal_error_from_the_tracked_determinant(capsys, monkeypatch, tmp_path):
+    # a wrong row content leaves a remainder in the determinant that
+    # polytope recognition tracks through its one elimination
+    code, out, _ = run(capsys, "--json", "polytope", "--weights", "2,3,4,15,25")
+    assert code == 0
+    path = tmp_path / "simplex.json"
+    path.write_text(out)
+    primitive = wps.linalg._primitive
+
+    def wrong_content(row):
+        quotients, c = primitive(row)
+        return quotients, c * (2 ** 89 - 1)
+
+    monkeypatch.setattr(wps.linalg, "_primitive", wrong_content)
+    code, out, err = run(capsys, "recognize-polytope", "--vertices", str(path))
+    assert code == 3 and out == ""
+    assert err == "internal error: primitive rows lost their determinant\n"
+
+
 # ---------------------------------------------------------------------------
 # integers past CPython's default int/str digit limit
 
@@ -465,6 +485,29 @@ def test_round_trips_with_4000_to_5000_digit_weights(capsys, tmp_path, n, seed):
         assert json.loads(out) == unlimited(fan.to_json)
         assert json.loads(out)["weights"] == text.split(",")
         assert sys.get_int_max_str_digits() == default
+
+
+@has_digit_limit
+def test_polytope_round_trips_through_the_cli_with_20000_digit_weights(capsys, tmp_path):
+    # both polytope legs at n = 3: the weighted transverse of the canonical
+    # fan, and its recognition back to the canonical fan of the reduced weights
+    rng = random.Random(20003)
+    q = (0,)
+    while gcd(*q) != 1:
+        q = tuple(rng.randrange(10 ** 19999, 10 ** 20000) for _ in range(4))
+    text = unlimited(lambda: ",".join(map(str, q)))
+    code, out, err = run_at_default_limit(capsys, "--json", "polytope", "--weights", text)
+    assert code == 0, err
+    path = tmp_path / "simplex.json"
+    path.write_text(out)
+    code, out, err = run_at_default_limit(capsys, "--json", "recognize-polytope",
+                                          "--vertices", str(path))
+    assert code == 0, err
+    payload = json.loads(out)
+    reduced = reduce_weights(WeightsVector(q))
+    assert payload["m"] == "1"
+    assert payload["weights"] == unlimited(reduced.to_json)
+    assert payload["fan"] == unlimited(canonical_fan(reduced).to_json)
 
 
 @has_digit_limit

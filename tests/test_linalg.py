@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, _primitive_rows,
-                        is_hnf, max_minors)
+import wps.linalg
+from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, _diagonal_of,
+                        _primitive_rows, is_hnf, max_minors)
 
-from oracles import (RatMatrix, adjoint, adjugate_cofactor, ext_gcd, hnf, random_unimodular,
-                     row_gcds, to_rational, transverse, what_by_adjugate)
+from oracles import (RatMatrix, adjoint, adjugate_cofactor, diagonal, ext_gcd, hnf,
+                     random_unimodular, row_gcds, to_rational, transverse, what_by_adjugate)
 
 
 def mat(rows):
@@ -16,7 +18,7 @@ def mat(rows):
 
 
 def scalar(n, d=1):
-    return IntMatrix.diagonal((d,) * n)
+    return diagonal((d,) * n)
 
 
 small_square = st.integers(1, 5).flatmap(
@@ -340,8 +342,8 @@ def test_what_matrix_product_is_positive_diagonal(rows):
     d = a.det()
     if d == 0:
         return
-    what, lam = _primitive_rows(a)
-    prod = IntMatrix.diagonal(lam)
+    what, lam, _ = _primitive_rows(a)
+    prod = diagonal(lam)
     assert prod == what @ a
     for i in range(a.rows):
         for j in range(a.rows):
@@ -374,9 +376,9 @@ def test_primitive_rows_match_the_normalized_adjugate(n, bits, seed):
         with pytest.raises(SingularMatrixError):
             _primitive_rows(a)
         return
-    rows, lam = _primitive_rows(a)
+    rows, lam, _ = _primitive_rows(a)
     assert rows == what_by_adjugate(*adjoint(a))
-    assert rows @ a == IntMatrix.diagonal(lam)
+    assert rows @ a == diagonal(lam)
 
 
 def test_primitive_rows_of_large_entries():
@@ -387,8 +389,106 @@ def test_primitive_rows_of_large_entries():
         if a.det():
             assert _primitive_rows(a)[0] == what_by_adjugate(*adjoint(a))
     a = mat([[6, 4, 2], [10, 0, 5], [0, 9, 3]])      # det -210
-    rows, lam = _primitive_rows(a)
+    rows, lam, _ = _primitive_rows(a)
     assert rows == what_by_adjugate(*adjoint(a)) and lam == (210, 105, 105)
+
+
+@st.composite
+def pivoting_squares(draw):
+    """An ``n x n`` matrix, n = 1..6: dense, or the rows of an upper
+    triangular matrix with nonzero diagonal in a random order, so that
+    every step whose pivot row sits lower swaps rows; its diagonal
+    entries, and so the pivots, take either sign."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        diag = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=n, max_size=n))
+        rows = [[0] * i + [diag[i]] + r[i + 1:] for i, r in enumerate(rows)]
+        rows = draw(st.permutations(rows))
+    return rows
+
+
+def check_tracked_determinant(a):
+    rows, lam, det = _primitive_rows(a)
+    assert det == to_rational(rows).det()
+    assert det * to_rational(a).det() == prod(lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pivoting_squares())
+def test_primitive_rows_track_their_determinant(rows):
+    a = mat(rows)
+    if to_rational(a).det() == 0:
+        with pytest.raises(SingularMatrixError):
+            _primitive_rows(a)
+        return
+    check_tracked_determinant(a)
+
+
+def test_primitive_rows_track_the_determinant_of_large_entries():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        a = random_square(rng, n, 1024)
+        if to_rational(a).det():
+            check_tracked_determinant(a)
+    check_tracked_determinant(mat([[6, 4, 2], [10, 0, 5], [0, 9, 3]]))
+    check_tracked_determinant(mat([[0, 1], [-1, 0]]))    # a swap, then a negative pivot
+
+
+def test_diagonal_check_at_the_entry_bound():
+    # bound = n * max|r| * max|a| = 2: products with every entry at the
+    # bound, of either sign, are told apart from diag(2, 2)
+    plus_minus = mat([[1, 1], [1, -1]]).entries
+    assert _diagonal_of([[1, 1], [1, -1]], plus_minus) == (2, 2)
+    for a in ([[1, 1], [1, 1]], [[1, -1], [1, -1]], [[-1, 1], [-1, 1]]):
+        with pytest.raises(AssertionError, match="defining identity"):
+            _diagonal_of([[1, 1], [1, 1]], mat(a).entries)
+    with pytest.raises(AssertionError, match="defining identity"):
+        _diagonal_of([[1, 0], [0, -1]], plus_minus)        # diag(1, 1) off by a sign
+    # row (-1, 1, 0) at bound 3 would read as lam_0 = 3 with X = 4, which
+    # is above the bound but not above twice it: X = 8 tells them apart
+    with pytest.raises(AssertionError, match="defining identity"):
+        _diagonal_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ((-1, 1, 0), (0, 1, 0), (0, 0, 1)))
+
+
+DENSE = [mat([[3, -5, 7], [2, 4, -1], [-6, 1, 5]]), mat([[2, 3], [5, -7]])]
+PAPER_W = mat([[100, 0, 0, 0], [0, 75, 0, 0], [0, 0, 20, 0], [-50, 0, -10, 6]])
+MERSENNE_89 = 2 ** 89 - 1     # a prime above every determinant in these tests
+
+
+@pytest.mark.parametrize("a", DENSE + [PAPER_W], ids=["3x3", "2x2", "paper"])
+def test_primitive_rows_reject_a_wrong_content(monkeypatch, a):
+    primitive = wps.linalg._primitive
+
+    def wrong_content(row):
+        quotients, c = primitive(row)
+        return quotients, c * MERSENNE_89
+
+    monkeypatch.setattr(wps.linalg, "_primitive", wrong_content)
+    with pytest.raises(AssertionError, match="lost their determinant"):
+        _primitive_rows(a)
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("change", [1, -1])
+@pytest.mark.parametrize("a", DENSE, ids=["3x3", "2x2"])
+def test_primitive_rows_reject_a_corrupted_row(monkeypatch, a, change, where):
+    # only the last step's updates, whose rows are the right block alone,
+    # are corrupted: the determinant stays exact, and the product gets
+    # row ``where`` of the dense ``a`` as an off-diagonal error
+    primitive = wps.linalg._primitive
+
+    def corrupted(row):
+        out, c = primitive(row)
+        if len(row) == a.rows:
+            out = list(out)
+            out[where] += change
+        return out, c
+
+    monkeypatch.setattr(wps.linalg, "_primitive", corrupted)
+    with pytest.raises(AssertionError, match="defining identity"):
+        _primitive_rows(a)
 
 
 def test_primitive_rows_reject_non_square():

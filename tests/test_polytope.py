@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wps.linalg
+import wps.polytope
 from wps.fan import FanRejection, canonical_fan, permutation_matrix, recognize_fan
 from wps.linalg import IntMatrix, SingularMatrixError, _primitive_rows
 from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection, is_p_admissible,
@@ -14,7 +15,7 @@ from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection, is_p_
 from wps.weights import (WeightsVector, is_reduced, reduce_weights,
                          reduction_data)
 
-from oracles import (admissible_by_inversion, admissible_by_lattice_membership,
+from oracles import (admissible_by_inversion, admissible_by_lattice_membership, diagonal,
                      is_p_admissible_by_adjugate, random_permutation, random_unimodular,
                      random_weights, recognize_polytope_by_adjugate, to_rational, transverse,
                      weighted_transverse_by_adjugate, witness_fan)
@@ -53,7 +54,7 @@ def test_weighted_transverse_of_projective_spaces():
     fan = canonical_fan(WeightsVector((1, 1)))
     assert weighted_transverse(fan) == IntMatrix.from_rows([[1]])
     fan = canonical_fan(WeightsVector((1, 1, 1)))
-    assert weighted_transverse(fan) == IntMatrix.diagonal((1, 1))
+    assert weighted_transverse(fan) == diagonal((1, 1))
 
 
 def test_weighted_transverse_always_integral():
@@ -237,7 +238,7 @@ def test_admissibility_of_the_worked_matrix():
 
 
 def test_admissibility_of_identity():
-    assert is_p_admissible(IntMatrix.diagonal((1, 1, 1))) is True
+    assert is_p_admissible(diagonal((1, 1, 1))) is True
 
 
 def test_admissibility_of_rectangular_diag():
@@ -291,7 +292,7 @@ def test_permute_identity_fixes_matrix():
 def test_permute_swap_with_origin():
     # swapping the origin with the first vertex sends the columns to
     # (-e1, e2 - e1)
-    out = permute_polytope(IntMatrix.diagonal((1, 1)), (1, 0, 2))
+    out = permute_polytope(diagonal((1, 1)), (1, 0, 2))
     assert out.transpose().entries == ((-1, 0), (-1, 1))
 
 
@@ -479,8 +480,22 @@ def test_recognition_takes_no_determinant(monkeypatch):
     monkeypatch.setattr(wps.linalg, "_jordan", counted)
     pol, fan = recognize_polytope(simplex)
     assert pol.weights.q == (2, 3, 4, 15, 25) and fan.v == CANONICAL_2_3_4_15_25
-    assert calls == [4]                 # one elimination: the fan minors
+    assert calls == []                  # no Bareiss elimination at all
     assert is_p_admissible(W_2_3_4_15_25) is True
     canonical = canonical_fan(WeightsVector((2, 3, 4, 15, 25)))
     assert weighted_transverse(canonical) == W_2_3_4_15_25
     assert recognize_fan(CANONICAL_2_3_4_15_25).weights.q == (2, 3, 4, 15, 25)
+
+
+def test_recognition_checks_the_determinant_it_is_given(monkeypatch):
+    # q_0 = |det what| must divide prod(lam) = det what * det w', so a
+    # determinant off by a prime factor above it is caught
+    primitive_rows = wps.polytope._primitive_rows
+
+    def wrong_det(a):
+        rows, lam, det = primitive_rows(a)
+        return rows, lam, det * (2 ** 89 - 1)
+
+    monkeypatch.setattr(wps.polytope, "_primitive_rows", wrong_det)
+    with pytest.raises(AssertionError, match="does not divide"):
+        recognize_polytope(simplex_2_3_4_15_25())
