@@ -6,6 +6,14 @@ with every integer rendered as a decimal string, so values survive any
 JSON parser bit-exactly; identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 recognition failure, 2 malformed
 input or usage error, 3 internal error (a failed self-check).
+
+Each subcommand handler parses its input and computes the answer, and
+raises on bad input, a rejection or a failed self-check; it returns two
+zero-argument renderers of that answer, the JSON payload and the human
+text.  :func:`main` calls only the one it prints, and neither under
+``--quiet``, inside the same error handling and digit-limit lift as the
+computation, so every integer goes to decimal at most once and a
+failure while rendering still exits 2 or 3.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .fan import FanMatrix, FanRejection, canonical_fan, recognize_fan
 from .lattice import count_interior, count_points, face_histogram
 from .linalg import DimensionError, IntMatrix
 from .polytope import LatticeSimplex, PolytopeRejection, polytope_of, recognize_polytope
-from .weights import WeightsVector, is_reduced, isomorphic, reduction_data
+from .weights import WeightsVector, _isomorphism, reduction_data
 
 
 class InputError(ValueError):
@@ -79,39 +87,52 @@ def _parse_m_range(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (json_payload, human_text)
+# subcommand handlers: each returns the renderers (json_payload, human_text)
+# of the answer it computed; see the module docstring
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _tuple(values) -> str:
+    return "(" + ",".join(str(x) for x in values) + ")"
 
 
 def _cmd_reduce(args):
     q = _parse_weights(args.weights)
     rd = reduction_data(q)
-    payload = {
-        "weights": q.to_json(),
-        "d": [str(x) for x in rd.d],
-        "a_coeffs": [str(x) for x in rd.a_coeffs],
-        "a": str(rd.a),
-        "delta": str(rd.delta),
-        "delta_reduced": str(rd.delta_reduced),
-        "reduced": rd.reduced.to_json(),
-        "is_reduced": is_reduced(q),
-    }
-    human = (f"weights       {q}\n"
-             f"d             ({','.join(str(x) for x in rd.d)})\n"
-             f"a_coeffs      ({','.join(str(x) for x in rd.a_coeffs)})\n"
-             f"a             {rd.a}\n"
-             f"delta         {rd.delta}\n"
-             f"delta'        {rd.delta_reduced}\n"
-             f"reduced       {rd.reduced}")
+
+    def payload():
+        return {
+            "weights": q.to_json(),
+            "d": [str(x) for x in rd.d],
+            "a_coeffs": [str(x) for x in rd.a_coeffs],
+            "a": str(rd.a),
+            "delta": str(rd.delta),
+            "delta_reduced": str(rd.delta_reduced),
+            "reduced": rd.reduced.to_json(),
+            "is_reduced": rd.reduced.q == q.q,
+        }
+
+    def human():
+        return (f"weights       {q}\n"
+                f"d             {_tuple(rd.d)}\n"
+                f"a_coeffs      {_tuple(rd.a_coeffs)}\n"
+                f"a             {rd.a}\n"
+                f"delta         {rd.delta}\n"
+                f"delta'        {rd.delta_reduced}\n"
+                f"reduced       {rd.reduced}")
+
     return payload, human
 
 
-def _fan_payload(fan: FanMatrix):
-    human = _fmt_matrix(fan.v, weights=fan.weights.q)
-    return fan.to_json(), human
+def _fan_answer(fan: FanMatrix):
+    return fan.to_json, lambda: _fmt_matrix(fan.v, weights=fan.weights.q)
 
 
 def _cmd_fan(args):
-    return _fan_payload(canonical_fan(_parse_weights(args.weights)))
+    return _fan_answer(canonical_fan(_parse_weights(args.weights)))
 
 
 def _cmd_recognize_fan(args):
@@ -124,14 +145,12 @@ def _cmd_recognize_fan(args):
         fan = recognize_fan(m)
     except DimensionError as exc:       # a rejection is not a payload fault
         raise InputError(f"bad matrix payload in {args.matrix}: {exc}") from exc
-    return _fan_payload(fan)
+    return _fan_answer(fan)
 
 
 def _cmd_polytope(args):
-    q = _parse_weights(args.weights)
-    simplex = polytope_of(q, args.m)
-    human = "\n".join("(" + ",".join(str(x) for x in v) + ")" for v in simplex.vertices)
-    return simplex.to_json(), human
+    simplex = polytope_of(_parse_weights(args.weights), args.m)
+    return simplex.to_json, lambda: "\n".join(map(_tuple, simplex.vertices))
 
 
 def _cmd_recognize_polytope(args):
@@ -141,16 +160,22 @@ def _cmd_recognize_polytope(args):
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InputError(f"bad vertices payload in {args.vertices}: {exc}") from exc
     polarized, fan = recognize_polytope(simplex)
-    payload = {
-        "weights": polarized.weights.to_json(),
-        "weights_sorted": [str(x) for x in sorted(polarized.weights.q)],
-        "m": str(polarized.polarization),
-        "fan": fan.to_json(),
-    }
-    human = (f"weights       {polarized.weights}\n"
-             f"sorted        ({','.join(str(x) for x in sorted(polarized.weights.q))})\n"
-             f"polarization  {polarized.polarization}\n"
-             f"fan\n{_fmt_matrix(fan.v, weights=fan.weights.q)}")
+    weights = polarized.weights
+
+    def payload():
+        return {
+            "weights": weights.to_json(),
+            "weights_sorted": [str(x) for x in sorted(weights.q)],
+            "m": str(polarized.polarization),
+            "fan": fan.to_json(),
+        }
+
+    def human():
+        return (f"weights       {weights}\n"
+                f"sorted        {_tuple(sorted(weights.q))}\n"
+                f"polarization  {polarized.polarization}\n"
+                f"fan\n{_fmt_matrix(fan.v, weights=fan.weights.q)}")
+
     return payload, human
 
 
@@ -158,24 +183,24 @@ def _cmd_lattice_points(args):
     q = _parse_weights(args.weights)
     if args.m < 0:
         raise InputError("dilation factor must be nonnegative")
-    payload = {"weights": q.to_json(), "m": str(args.m)}
-    lines = []
     if args.interior:
         if args.m < 1:
             raise InputError("interior counts need m >= 1")
-        k = count_interior(q, args.m)
-        payload["interior"] = str(k)
-        lines.append(f"interior points  {k}")
+        key, label, k = "interior", "interior points  ", count_interior(q, args.m)
     else:
-        k = count_points(q, args.m)
-        payload["count"] = str(k)
-        lines.append(f"lattice points   {k}")
-    if args.histogram:
-        hist = face_histogram(q, args.m)
-        payload["histogram"] = {str(s): str(c) for s, c in sorted(hist.items())}
-        for s, c in sorted(hist.items()):
-            lines.append(f"  face dim {s}: {c}")
-    return payload, "\n".join(lines)
+        key, label, k = "count", "lattice points   ", count_points(q, args.m)
+    hist = sorted(face_histogram(q, args.m).items()) if args.histogram else None
+
+    def payload():
+        out = {"weights": q.to_json(), "m": str(args.m), key: str(k)}
+        if hist is not None:
+            out["histogram"] = {str(s): str(c) for s, c in hist}
+        return out
+
+    def human():
+        return "\n".join([f"{label}{k}"] + [f"  face dim {s}: {c}" for s, c in hist or ()])
+
+    return payload, human
 
 
 def _cmd_cohom(args):
@@ -184,64 +209,67 @@ def _cmd_cohom(args):
         if args.m_range is None:
             raise InputError("--table needs --m-range LO..HI")
         table = hodge_table(q, _parse_m_range(args.m_range))
-        human_lines = [f"m={m} p={p} q={qq}: {h}"
-                       for (p, qq, m), h in sorted(table.entries.items(),
-                                                   key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
-                       if h != 0]
-        return table.to_json(), "\n".join(human_lines) or "all entries vanish"
+
+        def human():
+            lines = [f"m={m} p={p} q={qq}: {h}"
+                     for (p, qq, m), h in sorted(table.entries.items(),
+                                                 key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
+                     if h != 0]
+            return "\n".join(lines) or "all entries vanish"
+
+        return table.to_json, human
     if args.p is None or args.q is None or args.m is None:
         raise InputError("cohom needs -p, -q and -m (or --table with --m-range)")
     try:
         h = hodge(q, args.p, args.q, args.m)
     except IndexError as exc:
         raise InputError(str(exc)) from exc
-    payload = {"weights": q.to_json(), "p": args.p, "q": args.q,
-               "m": str(args.m), "h": str(h)}
-    return payload, f"h^{args.q} Omega^{args.p}({args.m}) = {h}"
+    return (lambda: {"weights": q.to_json(), "p": args.p, "q": args.q,
+                     "m": str(args.m), "h": str(h)},
+            lambda: f"h^{args.q} Omega^{args.p}({args.m}) = {h}")
 
 
 def _cmd_divisors(args):
     q = _parse_weights(args.weights)
     info = divisor_info(q)
-    payload = {
-        "weights": q.to_json(),
-        "chow_generator": [str(x) for x in info.chow_generator],
-        "picard_index": str(info.picard_index),
-        "canonical_degree": str(info.canonical_degree),
-        "gorenstein": info.gorenstein,
-        "fano": info.fano,
-        "betti_even": [str(x) for x in rational_homology(q)[::2]],
-    }
-    human = (f"chow generator    ({','.join(str(x) for x in info.chow_generator)})\n"
-             f"picard index      {info.picard_index}\n"
-             f"canonical degree  {info.canonical_degree}\n"
-             f"gorenstein        {'yes' if info.gorenstein else 'no'}\n"
-             f"fano              {'yes' if info.fano else 'no'}")
+    betti = rational_homology(q)
+
+    def payload():
+        return {
+            "weights": q.to_json(),
+            "chow_generator": [str(x) for x in info.chow_generator],
+            "picard_index": str(info.picard_index),
+            "canonical_degree": str(info.canonical_degree),
+            "gorenstein": info.gorenstein,
+            "fano": info.fano,
+            "betti_even": [str(x) for x in betti[::2]],
+        }
+
+    def human():
+        return (f"chow generator    {_tuple(info.chow_generator)}\n"
+                f"picard index      {info.picard_index}\n"
+                f"canonical degree  {info.canonical_degree}\n"
+                f"gorenstein        {_yes(info.gorenstein)}\n"
+                f"fano              {_yes(info.fano)}")
+
     return payload, human
 
 
 def _cmd_gorenstein(args):
     q = _parse_weights(args.weights)
     info = divisor_info(q)
-    payload = {"weights": q.to_json(), "gorenstein": info.gorenstein,
-               "fano": info.fano, "canonical_degree": str(info.canonical_degree)}
-    human = (f"gorenstein  {'yes' if info.gorenstein else 'no'}\n"
-             f"fano        {'yes' if info.fano else 'no'}")
-    return payload, human
+    return (lambda: {"weights": q.to_json(), "gorenstein": info.gorenstein,
+                     "fano": info.fano, "canonical_degree": str(info.canonical_degree)},
+            lambda: f"gorenstein  {_yes(info.gorenstein)}\nfano        {_yes(info.fano)}")
 
 
 def _cmd_iso(args):
     q1 = _parse_weights(args.weights)
     q2 = _parse_weights(args.other)
-    if q1.n != q2.n:
-        raise InputError(f"dimension mismatch: {q1.n} vs {q2.n}")
-    same = isomorphic(q1, q2)
-    rd1 = reduction_data(q1)
-    payload = {"weights": q1.to_json(), "other": q2.to_json(),
-               "isomorphic": same,
-               "reduced": [str(x) for x in sorted(rd1.reduced.q)]}
-    human = f"isomorphic  {'yes' if same else 'no'}"
-    return payload, human
+    same, reduced = _isomorphism(q1, q2)
+    return (lambda: {"weights": q1.to_json(), "other": q2.to_json(), "isomorphic": same,
+                     "reduced": [str(x) for x in reduced]},
+            lambda: f"isomorphic  {_yes(same)}")
 
 
 @cache
@@ -370,6 +398,9 @@ def main(argv=None) -> int:
         quiet = getattr(args, "quiet", False)
         try:
             payload, human = args.handler(args)
+            if quiet:
+                return 0
+            text = _dump(payload()) if as_json else human()
         except (FanRejection, PolytopeRejection) as exc:
             print(f"rejected: {exc}", file=sys.stderr)
             if as_json and not quiet:
@@ -381,8 +412,7 @@ def main(argv=None) -> int:
         except AssertionError as exc:
             print(f"internal error: {exc}", file=sys.stderr)
             return 3
-        if not quiet:
-            print(_dump(payload) if as_json else human)
+        print(text)
         return 0
 
 

@@ -32,7 +32,9 @@ sampled targets.  The totals cost ``O(n * min(m, n) * delta')`` and the
 histogram ``O(n^2 * min(m, n + 1) * delta')``, independent of ``m``
 beyond ``n + 1``.  The table still grows linearly with ``delta'``; lcms
 in the millions (say ``(7,11,13,17,19,23)``, ``delta' = 7,436,429``)
-remain the open case.  The geometric enumeration and the dynamic
+remain the open case, and a table of more than ``_MAX_CELLS`` cells
+over all its columns raises ``ValueError`` before it is allocated
+(the CLI's exit 2).  The geometric enumeration and the dynamic
 programming over the whole target ``m * delta'`` live in the test suite
 as oracles.
 """
@@ -47,6 +49,11 @@ from .weights import WeightsVector, reduce_weights
 
 # longest slice one table update materializes at a time
 _CHUNK = 4096
+
+# most cells, over all columns, that one counting table may hold: the
+# table grows with delta', so a huge lcm fails fast instead of running
+# out of memory
+_MAX_CELLS = 5 * 10 ** 7
 
 
 def _reduced(q: WeightsVector) -> tuple[tuple[int, ...], int]:
@@ -75,6 +82,13 @@ def _divide(a: list[int], w: int) -> None:
         span = min(w, _CHUNK)
         for s in range(w, size, span):
             a[s:s + span] = map(add, a[s:s + span], a[s - w:s - w + span])
+
+
+def _check_cells(cells: int, delta: int) -> None:
+    """Refuse a table of more than ``_MAX_CELLS`` cells, before allocating it."""
+    if cells > _MAX_CELLS:
+        raise ValueError(f"counting table of {cells} cells for delta' = {delta} "
+                         f"exceeds the limit of {_MAX_CELLS}")
 
 
 def _count_table(weights: tuple[int, ...], size: int) -> list[int]:
@@ -109,13 +123,15 @@ def _sums_at(a: list[int], targets: range, w: int) -> list[int]:
 
 def _count_samples(weights: tuple[int, ...], targets: range) -> list[int]:
     """Solutions of ``sum w_j x_j = t`` at each of the ascending
-    ``targets``, whose step is a multiple of every weight.
+    ``targets``, whose step is ``delta'``, the lcm of the weights.
 
     The table runs over all weights but the largest, which is added only
     at the targets: a sum along one residue class.
     """
     *rest, last = sorted(weights)
-    return _sums_at(_count_table(rest, max(targets[-1] + 1, 0)), targets, last)
+    size = max(targets[-1] + 1, 0)
+    _check_cells(size, targets.step)
+    return _sums_at(_count_table(rest, size), targets, last)
 
 
 def _add_sums_below(hi: list[int], lo: list[int], w: int) -> None:
@@ -171,6 +187,7 @@ def _face_samples(weights: tuple[int, ...], delta: int, k: int) -> list[list[int
     the targets.
     """
     *rest, last = sorted(weights)
+    _check_cells(len(weights) * (k * delta + 1), delta)
     cols = _face_table(rest, k * delta + 1)
     below = range(delta - last, k * delta - last + 1, delta)
     out = []

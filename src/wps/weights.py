@@ -79,24 +79,24 @@ class WeightsVector:
 
 
 def _extended_gcd_combination(values: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients ``b`` with ``sum values[j] * b[j] = gcd(values)``."""
+    """Coefficients ``b`` with ``sum values[j] * b[j] = gcd(values)``.
 
-    def ext(a: int, b: int) -> tuple[int, int, int]:
-        old_r, r = a, b
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            quo = old_r // r
-            old_r, r = r, old_r - quo * r
-            old_s, s = s, old_s - quo * s
-            old_t, t = t, old_t - quo * t
-        return old_r, old_s, old_t
-
+    Each step solves ``g * x + v * y = gcd(g, v)`` with one modular
+    inverse: ``x`` is the inverse of ``g / gcd`` modulo ``v / gcd`` in the
+    symmetric range (a tie goes to the positive side), which is the
+    coefficient extended Euclid ends with, and ``y`` follows by exact
+    division.
+    """
     coeffs = [1]
     g = values[0]
     for v in values[1:]:
-        g, x, y = ext(g, v)
-        coeffs = [c * x for c in coeffs] + [y]
+        h = gcd(g, v)
+        mod = v // h
+        x = pow(g // h, -1, mod)
+        if 2 * x > mod:
+            x -= mod
+        coeffs = [c * x for c in coeffs] + [(h - g * x) // v]
+        g = h
     if g != sum(c * v for c, v in zip(coeffs, values)):
         raise AssertionError("extended gcd combination does not sum to the gcd")
     return tuple(coeffs)
@@ -155,12 +155,19 @@ def is_reduced(q: WeightsVector) -> bool:
     return all(x == 1 for x in _complementary(q.q, gcd, 1))
 
 
+def _isomorphism(q1: WeightsVector, q2: WeightsVector) -> tuple[bool, tuple[int, ...]]:
+    """:func:`isomorphic` of the two vectors, and the sorted reduced
+    weights of ``q1`` that decide it; each vector is reduced once."""
+    if q1.n != q2.n:
+        raise DimensionError(f"dimension mismatch: {q1.n} vs {q2.n}")
+    key = tuple(sorted(reduce_weights(q1).q))
+    return key == tuple(sorted(reduce_weights(q2).q)), key
+
+
 def isomorphic(q1: WeightsVector, q2: WeightsVector) -> bool:
     """Whether the two weights vectors present isomorphic spaces.
 
     Equivalent to equality of the sorted reduced weights; spaces of
     different dimension are a caller error.
     """
-    if q1.n != q2.n:
-        raise DimensionError(f"dimension mismatch: {q1.n} vs {q2.n}")
-    return tuple(sorted(reduce_weights(q1).q)) == tuple(sorted(reduce_weights(q2).q))
+    return _isomorphism(q1, q2)[0]

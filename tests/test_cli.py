@@ -12,11 +12,11 @@ import wps.cli
 import wps.lattice
 import wps.linalg
 from wps.cli import main
-from wps.cohomology import divisor_info
-from wps.fan import FanRejection, canonical_fan, recognize_fan
+from wps.cohomology import HodgeTable, divisor_info
+from wps.fan import FanMatrix, FanRejection, canonical_fan, recognize_fan
 from wps.lattice import count_points
 from wps.linalg import IntMatrix
-from wps.polytope import polytope_of, recognize_polytope
+from wps.polytope import LatticeSimplex, polytope_of, recognize_polytope
 from wps.weights import WeightsVector, reduce_weights
 
 
@@ -289,6 +289,86 @@ def test_quiet_suppresses_stdout(capsys):
     assert code == 0 and out == ""
 
 
+# one call per subcommand, plus the exit-1 rejections; the files are
+# written by render_calls
+RENDER_CALLS = [
+    ("reduce", "--weights", "2,4,15,25"),
+    ("fan", "--weights", "2,3,4,15,25"),
+    ("recognize-fan", "--matrix", "{dir}/fan.json"),
+    ("recognize-fan", "--matrix", "{dir}/nonfan.json"),
+    ("polytope", "--weights", "2,3,4,15,25", "-m", "2"),
+    ("recognize-polytope", "--vertices", "{dir}/simplex.json"),
+    ("recognize-polytope", "--vertices", "{dir}/triangle.json"),
+    ("lattice-points", "--weights", "1,1,2", "-m", "2", "--histogram"),
+    ("lattice-points", "--weights", "1,1,2", "-m", "2", "--interior"),
+    ("cohom", "--weights", "1,1,2", "-p", "1", "-q", "0", "-m", "2"),
+    ("cohom", "--weights", "1,1,2", "--table", "--m-range", "-1..1"),
+    ("divisors", "--weights", "2,3,4,15,25"),
+    ("gorenstein", "--weights", "1,1,2"),
+    ("iso", "--weights", "1,2,2", "--other", "1,1,1"),
+]
+
+JSON_RENDERERS = [(FanMatrix, "to_json"), (LatticeSimplex, "to_json"),
+                  (HodgeTable, "to_json"), (WeightsVector, "to_json")]
+HUMAN_RENDERERS = [(wps.cli, "_fmt_matrix"), (wps.cli, "_tuple"), (wps.cli, "_yes")]
+
+
+@pytest.fixture
+def render_calls(tmp_path, monkeypatch):
+    """The calls of RENDER_CALLS, and a counter of renderer calls by mode."""
+    (tmp_path / "fan.json").write_text(
+        json.dumps(canonical_fan(WeightsVector((2, 3, 4, 15, 25))).to_json()))
+    (tmp_path / "nonfan.json").write_text(json.dumps([[1, 0, 1], [0, 1, 1]]))
+    (tmp_path / "simplex.json").write_text(POLYTOPE_2_3_4_15_25)
+    (tmp_path / "triangle.json").write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 3]]}))
+    counts = {"json": 0, "human": 0}
+    for mode, renderers in (("json", JSON_RENDERERS), ("human", HUMAN_RENDERERS)):
+        for owner, name in renderers:
+            def counted(*args, _f=getattr(owner, name), _mode=mode, **kwargs):
+                counts[_mode] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+    calls = [tuple(a.format(dir=tmp_path) for a in argv) for argv in RENDER_CALLS]
+    return calls, counts
+
+
+@pytest.mark.parametrize("flags,rendered", [
+    ((), "human"), (("--json",), "json"), (("--quiet",), None), (("--json", "--quiet"), None)],
+    ids=["human", "json", "quiet", "json-quiet"])
+def test_each_answer_is_rendered_once_in_the_printed_mode(capsys, render_calls, flags,
+                                                          rendered):
+    calls, counts = render_calls
+    used = False
+    for argv in calls:
+        counts.update(json=0, human=0)
+        code, out, _ = run(capsys, *flags, *argv)
+        if rendered is None:
+            assert counts == {"json": 0, "human": 0} and out == "", argv
+        else:
+            assert counts["human" if rendered == "json" else "json"] == 0, argv
+            used |= counts[rendered] > 0
+            # a rejection prints its payload under --json and nothing otherwise
+            assert bool(out) == (code == 0 or rendered == "json"), argv
+        # the exit code never depends on the output mode
+        code_quiet, out_quiet, _ = run(capsys, "--quiet", *argv)
+        assert code == code_quiet and out_quiet == "", argv
+    assert used == (rendered is not None)    # the counted renderers are the ones in use
+
+
+def test_rendering_failures_keep_their_exit_codes(capsys, monkeypatch):
+    # rendering runs inside the CLI's error handling: a failed check
+    # while rendering is exit 3, not a traceback, and prints nothing
+    def broken(self):
+        raise AssertionError("render check failed")
+
+    monkeypatch.setattr(FanMatrix, "to_json", broken)
+    code, out, err = run(capsys, "--json", "fan", "--weights", "2,3,4,15,25")
+    assert (code, out, err) == (3, "", "internal error: render check failed\n")
+    # the human text does not touch the payload, and --quiet renders nothing
+    assert run(capsys, "fan", "--weights", "2,3,4,15,25")[0] == 0
+    assert run(capsys, "--json", "--quiet", "fan", "--weights", "2,3,4,15,25") == (0, "", "")
+
+
 def test_shared_parser_leaks_no_flag(capsys):
     # main() builds its parser once per process; every call must print
     # what it prints on a freshly built parser, in any order
@@ -344,6 +424,24 @@ def test_lattice_points_at_a_huge_dilation(capsys):
         count_points(WeightsVector((2, 3, 4, 15, 25)), m)
     assert payload["interior"] == payload["histogram"]["4"]
     assert time.perf_counter() - start < 5
+
+
+ONE_TO_TWENTY = ",".join(map(str, range(1, 21)))
+
+
+@pytest.mark.parametrize("argv,cells", [
+    (("lattice-points", "--weights", ONE_TO_TWENTY, "-m", "3"), 3 * 232792560 + 1),
+    (("cohom", "--weights", ONE_TO_TWENTY, "-p", "0", "-q", "0", "-m", "3"),
+     20 * (3 * 232792560 + 1)),
+], ids=["lattice-points", "cohom"])
+def test_a_huge_counting_table_is_bad_input_at_once(capsys, argv, cells):
+    # delta' = lcm(1..20) = 232,792,560: the table is refused, not allocated
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (f"error: counting table of {cells} cells for delta' = 232792560 "
+                   f"exceeds the limit of {wps.lattice._MAX_CELLS}\n")
 
 
 def test_internal_error_from_the_counting_self_check(capsys, monkeypatch):

@@ -266,3 +266,36 @@ def test_volume_check_rejects_corrupted_samples(monkeypatch):
     monkeypatch.setattr(wps.lattice, "_face_samples", corrupted_vertices)
     with pytest.raises(AssertionError, match="face dimension 0"):
         face_histogram(q, 9)
+
+
+# ---------------------------------------------------------------------------
+# the bound on the counting table: delta' = 6 for (1, 2, 3), n = 2
+
+
+@pytest.mark.parametrize("count,m,cells", [
+    (count_points, 2, 2 * 6 + 1),               # k delta' + 1
+    (count_interior, 3, 3 * 6 - 6 + 1),         # k delta' - sum q' + 1
+    (face_histogram, 3, 3 * (3 * 6 + 1)),       # (n + 1)(k delta' + 1)
+])
+def test_counting_table_is_bounded_at_the_cell_limit(monkeypatch, count, m, cells):
+    q = WeightsVector((1, 2, 3))
+    expected = count(q, m)
+    monkeypatch.setattr(wps.lattice, "_MAX_CELLS", cells)
+    assert count(q, m) == expected
+    monkeypatch.setattr(wps.lattice, "_MAX_CELLS", cells - 1)
+    with pytest.raises(ValueError, match=f"counting table of {cells} cells for delta' = 6 "):
+        count(q, m)
+
+
+def test_counting_table_bound_is_checked_before_allocating(monkeypatch):
+    # lcm(1..20) = 232,792,560: a table of 7e8 cells is refused at once
+    q = WeightsVector(tuple(range(1, 21)))
+
+    def no_table(*args):
+        raise AssertionError("table allocated")
+
+    monkeypatch.setattr(wps.lattice, "_count_table", no_table)
+    monkeypatch.setattr(wps.lattice, "_face_table", no_table)
+    for count, m in ((count_points, 3), (count_interior, 3), (face_histogram, 1)):
+        with pytest.raises(ValueError, match="delta' = 232792560 exceeds"):
+            count(q, m)

@@ -425,6 +425,28 @@ def test_recognition_of_genuine_simplices_matches_the_adjugate_route(n, bits, m,
     assert sorted(pol.weights.q) == sorted(reduce_weights(q).q) and pol.polarization == m
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from((2, 8, 64, 256)), st.integers(1, 3),
+       st.integers(0, 2 ** 32))
+def test_recognized_fan_orientation_matches_the_adjugate_route(n, bits, m, seed):
+    # the sign of the tracked determinant sets epsilon, which no
+    # self-check of recognition covers
+    rng = random.Random(seed)
+    q = random_weights_of_bits(rng, n, bits)
+    simplex = moved_simplex(rng, weighted_transverse(canonical_fan(q)), m)
+    _, fan = recognize_polytope(simplex)
+    _, expected = recognize_polytope_by_adjugate(simplex)
+    assert fan.epsilon == expected.epsilon
+    assert fan == expected
+
+
+def test_moved_simplices_reach_both_orientations():
+    rng = random.Random(5)
+    seen = {recognize_polytope(moved_simplex(rng, W_2_3_4_15_25, 1))[1].epsilon
+            for _ in range(40)}
+    assert seen == {0, 1}
+
+
 @pytest.mark.parametrize("n,seed", [(2, 1), (2, 2), (3, 3)])
 def test_recognition_at_4096_bits_matches_the_adjugate_route(n, seed):
     rng = random.Random(seed)

@@ -2,11 +2,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wps.linalg import DimensionError
-from wps.weights import (WeightsVector, is_reduced, isomorphic, reduce_weights,
-                         reduction_data)
+from wps.weights import (WeightsVector, _extended_gcd_combination, is_reduced, isomorphic,
+                         reduce_weights, reduction_data)
+
+from oracles import ext_gcd
 
 
 raw_weights = st.lists(st.integers(1, 60), min_size=1, max_size=6).map(tuple)
@@ -137,3 +139,36 @@ def test_isomorphic_is_an_equivalence(triple):
             assert isomorphic(q1, q2) == isomorphic(q2, q1)
     if isomorphic(qs[0], qs[1]) and isomorphic(qs[1], qs[2]):
         assert isomorphic(qs[0], qs[2])
+
+
+def euclid_combination(values):
+    """The combination folded from extended Euclid, pair by pair."""
+    coeffs, g = [1], values[0]
+    for v in values[1:]:
+        g, x, y = ext_gcd(g, v)
+        coeffs = [c * x for c in coeffs] + [y]
+    return tuple(coeffs)
+
+
+big = 2 ** 4096
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 100), st.integers(1, 2 ** 64), st.integers(1, big)),
+                min_size=1, max_size=6).map(tuple))
+@example((3, 4))                                # a < b
+@example((4, 3))
+@example((3, 12))                               # a | b
+@example((12, 3))                               # b | a
+@example((7, 7))                                # equal values
+@example((7, 7, 7))
+@example((1, 2))                                # the tie 2x = m, m = 2
+@example((5, 10))
+@example((3, 2, 9))
+@example((6, 10, 15))
+@example((big - 1, big + 1))                    # 4,096-bit inputs
+@example((big - 1, 3 * (big - 1), big // 2 + 1))
+def test_bezout_coefficients_match_extended_euclid(values):
+    coeffs = _extended_gcd_combination(values)
+    assert coeffs == euclid_combination(values)
+    assert sum(c * v for c, v in zip(coeffs, values)) == gcd(*values)
