@@ -183,13 +183,16 @@ def _cmd_lattice_points(args):
     q = _parse_weights(args.weights)
     if args.m < 0:
         raise InputError("dilation factor must be nonnegative")
-    if args.interior:
-        if args.m < 1:
-            raise InputError("interior counts need m >= 1")
-        key, label, k = "interior", "interior points  ", count_interior(q, args.m)
-    else:
-        key, label, k = "count", "lattice points   ", count_points(q, args.m)
+    if args.interior and args.m < 1:
+        raise InputError("interior counts need m >= 1")
     hist = sorted(face_histogram(q, args.m).items()) if args.histogram else None
+    # a histogram holds the count: its sum, or its top face for the interior
+    if args.interior:
+        key, label = "interior", "interior points  "
+        k = count_interior(q, args.m) if hist is None else dict(hist).get(q.n, 0)
+    else:
+        key, label = "count", "lattice points   "
+        k = count_points(q, args.m) if hist is None else sum(c for _, c in hist)
 
     def payload():
         out = {"weights": q.to_json(), "m": str(args.m), key: str(k)}

@@ -14,7 +14,7 @@ from math import comb
 
 from .lattice import count_points, face_histogram
 from .linalg import DimensionError
-from .weights import WeightsVector, _extended_gcd_combination, reduce_weights
+from .weights import WeightsVector, _extended_gcd_combination, reduction_data
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,10 @@ def divisor_info(q: WeightsVector) -> DivisorClassInfo:
     """Divisor-class data of the space presented by ``q``."""
     if q.n < 1:
         raise DimensionError("need at least two weights")
-    red = reduce_weights(q)
-    delta = red.delta
-    total = red.total
+    rd = reduction_data(q)
+    delta, total = rd.delta_reduced, rd.reduced.total
     return DivisorClassInfo(
-        chow_generator=_extended_gcd_combination(red.q),
+        chow_generator=_extended_gcd_combination(rd.reduced.q),
         picard_index=delta,
         canonical_degree=Fraction(-total, delta),
         gorenstein=total % delta == 0,

@@ -20,9 +20,13 @@ tabulates more than ``n + 1`` dilates:
   polynomial in Newton's form, evaluated at ``m`` exactly; for
   ``m <= K`` that is the sample itself;
 * **volume check** -- when the samples span the whole polynomial, its
-  ``n``-th difference is ``n!`` times the leading coefficient, the
-  normalized volume ``delta'^n / prod q'``; a mismatch raises
+  ``n``-th difference is ``n!`` times the leading coefficient: the
+  normalized volume ``delta'^n / prod q'`` for the total, the interior
+  and the top face, and zero for a lower face; a mismatch raises
   ``AssertionError`` (the CLI's exit 3).
+
+One evaluator, :func:`_ehrhart`, does the extension and the check for
+all three counts.
 
 Each weight updates the table with running sums along its residue
 classes, or block by block when the classes are short, in slices of at
@@ -45,7 +49,7 @@ from itertools import accumulate
 from math import prod
 from operator import add
 
-from .weights import WeightsVector, reduce_weights
+from .weights import WeightsVector, reduction_data
 
 # longest slice one table update materializes at a time
 _CHUNK = 4096
@@ -58,8 +62,8 @@ _MAX_CELLS = 5 * 10 ** 7
 
 def _reduced(q: WeightsVector) -> tuple[tuple[int, ...], int]:
     """The reduced weights and their lcm."""
-    red = reduce_weights(q)
-    return red.q, red.delta
+    rd = reduction_data(q)
+    return rd.reduced.q, rd.delta_reduced
 
 
 def _divide(a: list[int], w: int) -> None:
@@ -197,14 +201,18 @@ def _face_samples(weights: tuple[int, ...], delta: int, k: int) -> list[list[int
     return out
 
 
-def _newton(samples: list[int], x: int) -> tuple[int, int]:
+def _ehrhart(samples: list[int], x: int, weights: tuple[int, ...], delta: int,
+             dim: int) -> int:
     """Value at ``x >= 0`` of the polynomial of degree below
-    ``len(samples)`` that takes ``samples[k]`` at ``k``, and its top
-    forward difference.
+    ``len(samples)`` that takes ``samples[k]`` at ``k``: a count of face
+    dimension ``dim`` (``n`` for a total or an interior count).
 
     Newton's forward-difference form, with ``C(x, k)`` stepped by the
     exact recurrence ``C(x, k + 1) = C(x, k) * (x - k) / (k + 1)``; for
-    ``x < len(samples)`` it returns ``samples[x]``.
+    ``x < len(samples)`` it returns ``samples[x]``.  A full sample of
+    ``n + 1`` values is checked: its ``n``-th difference is the
+    normalized volume ``delta'^n / prod q'`` for ``dim = n`` and zero
+    for a lower face dimension.
     """
     value, binom = 0, 1
     row = samples
@@ -213,14 +221,15 @@ def _newton(samples: list[int], x: int) -> tuple[int, int]:
         top = row[0]
         binom = binom * (x - k) // (k + 1)
         row = [b - a for a, b in zip(row, row[1:])]
-    return value, top
-
-
-def _check_volume(top: int, weights: tuple[int, ...], delta: int) -> None:
-    """The ``n``-th difference of a full sample is the normalized volume."""
-    if top * prod(weights) != delta ** (len(weights) - 1):
-        raise AssertionError(f"lattice counts fail the volume check: n-th difference {top} "
-                             f"for weights {weights}")
+    n = len(weights) - 1
+    if len(samples) == n + 1:
+        if dim == n and top * prod(weights) != delta ** n:
+            raise AssertionError(f"lattice counts fail the volume check: n-th difference "
+                                 f"{top} for weights {weights}")
+        if dim < n and top:
+            raise AssertionError(f"face dimension {dim} count has a nonzero {n}-th "
+                                 f"difference {top} for weights {weights}")
+    return value
 
 
 def count_points(q: WeightsVector, m: int) -> int:
@@ -233,12 +242,8 @@ def count_points(q: WeightsVector, m: int) -> int:
         raise ValueError("dilation factor must be nonnegative")
     weights, delta = _reduced(q)
     n = len(weights) - 1
-    k = min(m, n)
-    samples = _count_samples(weights, range(0, k * delta + 1, delta))
-    value, top = _newton(samples, m)
-    if len(samples) == n + 1:
-        _check_volume(top, weights, delta)
-    return value
+    samples = _count_samples(weights, range(0, min(m, n) * delta + 1, delta))
+    return _ehrhart(samples, m, weights, delta, n)
 
 
 def count_interior(q: WeightsVector, m: int) -> int:
@@ -252,13 +257,9 @@ def count_interior(q: WeightsVector, m: int) -> int:
         raise ValueError("dilation factor must be positive")
     weights, delta = _reduced(q)
     n = len(weights) - 1
-    k = min(m, n + 1)
     shift = sum(weights)
-    samples = _count_samples(weights, range(delta - shift, k * delta - shift + 1, delta))
-    value, top = _newton(samples, m - 1)
-    if len(samples) == n + 1:
-        _check_volume(top, weights, delta)
-    return value
+    targets = range(delta - shift, min(m, n + 1) * delta - shift + 1, delta)
+    return _ehrhart(_count_samples(weights, targets), m - 1, weights, delta, n)
 
 
 def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
@@ -269,26 +270,16 @@ def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
     ``m >= 1`` each face-graded count is a polynomial in ``m`` of degree
     the face dimension: the dilates ``1..min(m, n + 1)`` come from one
     table graded by the number of positive coordinates, and the
-    polynomials extend them to ``m``.  With a full sample the ``n``-th
-    differences must be the normalized volume on the interior and zero
-    on every lower dimension.
+    polynomials extend them to ``m``.
     """
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
     if m == 0:
         return {0: 1}
     weights, delta = _reduced(q)
-    n = len(weights) - 1
-    k = min(m, n + 1)
     hist: dict[int, int] = {}
-    for s, samples in enumerate(_face_samples(weights, delta, k)):
-        value, top = _newton(samples, m - 1)
-        if len(samples) == n + 1:
-            if s == n:
-                _check_volume(top, weights, delta)
-            elif top:
-                raise AssertionError(f"face dimension {s} count has a nonzero {n}-th "
-                                     f"difference {top} for weights {weights}")
+    for s, samples in enumerate(_face_samples(weights, delta, min(m, len(weights)))):
+        value = _ehrhart(samples, m - 1, weights, delta, s)
         if value:
             hist[s] = value
     return hist

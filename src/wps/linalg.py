@@ -240,22 +240,9 @@ def max_minors(v: IntMatrix) -> tuple[int, ...]:
 
 
 def _primitive(row: list[int]) -> tuple[list[int], int]:
-    """``row`` over its gcd, and that gcd: a candidate from two entries,
-    checked by one ``divmod`` per entry; a remainder shrinks it and
-    rescales the quotients."""
-    nz = [x for x in row if x]
-    c = gcd(nz[0], nz[-1])
-    out = []
-    for x in row:
-        if c == 1:
-            return row, 1
-        q, r = divmod(x, c)
-        if r:
-            g = gcd(c, r)
-            out = [y * (c // g) for y in out]
-            q, c = q * (c // g) + r // g, g
-        out.append(q)
-    return out, c
+    """``row`` over its gcd, and that gcd."""
+    c = gcd(*row)
+    return [x // c for x in row], c
 
 
 def _diagonal_of(r: list[list[int]], a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm, prod
 from typing import Iterator
 
@@ -151,6 +152,13 @@ def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
     """
     if not w.is_square:
         raise DimensionError("adjugate of a non-square matrix")
+    return _adjoint(w)
+
+
+@lru_cache(maxsize=4)
+def _adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
+    # memoized: the recognition and admissibility routes of one simplex
+    # ask for the same adjugate, the costliest step of either
     n = w.rows
     d, adj = _jordan(w.entries, [[int(i == j) for j in range(n)] for i in range(n)])
     out = IntMatrix.from_rows(adj)
@@ -223,11 +231,16 @@ def weighted_transverse_by_adjugate(v: FanMatrix) -> IntMatrix:
 
 
 def is_p_admissible_by_adjugate(w: IntMatrix) -> bool:
-    """Every column sum of the adjugate is divisible by ``q_0 * s``."""
+    """Every column sum of the adjugate is divisible by ``q_0 * s``.
+
+    A non-primitive ``w`` is refused after the singularity test, which
+    runs on ``w`` over its entry gcd: the adjugate recognition builds.
+    """
     if not w.is_square:
         raise DimensionError("admissibility needs a square matrix")
-    det, adj = adjoint(w)
-    if w.entry_gcd() != 1:
+    m = w.entry_gcd() or 1
+    det, adj = adjoint(IntMatrix.from_rows([[x // m for x in row] for row in w.entries]))
+    if m != 1:
         raise ValueError("entries are not primitive: divide by their gcd first")
     q, s = _adjugate_weights(det, adj)
     return all(sum(col) % (q[0] * s) == 0 for col in adj.transpose().entries)

@@ -213,6 +213,41 @@ def test_lattice_points(capsys):
     assert payload["interior"] == "1"
 
 
+def test_lattice_points_histogram_holds_its_own_count(capsys, monkeypatch):
+    # with --histogram the count is the histogram's sum and the interior
+    # its top face, so no second counting table is built
+    def no_count(q, m):
+        raise AssertionError("second counting table built")
+
+    monkeypatch.setattr(wps.cli, "count_points", no_count)
+    monkeypatch.setattr(wps.cli, "count_interior", no_count)
+    code, payload, _ = run_json(capsys, "lattice-points", "--weights", "1,1,1",
+                                "-m", "2", "--histogram")
+    assert code == 0
+    assert payload["count"] == "6" and payload["histogram"] == {"0": "3", "1": "3"}
+    code, payload, _ = run_json(capsys, "lattice-points", "--weights", "1,1,1",
+                                "-m", "3", "--interior", "--histogram")
+    assert code == 0
+    assert payload["interior"] == "1" and payload["histogram"] == {"0": "3", "1": "6", "2": "1"}
+    # no interior point: the top face is absent from the histogram
+    code, payload, _ = run_json(capsys, "lattice-points", "--weights", "1,1,1",
+                                "-m", "2", "--interior", "--histogram")
+    assert code == 0 and payload["interior"] == "0"
+    code, out, _ = run(capsys, "lattice-points", "--weights", "1,1,1", "-m", "2",
+                       "--histogram")
+    assert code == 0
+    assert out == "lattice points   6\n  face dim 0: 3\n  face dim 1: 3\n"
+    m = 10 ** 9
+    code, payload, _ = run_json(capsys, "lattice-points", "--weights", "1,1,1",
+                                "-m", str(m), "--histogram")
+    assert code == 0 and payload["count"] == str(comb(m + 2, 2))
+    code, payload, _ = run_json(capsys, "lattice-points", "--weights", "2,3,4,15,25",
+                                "-m", str(m), "--interior", "--histogram")
+    assert code == 0
+    interior = wps.lattice.count_interior(WeightsVector((2, 3, 4, 15, 25)), m)
+    assert payload["interior"] == str(interior)
+
+
 def test_cohom_single_cell(capsys):
     code, payload, _ = run_json(capsys, "cohom", "--weights", "1,1,1",
                                 "-p", "1", "-q", "0", "-m", "2")
