@@ -84,23 +84,18 @@ def hodge(q: WeightsVector, p: int, qq: int, m: int) -> int:
     Three regimes: degree 0 counts lattice points of the ``m``-th dilate
     weighted by ``C(s, p)`` over the smallest-face dimension ``s``;
     intermediate degrees vanish away from ``m = 0`` and are Kronecker
-    delta at 0; top degree mirrors degree 0 under ``(p, m) ->
-    (n - p, -m)``.
+    delta at 0; top degree is degree 0 at ``(n - p, -m)``.
     """
     n = q.n
     if not (0 <= p <= n and 0 <= qq <= n):
         raise IndexError(f"form degree and cohomology degree must lie in [0, {n}]")
-    if qq == 0:
-        if m < 0:
-            return 0
-        return sum(ways * comb(s, p) for s, ways in face_histogram(q, m).items())
-    if qq < n:
-        if m != 0:
-            return 0
-        return 1 if p == qq else 0
-    if m > 0:
+    if 0 < qq < n:
+        return 1 if m == 0 and p == qq else 0
+    if qq:          # top degree, so n > 0
+        p, m = n - p, -m
+    if m < 0:
         return 0
-    return sum(ways * comb(s, n - p) for s, ways in face_histogram(q, -m).items())
+    return sum(ways * comb(s, p) for s, ways in face_histogram(q, m).items())
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ of degree at most ``n`` in ``m`` (Ehrhart): the total for ``m >= 0``,
 the interior and each face-graded count for ``m >= 1``.  So no count
 tabulates more than ``n + 1`` dilates:
 
-* **sampling bound** -- one table of ``prod 1/(1 - x^q'_j)``, graded
-  by the number of positive coordinates for the histogram, runs up to
-  ``K * delta'`` with ``K = min(m, n)`` for the total and
+* **sampling bound** -- one table of ``prod 1/(1 - x^q'_j)`` runs up
+  to ``K * delta'`` with ``K = min(m, n)`` for the total and
   ``K = min(m, n + 1)`` for the interior and the histogram, never past
   the target ``m * delta'``; it is read at the multiples of ``delta'``
-  (shifted by ``-sum q'`` for the interior);
+  (shifted by ``-sum q'`` for the interior, and through the numerator
+  ``prod ((1 - x^q'_j) + y x^q'_j)`` graded by the number ``p`` of
+  positive coordinates for the histogram);
 * **Newton extension** -- the samples' forward differences give the
   polynomial in Newton's form, evaluated at ``m`` exactly; for
   ``m <= K`` that is the sample itself;
@@ -31,14 +32,18 @@ all three counts.
 Each weight updates the table with running sums along its residue
 classes, or block by block when the classes are short, in slices of at
 most a few thousand entries: the per-entry work runs at C level and the
-temporaries stay bounded.  The largest weight enters only at the
-sampled targets.  The totals cost ``O(n * min(m, n) * delta')`` and the
-histogram ``O(n^2 * min(m, n + 1) * delta')``, independent of ``m``
-beyond ``n + 1``.  The table still grows linearly with ``delta'``; lcms
-in the millions (say ``(7,11,13,17,19,23)``, ``delta' = 7,436,429``)
-remain the open case, and a table of more than ``_MAX_CELLS`` cells
-over all its columns raises ``ValueError`` before it is allocated
-(the CLI's exit 2).  The geometric enumeration and the dynamic
+temporaries stay bounded.  For the totals the largest weight enters
+only at the sampled targets.  The histogram's numerator has ``n + 2``
+rows of at most ``sum q' + 1`` small coefficients, each weight a slice
+update of every row, and each sample is one numerator row against the
+table below its target.  So with ``K`` as above the totals cost
+``O(n * K * delta')`` and the histogram
+``O(n * K * delta' + n^2 * sum q' + n * K * sum q')``, independent of
+``m`` beyond ``n + 1``.  The table still grows linearly with
+``delta'``; lcms in the millions (say ``(7,11,13,17,19,23)``,
+``delta' = 7,436,429``) remain the open case, and a table of more than
+``_MAX_CELLS`` cells raises ``ValueError`` before it is allocated (the
+CLI's exit 2).  The geometric enumeration and the dynamic
 programming over the whole target ``m * delta'`` live in the test suite
 as oracles.
 """
@@ -47,16 +52,15 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import prod
-from operator import add
+from operator import add, mul, sub
 
 from .weights import WeightsVector, reduction_data
 
 # longest slice one table update materializes at a time
 _CHUNK = 4096
 
-# most cells, over all columns, that one counting table may hold: the
-# table grows with delta', so a huge lcm fails fast instead of running
-# out of memory
+# most cells that one counting table may hold: the table grows with
+# delta', so a huge lcm fails fast instead of running out of memory
 _MAX_CELLS = 5 * 10 ** 7
 
 
@@ -138,66 +142,34 @@ def _count_samples(weights: tuple[int, ...], targets: range) -> list[int]:
     return _sums_at(_count_table(rest, size), targets, last)
 
 
-def _add_sums_below(hi: list[int], lo: list[int], w: int) -> None:
-    """``hi[t] += lo[t - w] + lo[t - 2w] + ...`` for every ``t``, in place.
-
-    That adds ``x^w / (1 - x^w)`` times the series ``lo``: running sums
-    along each residue class mod ``w`` when the classes are long,
-    otherwise running sums of ``lo``'s blocks of ``w`` entries, carried
-    from block to block.  No slice is longer than about ``_CHUNK``.
-    """
-    size = len(hi)
-    if w * w <= size:
-        step = w * _CHUNK
-        for r in range(w):
-            carry = 0
-            for s in range(r + w, size, step):
-                sums = lo[s - w:s - w + step:w]
-                sums[0] += carry
-                hi[s:s + step:w] = map(add, hi[s:s + step:w], accumulate(sums))
-                carry = sum(sums)
-    else:
-        for c in range(0, w, _CHUNK):
-            span = min(_CHUNK, w - c)
-            run = [0] * span
-            for s in range(w + c, size, w):
-                run = list(map(add, run, lo[s - w:s - w + span]))
-                hi[s:s + span] = map(add, hi[s:s + span], run)
-
-
-def _face_table(weights: tuple[int, ...], size: int) -> list[list[int]]:
-    """``cols[p][t]``: solutions of ``sum w_j x_j = t`` with exactly ``p``
-    positive coordinates, for ``0 <= t < size`` and ``0 <= p <= n + 1``.
-
-    The columns are the coefficients of ``y^p`` in
-    ``prod (1 + y x^w / (1 - x^w))``: each weight adds to column ``p``
-    the sums below of column ``p - 1``, from the top column down so that
-    column ``p - 1`` still holds its value from before the weight.
-    """
-    cols = [[0] * size for _ in range(len(weights) + 1)]
-    cols[0][0] = 1
-    for j, w in enumerate(weights):
-        # only columns 0..j can be nonzero before this weight
-        for p in range(j + 1, 0, -1):
-            _add_sums_below(cols[p], cols[p - 1], w)
-    return cols
-
-
 def _face_samples(weights: tuple[int, ...], delta: int, k: int) -> list[list[int]]:
     """For ``p = 1..n+1``, the solutions of ``sum w_j x_j = t`` with
     exactly ``p`` positive coordinates at ``t = delta, 2 delta, .., k delta``.
 
-    As in :func:`_count_samples`, the largest weight is added only at
-    the targets.
+    These are the coefficients of ``y^p`` in
+    ``prod (1 + y x^w / (1 - x^w)) = prod ((1 - x^w) + y x^w) / prod (1 - x^w)``.
+    The numerator's ``y^p`` coefficients ``num[p]``, cut past the last
+    target, take one two-term factor per weight; the denominator is the
+    one counting table, and each sample is a numerator row convolved
+    with the table at one target.
     """
-    *rest, last = sorted(weights)
-    _check_cells(len(weights) * (k * delta + 1), delta)
-    cols = _face_table(rest, k * delta + 1)
-    below = range(delta - last, k * delta - last + 1, delta)
-    out = []
-    for p in range(1, len(weights) + 1):
-        own = cols[p][delta::delta] if p < len(cols) else [0] * k
-        out.append(list(map(add, own, _sums_at(cols[p - 1], below, last))))
+    size = k * delta + 1
+    _check_cells(size, delta)
+    terms = min(sum(weights) + 1, size)
+    num = [[1] + [0] * (terms - 1)] + [[0] * terms for _ in weights]
+    for j, w in enumerate(weights):
+        # num[p] <- num[p] (1 - x^w) + num[p - 1] x^w, from the top row down
+        # so that row p - 1 still holds its value from before the weight
+        for p in range(j + 1, 0, -1):
+            num[p][w:] = map(add, num[p][w:], map(sub, num[p - 1][:-w], num[p][:-w]))
+        num[0][w:] = map(sub, num[0][w:], num[0][:-w])
+    table = _count_table(tuple(sorted(weights)), size)
+    out: list[list[int]] = [[] for _ in weights]
+    for t in range(delta, size, delta):
+        # table[t], table[t - 1], .., against num[p][0], num[p][1], ..
+        below = table[t:t - terms:-1] if t >= terms else table[t::-1]
+        for row, samples in zip(num[1:], out):
+            samples.append(sum(map(mul, row, below)))
     return out
 
 
@@ -269,8 +241,8 @@ def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
     ``n - z``; the zero dilate is the single vertex of a point.  For
     ``m >= 1`` each face-graded count is a polynomial in ``m`` of degree
     the face dimension: the dilates ``1..min(m, n + 1)`` come from one
-    table graded by the number of positive coordinates, and the
-    polynomials extend them to ``m``.
+    counting table, graded by the number of positive coordinates through
+    a numerator, and the polynomials extend them to ``m``.
     """
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")

@@ -230,6 +230,30 @@ def test_chunked_table_updates_match_full_dynamic_programming(monkeypatch, chunk
             assert face_histogram(q, m) == dp_face_histogram(q, m)
 
 
+def test_face_histogram_edge_cases_match_full_dynamic_programming():
+    # n = 0; numerators longer than the last target; every m up to past n + 1
+    cases = [((5,), m) for m in range(4)] + [((1, 1, 1, 1), 1), ((1, 1, 1), 1)]
+    cases += [((2, 3, 5), m) for m in range(1, 5)]
+    for raw, m in cases:
+        q = WeightsVector(raw)
+        assert face_histogram(q, m) == dp_face_histogram(q, m), (raw, m)
+
+
+def test_a_face_histogram_builds_one_counting_table(monkeypatch):
+    count_table, calls = wps.lattice._count_table, []
+
+    def counted(weights, size):
+        calls.append(size)
+        return count_table(weights, size)
+
+    monkeypatch.setattr(wps.lattice, "_count_table", counted)
+    for raw in ((1, 1), (1, 1, 1, 1), (2, 3, 5), (2, 3, 4, 15, 25)):
+        for m in (1, 2, len(raw), len(raw) + 3):
+            calls.clear()
+            face_histogram(WeightsVector(raw), m)
+            assert len(calls) == 1, (raw, m)
+
+
 def test_closed_forms_at_a_million():
     q, m = WeightsVector((1, 1, 1)), 10 ** 6
     assert count_points(q, m) == comb(m + 2, 2)
@@ -275,7 +299,7 @@ def test_volume_check_rejects_corrupted_samples(monkeypatch):
 @pytest.mark.parametrize("count,m,cells", [
     (count_points, 2, 2 * 6 + 1),               # k delta' + 1
     (count_interior, 3, 3 * 6 - 6 + 1),         # k delta' - sum q' + 1
-    (face_histogram, 3, 3 * (3 * 6 + 1)),       # (n + 1)(k delta' + 1)
+    (face_histogram, 3, 3 * 6 + 1),             # k delta' + 1
 ])
 def test_counting_table_is_bounded_at_the_cell_limit(monkeypatch, count, m, cells):
     q = WeightsVector((1, 2, 3))
@@ -295,7 +319,6 @@ def test_counting_table_bound_is_checked_before_allocating(monkeypatch):
         raise AssertionError("table allocated")
 
     monkeypatch.setattr(wps.lattice, "_count_table", no_table)
-    monkeypatch.setattr(wps.lattice, "_face_table", no_table)
     for count, m in ((count_points, 3), (count_interior, 3), (face_histogram, 1)):
         with pytest.raises(ValueError, match="delta' = 232792560 exceeds"):
             count(q, m)
