@@ -42,8 +42,8 @@ table below its target.  So with ``K`` as above the totals cost
 ``m`` beyond ``n + 1``.  The table still grows linearly with
 ``delta'``; lcms in the millions (say ``(7,11,13,17,19,23)``,
 ``delta' = 7,436,429``) remain the open case, and a table of more than
-``_MAX_CELLS`` cells raises ``ValueError`` before it is allocated (the
-CLI's exit 2).  The geometric enumeration and the dynamic
+``_MAX_CELLS`` cells, the histogram's numerator rows counted with its
+table, raises ``ValueError`` before it is allocated (the CLI's exit 2).  The geometric enumeration and the dynamic
 programming over the whole target ``m * delta'`` live in the test suite
 as oracles.
 """
@@ -154,8 +154,8 @@ def _face_samples(weights: tuple[int, ...], delta: int, k: int) -> list[list[int
     with the table at one target.
     """
     size = k * delta + 1
-    _check_cells(size, delta)
     terms = min(sum(weights) + 1, size)
+    _check_cells(size + (len(weights) + 1) * terms, delta)     # table and numerator
     num = [[1] + [0] * (terms - 1)] + [[0] * terms for _ in weights]
     for j, w in enumerate(weights):
         # num[p] <- num[p] (1 - x^w) + num[p - 1] x^w, from the top row down

@@ -467,7 +467,7 @@ ONE_TO_TWENTY = ",".join(map(str, range(1, 21)))
 @pytest.mark.parametrize("argv,cells", [
     (("lattice-points", "--weights", ONE_TO_TWENTY, "-m", "3"), 3 * 232792560 + 1),
     (("cohom", "--weights", ONE_TO_TWENTY, "-p", "0", "-q", "0", "-m", "3"),
-     3 * 232792560 + 1),
+     3 * 232792560 + 1 + 21 * 211),     # table, n + 2 numerator rows of sum q' + 1
 ], ids=["lattice-points", "cohom"])
 def test_a_huge_counting_table_is_bad_input_at_once(capsys, argv, cells):
     # delta' = lcm(1..20) = 232,792,560: the table is refused, not allocated

@@ -221,22 +221,15 @@ def test_counts_match_full_dynamic_programming(q):
 def test_chunked_table_updates_match_full_dynamic_programming(monkeypatch, chunk):
     # tiny slices put chunk borders inside every residue class and block
     monkeypatch.setattr(wps.lattice, "_CHUNK", chunk)
-    for raw in ((1, 1, 2), (2, 3, 5), (1, 4, 6, 9), (3, 5, 7), (1, 6, 10, 15),
-                (1, 2, 2, 3, 12)):
+    # (5,) is n = 0; (1, 1, 2), (1, 1, 1) and (1, 1, 1, 1) at m = 1 have
+    # numerators longer than the last target
+    for raw in ((5,), (1, 1, 1), (1, 1, 2), (1, 1, 1, 1), (2, 3, 5), (1, 4, 6, 9),
+                (3, 5, 7), (1, 6, 10, 15), (1, 2, 2, 3, 12)):
         q = WeightsVector(raw)
-        for m in (1, q.n + 1, q.n + 3):
+        for m in sorted({1, 2, q.n + 1, q.n + 2, q.n + 3}):
             assert count_points(q, m) == dp_count_points(q, m)
             assert count_interior(q, m) == dp_count_interior(q, m)
             assert face_histogram(q, m) == dp_face_histogram(q, m)
-
-
-def test_face_histogram_edge_cases_match_full_dynamic_programming():
-    # n = 0; numerators longer than the last target; every m up to past n + 1
-    cases = [((5,), m) for m in range(4)] + [((1, 1, 1, 1), 1), ((1, 1, 1), 1)]
-    cases += [((2, 3, 5), m) for m in range(1, 5)]
-    for raw, m in cases:
-        q = WeightsVector(raw)
-        assert face_histogram(q, m) == dp_face_histogram(q, m), (raw, m)
 
 
 def test_a_face_histogram_builds_one_counting_table(monkeypatch):
@@ -299,7 +292,7 @@ def test_volume_check_rejects_corrupted_samples(monkeypatch):
 @pytest.mark.parametrize("count,m,cells", [
     (count_points, 2, 2 * 6 + 1),               # k delta' + 1
     (count_interior, 3, 3 * 6 - 6 + 1),         # k delta' - sum q' + 1
-    (face_histogram, 3, 3 * 6 + 1),             # k delta' + 1
+    (face_histogram, 3, 3 * 6 + 1 + 4 * 7),     # table, n + 2 rows of sum q' + 1
 ])
 def test_counting_table_is_bounded_at_the_cell_limit(monkeypatch, count, m, cells):
     q = WeightsVector((1, 2, 3))
@@ -322,3 +315,19 @@ def test_counting_table_bound_is_checked_before_allocating(monkeypatch):
     for count, m in ((count_points, 3), (count_interior, 3), (face_histogram, 1)):
         with pytest.raises(ValueError, match="delta' = 232792560 exceeds"):
             count(q, m)
+
+
+def test_face_histogram_bound_counts_its_numerator(monkeypatch):
+    # (7, 7, 7, 1, 1) at m = 1: sum q' = 23 is past k delta' = 7, so the
+    # numerator's n + 2 = 6 rows are cut at 8 cells, like the table: 56 cells
+    q = WeightsVector((7, 7, 7, 1, 1))
+    monkeypatch.setattr(wps.lattice, "_MAX_CELLS", 7 * 8)
+    assert face_histogram(q, 1) == dp_face_histogram(q, 1)
+
+    def no_table(*args):
+        raise AssertionError("table allocated")
+
+    monkeypatch.setattr(wps.lattice, "_MAX_CELLS", 7 * 8 - 1)
+    monkeypatch.setattr(wps.lattice, "_count_table", no_table)
+    with pytest.raises(ValueError, match="counting table of 56 cells for delta' = 7 "):
+        face_histogram(q, 1)
