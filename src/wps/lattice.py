@@ -6,25 +6,32 @@ solutions of ``sum q'_j x_j = m * delta'`` over the reduced weights
 containing a point is ``n`` minus the number of vanishing coordinates.
 
 The polytope has lattice vertices, so every count here is a polynomial
-of degree at most ``n`` in ``m`` (Ehrhart): the total for ``m >= 0``,
-the interior and each face-graded count for ``m >= 1``.  So no count
-tabulates more than ``n + 1`` dilates:
+of degree at most ``n`` in ``m`` (Ehrhart): the total ``L(m)`` for
+``m >= 0``, the interior and each face-graded count for ``m >= 1``.  By
+Ehrhart--Macdonald reciprocity the interior count of the ``m``-th
+dilate is ``(-1)^n L(-m)``.  So no count tabulates more than ``n + 1``
+dilates, and the totals about half of that:
 
 * **sampling bound** -- one table of ``prod 1/(1 - x^q'_j)`` runs up
-  to ``K * delta'`` with ``K = min(m, n)`` for the total and
-  ``K = min(m, n + 1)`` for the interior and the histogram, never past
-  the target ``m * delta'``; it is read at the multiples of ``delta'``
-  (shifted by ``-sum q'`` for the interior, and through the numerator
-  ``prod ((1 - x^q'_j) + y x^q'_j)`` graded by the number ``p`` of
-  positive coordinates for the histogram);
+  to ``K * delta'``, never past the target ``m * delta'``, and is read
+  at the multiples of ``delta'``.  The totals take ``K = min(m, n // 2)``
+  and read ``L(-K..K)``: the totals at ``0..K`` and, shifted by
+  ``-sum q'``, the interiors at ``1..K``.  The histogram takes
+  ``K = min(m, n + 1)`` and reads the dilates ``1..K`` through the
+  numerator ``prod ((1 - x^q'_j) + y x^q'_j)``, graded by the number
+  ``p`` of positive coordinates;
 * **Newton extension** -- the samples' forward differences give the
-  polynomial in Newton's form, evaluated at ``m`` exactly; for
-  ``m <= K`` that is the sample itself;
-* **volume check** -- when the samples span the whole polynomial, its
-  ``n``-th difference is ``n!`` times the leading coefficient: the
-  normalized volume ``delta'^n / prod q'`` for the total, the interior
-  and the top face, and zero for a lower face; a mismatch raises
-  ``AssertionError`` (the CLI's exit 3).
+  polynomial in Newton's form, evaluated at ``m`` exactly; at a sampled
+  dilate that is the sample itself;
+* **volume check** -- the ``n``-th difference is ``n!`` times the
+  leading coefficient: the normalized volume ``delta'^n / prod q'`` for
+  the total and the top face, zero for a lower face.  The facets
+  ``x_j = 0`` have normalized volumes ``delta'^(n-1) q'_j / prod q'``,
+  which sum to ``2 (n-1)!`` times the total's next coefficient.  For
+  even ``n`` the ``n + 1`` samples ``L(-K..K)`` meet both closed forms;
+  for odd ``n`` the volume supplies the top term of the ``n`` samples
+  and the facets check them.  So every count extended past its samples
+  is checked; a mismatch raises ``AssertionError`` (the CLI's exit 3).
 
 One evaluator, :func:`_ehrhart`, does the extension and the check for
 all three counts.
@@ -129,17 +136,23 @@ def _sums_at(a: list[int], targets: range, w: int) -> list[int]:
     return out
 
 
-def _count_samples(weights: tuple[int, ...], targets: range) -> list[int]:
-    """Solutions of ``sum w_j x_j = t`` at each of the ascending
-    ``targets``, whose step is ``delta'``, the lcm of the weights.
+def _total_samples(weights: tuple[int, ...], delta: int, k: int) -> list[int]:
+    """``L(-k), .., L(k)`` for the total ``L(j)``, the solutions of
+    ``sum w_j x_j = j delta``, where ``delta`` is the lcm of the weights.
 
-    The table runs over all weights but the largest, which is added only
-    at the targets: a sum along one residue class.
+    By reciprocity ``L(-j) = (-1)^n L°(j)`` for ``j >= 1``, with the
+    interior count ``L°(j)`` at ``j delta - sum w``.  The table runs over
+    all weights but the largest, which is added only at the targets: a
+    sum along one residue class for the totals and one for the interiors.
     """
     *rest, last = sorted(weights)
-    size = max(targets[-1] + 1, 0)
-    _check_cells(size, targets.step)
-    return _sums_at(_count_table(rest, size), targets, last)
+    size = k * delta + 1
+    _check_cells(size, delta)
+    table, shift = _count_table(rest, size), sum(weights)
+    inner = range(delta - shift, size - shift, delta)
+    interior = _sums_at(table, inner, last) if inner else []
+    sign = (-1) ** len(rest)
+    return [sign * c for c in reversed(interior)] + _sums_at(table, range(0, size, delta), last)
 
 
 def _face_samples(weights: tuple[int, ...], delta: int, k: int) -> list[list[int]]:
@@ -174,64 +187,76 @@ def _face_samples(weights: tuple[int, ...], delta: int, k: int) -> list[list[int
 
 
 def _ehrhart(samples: list[int], x: int, weights: tuple[int, ...], delta: int,
-             dim: int) -> int:
-    """Value at ``x >= 0`` of the polynomial of degree below
-    ``len(samples)`` that takes ``samples[k]`` at ``k``: a count of face
-    dimension ``dim`` (``n`` for a total or an interior count).
+             dim: int, start: int = 0, total: bool = False) -> int:
+    """Value at ``x`` of the polynomial of degree at most ``dim`` that
+    takes ``samples[i]`` at ``start + i``: a count of face dimension
+    ``dim`` (``n`` for a total or an interior count).
 
-    Newton's forward-difference form, with ``C(x, k)`` stepped by the
-    exact recurrence ``C(x, k + 1) = C(x, k) * (x - k) / (k + 1)``; for
-    ``x < len(samples)`` it returns ``samples[x]``.  A full sample of
-    ``n + 1`` values is checked: its ``n``-th difference is the
-    normalized volume ``delta'^n / prod q'`` for ``dim = n`` and zero
-    for a lower face dimension.
+    Newton's forward-difference form, with ``C(x - start, i)`` stepped by
+    the exact recurrence ``C(y, i + 1) = C(y, i) * (y - i) / (i + 1)``; at
+    a sampled ``x`` it returns the sample.  For ``dim = n`` the ``n``-th
+    difference is the normalized volume ``delta'^n / prod q'``: it is the
+    top term of a sample of ``n`` values and is checked on one of
+    ``n + 1``; for a lower face dimension that difference is zero.  With
+    ``total`` the samples are of the total ``L``, whose
+    ``2 (n-1)! c_(n-1)`` is the facets' normalized volume
+    ``delta'^(n-1) sum q' / prod q'``; so the ``(n-1)``-th difference at
+    ``start`` is checked too, once the top one is known.
     """
-    value, binom = 0, 1
-    row = samples
-    for k in range(len(samples)):
+    value, binom, lead, row = 0, 1, [], samples
+    for i in range(len(samples)):
+        lead.append(row[0])
         value += row[0] * binom
-        top = row[0]
-        binom = binom * (x - k) // (k + 1)
+        binom = binom * (x - start - i) // (i + 1)
         row = [b - a for a, b in zip(row, row[1:])]
-    n = len(weights) - 1
-    if len(samples) == n + 1:
-        if dim == n and top * prod(weights) != delta ** n:
+    n, pq = len(weights) - 1, prod(weights)
+    if dim == n == len(samples):
+        lead.append(delta ** n // pq)
+        value += lead[n] * binom
+    if len(lead) == n + 1:
+        if dim == n and lead[n] * pq != delta ** n:
             raise AssertionError(f"lattice counts fail the volume check: n-th difference "
-                                 f"{top} for weights {weights}")
-        if dim < n and top:
+                                 f"{lead[n]} for weights {weights}")
+        if dim < n and lead[n]:
             raise AssertionError(f"face dimension {dim} count has a nonzero {n}-th "
-                                 f"difference {top} for weights {weights}")
+                                 f"difference {lead[n]} for weights {weights}")
+        # 2 prod q' D^(n-1) L(start) = 2 (n-1)! c_(n-1) + (2 start + n - 1) n! c_n
+        if total and n and (2 * pq * lead[n - 1] != delta ** (n - 1)
+                            * (sum(weights) + (2 * start + n - 1) * delta)):
+            raise AssertionError(f"lattice counts fail the facet check: (n-1)-th difference "
+                                 f"{lead[n - 1]} for weights {weights}")
     return value
+
+
+def _total(q: WeightsVector, x: int) -> int:
+    """The total ``L(x)`` of the reduced ``q``, from the samples
+    ``L(-k..k)`` with ``k = min(|x|, n // 2)``."""
+    weights, delta = _reduced(q)
+    n = len(weights) - 1
+    k = min(abs(x), n // 2)
+    return _ehrhart(_total_samples(weights, delta, k), x, weights, delta, n, -k, total=True)
 
 
 def count_points(q: WeightsVector, m: int) -> int:
     """Lattice points of the ``m``-th dilate of the minimal polytope.
 
-    Reads the dilates ``0..min(m, n)`` off one counting table and
-    extends them to ``m`` by the Ehrhart polynomial.
+    The Ehrhart polynomial ``L`` at ``m``, read off one counting table
+    at the dilates ``-k..k``, ``k = min(m, n // 2)``.
     """
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
-    weights, delta = _reduced(q)
-    n = len(weights) - 1
-    samples = _count_samples(weights, range(0, min(m, n) * delta + 1, delta))
-    return _ehrhart(samples, m, weights, delta, n)
+    return _total(q, m)
 
 
 def count_interior(q: WeightsVector, m: int) -> int:
     """Lattice points with every coordinate positive (interior points).
 
     These are the solutions at target ``m * delta' - sum q'`` of the
-    same equation; the dilates ``1..min(m, n + 1)`` are read off one
-    counting table and extended to ``m`` by the Ehrhart polynomial.
+    same equation, and by reciprocity ``(-1)^n L(-m)``.
     """
     if m < 1:
         raise ValueError("dilation factor must be positive")
-    weights, delta = _reduced(q)
-    n = len(weights) - 1
-    shift = sum(weights)
-    targets = range(delta - shift, min(m, n + 1) * delta - shift + 1, delta)
-    return _ehrhart(_count_samples(weights, targets), m - 1, weights, delta, n)
+    return (-1) ** q.n * _total(q, -m)
 
 
 def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:

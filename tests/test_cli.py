@@ -480,17 +480,20 @@ def test_a_huge_counting_table_is_bad_input_at_once(capsys, argv, cells):
 
 
 def test_internal_error_from_the_counting_self_check(capsys, monkeypatch):
-    count_samples = wps.lattice._count_samples
+    total_samples = wps.lattice._total_samples
 
-    def corrupted(weights, targets):
-        samples = count_samples(weights, targets)
+    def corrupted(weights, delta, k):
+        samples = total_samples(weights, delta, k)
         samples[-1] += 1
         return samples
 
-    monkeypatch.setattr(wps.lattice, "_count_samples", corrupted)
-    code, out, err = run(capsys, "lattice-points", "--weights", "1,1,2", "-m", "5")
-    assert code == 3 and out == ""
-    assert err.startswith("internal error: lattice counts fail the volume check")
+    monkeypatch.setattr(wps.lattice, "_total_samples", corrupted)
+    # even n: the volume check; odd n: the volume completes the samples
+    # and the facet check catches the corruption
+    for weights, check in (("1,1,2", "volume"), ("2,3,5,7", "facet")):
+        code, out, err = run(capsys, "lattice-points", "--weights", weights, "-m", "5")
+        assert code == 3 and out == ""
+        assert err.startswith(f"internal error: lattice counts fail the {check} check")
 
 
 def test_internal_error_from_the_tracked_determinant(capsys, monkeypatch, tmp_path):

@@ -1,8 +1,8 @@
 import random
-from math import comb
+from math import comb, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wps.lattice
 from wps.fan import canonical_fan
@@ -11,7 +11,8 @@ from wps.polytope import weighted_transverse
 from wps.weights import WeightsVector, reduce_weights
 
 from oracles import (LatticePoint, dp_count_interior, dp_count_points, dp_face_histogram,
-                     lattice_points, random_weights, simplex_census, simplex_census_boxscan)
+                     lattice_points, random_weights, simplex_census, simplex_census_boxscan,
+                     solution_count)
 
 
 def census_of(q: WeightsVector, m: int):
@@ -217,6 +218,56 @@ def test_counts_match_full_dynamic_programming(q):
             assert count_interior(q, m) == dp_count_interior(q, m)
 
 
+@st.composite
+def presented_weights(draw):
+    """Reduced weights with ``n = 0..5``, and a presentation of them that is
+    the reduced vector itself or, half the time, an unreduced one: every
+    weight but one times a prime that does not divide it, then all times
+    a common factor."""
+    n = draw(st.integers(0, 5))
+    pool = draw(st.sampled_from(WEIGHT_POOLS))
+    red = reduce_weights(WeightsVector(tuple(draw(st.sampled_from(pool)) for _ in range(n + 1))))
+    raw = list(red.q)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n))
+        p = next(p for p in (2, 3, 5, 7) if raw[j] % p)
+        c = draw(st.integers(1, 3))
+        raw = [c * (w if i == j else p * w) for i, w in enumerate(raw)]
+    return red.q, WeightsVector(tuple(raw))
+
+
+@settings(max_examples=80, deadline=None)
+@given(presented_weights())
+# (5,) is n = 0, L = 1; (1, 1, 1) has interior targets m - 3 < 0 at m = 1, 2
+@example(((1,), WeightsVector((5,))))
+@example(((1, 1, 1), WeightsVector((1, 1, 1))))
+def test_totals_match_the_solution_count(case):
+    reduced, q = case
+    n, half, delta = q.n, q.n // 2, lcm(*reduced)
+    for m in sorted({0, 1, half, half + 1, n, n + 1, 2 * n + 7}):
+        assert count_points(q, m) == solution_count(reduced, m * delta), (q, m)
+        if m >= 1:
+            assert count_interior(q, m) == solution_count(reduced, m * delta - sum(reduced)), (q, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presented_weights())
+def test_top_two_coefficients_of_the_total_have_closed_forms(case):
+    # the n-th forward difference of L at 0 is n! c_n = delta'^n / prod q',
+    # the (n-1)-th is (n-1)! c_(n-1) + (n-1) n! c_n / 2 with
+    # 2 (n-1)! c_(n-1) = delta'^(n-1) sum q' / prod q'
+    reduced, _ = case
+    n, delta = len(reduced) - 1, lcm(*reduced)
+    row = [solution_count(reduced, j * delta) for j in range(n + 1)]
+    lead = []
+    while row:
+        lead.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    assert lead[n] * prod(reduced) == delta ** n
+    if n:
+        assert 2 * prod(reduced) * lead[n - 1] == delta ** (n - 1) * (sum(reduced) + (n - 1) * delta)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_chunked_table_updates_match_full_dynamic_programming(monkeypatch, chunk):
     # tiny slices put chunk borders inside every residue class and block
@@ -255,10 +306,10 @@ def test_closed_forms_at_a_million():
 
 
 def test_volume_check_rejects_corrupted_samples(monkeypatch):
-    count_samples, face_samples = wps.lattice._count_samples, wps.lattice._face_samples
+    total_samples, face_samples = wps.lattice._total_samples, wps.lattice._face_samples
 
-    def corrupted_counts(weights, targets):
-        samples = count_samples(weights, targets)
+    def corrupted_counts(weights, delta, k):
+        samples = total_samples(weights, delta, k)
         samples[-1] += 1
         return samples
 
@@ -268,7 +319,7 @@ def test_volume_check_rejects_corrupted_samples(monkeypatch):
         return samples
 
     q = WeightsVector((2, 3, 4, 15, 25))
-    monkeypatch.setattr(wps.lattice, "_count_samples", corrupted_counts)
+    monkeypatch.setattr(wps.lattice, "_total_samples", corrupted_counts)
     monkeypatch.setattr(wps.lattice, "_face_samples", corrupted_faces)
     for count in (count_points, count_interior, face_histogram):
         with pytest.raises(AssertionError, match="volume check"):
@@ -285,13 +336,33 @@ def test_volume_check_rejects_corrupted_samples(monkeypatch):
         face_histogram(q, 9)
 
 
+@pytest.mark.parametrize("raw", [(1, 1, 2), (2, 3, 4, 15, 25), (2, 3, 5, 7), (24, 33, 728, 5005)])
+def test_every_sample_of_an_extended_total_is_checked(monkeypatch, raw):
+    # even n: the n + 1 samples L(-k..k) meet the volume and the facet
+    # check; odd n: the volume completes n samples, the facets check them
+    q = WeightsVector(raw)
+    k = q.n // 2
+    total_samples = wps.lattice._total_samples
+    for i in range(2 * k + 1):
+        def corrupted(weights, delta, k, i=i):
+            samples = total_samples(weights, delta, k)
+            samples[i] += 1
+            return samples
+
+        monkeypatch.setattr(wps.lattice, "_total_samples", corrupted)
+        for m in (k + 1, 2 * q.n + 7):
+            for count in (count_points, count_interior):
+                with pytest.raises(AssertionError, match="fail the (volume|facet) check"):
+                    count(q, m)
+
+
 # ---------------------------------------------------------------------------
 # the bound on the counting table: delta' = 6 for (1, 2, 3), n = 2
 
 
 @pytest.mark.parametrize("count,m,cells", [
-    (count_points, 2, 2 * 6 + 1),               # k delta' + 1
-    (count_interior, 3, 3 * 6 - 6 + 1),         # k delta' - sum q' + 1
+    (count_points, 2, 1 * 6 + 1),               # k delta' + 1, k = n // 2
+    (count_interior, 3, 1 * 6 + 1),
     (face_histogram, 3, 3 * 6 + 1 + 4 * 7),     # table, n + 2 rows of sum q' + 1
 ])
 def test_counting_table_is_bounded_at_the_cell_limit(monkeypatch, count, m, cells):
@@ -302,6 +373,24 @@ def test_counting_table_is_bounded_at_the_cell_limit(monkeypatch, count, m, cell
     monkeypatch.setattr(wps.lattice, "_MAX_CELLS", cells - 1)
     with pytest.raises(ValueError, match=f"counting table of {cells} cells for delta' = 6 "):
         count(q, m)
+
+
+def test_a_total_builds_one_counting_table_of_half_the_dilates(monkeypatch):
+    count_table, calls = wps.lattice._count_table, []
+
+    def counted(weights, size):
+        calls.append(size)
+        return count_table(weights, size)
+
+    monkeypatch.setattr(wps.lattice, "_count_table", counted)
+    for raw in ((5,), (1, 1), (1, 1, 1, 1), (2, 3, 5), (2, 3, 4, 15, 25), (1, 2, 3, 4, 5, 6)):
+        q = WeightsVector(raw)
+        delta = reduce_weights(q).delta
+        for m in sorted({1, 2, q.n + 1, q.n + 3}):
+            for count in (count_points, count_interior):
+                calls.clear()
+                count(q, m)
+                assert calls == [min(m, q.n // 2) * delta + 1], (raw, m, count)
 
 
 def test_counting_table_bound_is_checked_before_allocating(monkeypatch):
