@@ -7,31 +7,41 @@ containing a point is ``n`` minus the number of vanishing coordinates.
 
 The polytope has lattice vertices, so every count here is a polynomial
 of degree at most ``n`` in ``m`` (Ehrhart): the total ``L(m)`` for
-``m >= 0``, the interior and each face-graded count for ``m >= 1``.  By
-Ehrhart--Macdonald reciprocity the interior count of the ``m``-th
-dilate is ``(-1)^n L(-m)``.  So no count tabulates more than ``n + 1``
-dilates, and the totals about half of that:
+``m >= 0``, the interior and each face-graded count ``H_s(m)``, of
+degree ``s``, for ``m >= 1``.  By Ehrhart--Macdonald reciprocity the
+interior count of the ``m``-th dilate is ``(-1)^n L(-m)``, and on each
+face, summed over the faces of dimension ``s`` (each ``t``-face lies in
+``C(n - t, s - t)`` of them),
+``H_s(-j) = (-1)^s sum_(t <= s) C(n - t, s - t) H_t(j)`` with
+``H_s(0) = (-1)^s C(n + 1, s + 1)``.  So every count reads about half
+the dilates its degree asks for:
 
 * **sampling bound** -- one table of ``prod 1/(1 - x^q'_j)`` runs up
-  to ``K * delta'``, never past the target ``m * delta'``, and is read
-  at the multiples of ``delta'``.  The totals take ``K = min(m, n // 2)``
-  and read ``L(-K..K)``: the totals at ``0..K`` and, shifted by
-  ``-sum q'``, the interiors at ``1..K``.  The histogram takes
-  ``K = min(m, n + 1)`` and reads the dilates ``1..K`` through the
-  numerator ``prod ((1 - x^q'_j) + y x^q'_j)``, graded by the number
-  ``p`` of positive coordinates;
+  to ``K * delta'``, ``K = min(m, n // 2)``, never past the target
+  ``m * delta'``, and is read at the multiples of ``delta'``.  The
+  totals read ``L(-K..K)``: the totals at ``0..K`` and, shifted by
+  ``-sum q'``, the interiors at ``1..K``.  The histogram reads
+  ``H_s(1..K)`` through the numerator ``prod ((1 - x^q'_j) + y x^q'_j)``,
+  graded by the number ``s + 1`` of positive coordinates, and
+  reciprocity gives ``H_s(-K..0)``;
 * **Newton extension** -- the samples' forward differences give the
   polynomial in Newton's form, evaluated at ``m`` exactly; at a sampled
   dilate that is the sample itself;
 * **volume check** -- the ``n``-th difference is ``n!`` times the
   leading coefficient: the normalized volume ``delta'^n / prod q'`` for
-  the total and the top face, zero for a lower face.  The facets
-  ``x_j = 0`` have normalized volumes ``delta'^(n-1) q'_j / prod q'``,
-  which sum to ``2 (n-1)!`` times the total's next coefficient.  For
-  even ``n`` the ``n + 1`` samples ``L(-K..K)`` meet both closed forms;
-  for odd ``n`` the volume supplies the top term of the ``n`` samples
-  and the facets check them.  So every count extended past its samples
-  is checked; a mismatch raises ``AssertionError`` (the CLI's exit 3).
+  the total and the top face, zero for a lower face, whose differences
+  above its dimension all vanish.  The facets ``x_j = 0`` have
+  normalized volumes ``delta'^(n-1) q'_j / prod q'``, which sum to
+  ``(n-1)!`` times the leading coefficient of ``H_(n-1)`` and to
+  ``2 (n-1)!`` times the next coefficient of ``L``, or minus that of
+  ``H_n``.  For even ``n`` the ``n + 1`` samples on
+  ``-K..K`` meet both closed forms; for odd ``n`` the volume supplies
+  the top term of the ``n`` samples and the facets check them.  The
+  part of ``H_n`` that the lower faces do not fix has no other check
+  for odd ``n``, so the histogram at each sampled dilate must also sum
+  to the table's total there.  So every count extended past its
+  samples is checked; a mismatch raises ``AssertionError`` (the CLI's
+  exit 3).
 
 One evaluator, :func:`_ehrhart`, does the extension and the check for
 all three counts.
@@ -46,7 +56,7 @@ update of every row, and each sample is one numerator row against the
 table below its target.  So with ``K`` as above the totals cost
 ``O(n * K * delta')`` and the histogram
 ``O(n * K * delta' + n^2 * sum q' + n * K * sum q')``, independent of
-``m`` beyond ``n + 1``.  The table still grows linearly with
+``m`` beyond ``n // 2``.  The table still grows linearly with
 ``delta'``; lcms in the millions (say ``(7,11,13,17,19,23)``,
 ``delta' = 7,436,429``) remain the open case, and a table of more than
 ``_MAX_CELLS`` cells, the histogram's numerator rows counted with its
@@ -58,7 +68,7 @@ as oracles.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import prod
+from math import comb, prod
 from operator import add, mul, sub
 
 from .weights import WeightsVector, reduction_data
@@ -155,16 +165,18 @@ def _total_samples(weights: tuple[int, ...], delta: int, k: int) -> list[int]:
     return [sign * c for c in reversed(interior)] + _sums_at(table, range(0, size, delta), last)
 
 
-def _face_samples(weights: tuple[int, ...], delta: int, k: int) -> list[list[int]]:
+def _face_samples(weights: tuple[int, ...], delta: int,
+                  k: int) -> tuple[list[list[int]], list[int]]:
     """For ``p = 1..n+1``, the solutions of ``sum w_j x_j = t`` with
-    exactly ``p`` positive coordinates at ``t = delta, 2 delta, .., k delta``.
+    exactly ``p`` positive coordinates at ``t = delta, 2 delta, .., k delta``;
+    and all the solutions at those ``t``, which the rows sum to.
 
     These are the coefficients of ``y^p`` in
     ``prod (1 + y x^w / (1 - x^w)) = prod ((1 - x^w) + y x^w) / prod (1 - x^w)``.
     The numerator's ``y^p`` coefficients ``num[p]``, cut past the last
     target, take one two-term factor per weight; the denominator is the
     one counting table, and each sample is a numerator row convolved
-    with the table at one target.
+    with the table at one target.  The totals are the table's entries there.
     """
     size = k * delta + 1
     terms = min(sum(weights) + 1, size)
@@ -183,46 +195,49 @@ def _face_samples(weights: tuple[int, ...], delta: int, k: int) -> list[list[int
         below = table[t:t - terms:-1] if t >= terms else table[t::-1]
         for row, samples in zip(num[1:], out):
             samples.append(sum(map(mul, row, below)))
-    return out
+    return out, table[delta::delta]
 
 
 def _ehrhart(samples: list[int], x: int, weights: tuple[int, ...], delta: int,
              dim: int, start: int = 0, total: bool = False) -> int:
     """Value at ``x`` of the polynomial of degree at most ``dim`` that
-    takes ``samples[i]`` at ``start + i``: a count of face dimension
-    ``dim`` (``n`` for a total or an interior count).
+    takes ``samples[i]`` at ``start + i``: the total ``L`` with ``total``,
+    else the count of face dimension ``dim`` (``n`` for the interior).
 
     Newton's forward-difference form, with ``C(x - start, i)`` stepped by
     the exact recurrence ``C(y, i + 1) = C(y, i) * (y - i) / (i + 1)``; at
-    a sampled ``x`` it returns the sample.  For ``dim = n`` the ``n``-th
-    difference is the normalized volume ``delta'^n / prod q'``: it is the
-    top term of a sample of ``n`` values and is checked on one of
-    ``n + 1``; for a lower face dimension that difference is zero.  With
-    ``total`` the samples are of the total ``L``, whose
-    ``2 (n-1)! c_(n-1)`` is the facets' normalized volume
-    ``delta'^(n-1) sum q' / prod q'``; so the ``(n-1)``-th difference at
-    ``start`` is checked too, once the top one is known.
+    a sampled ``x`` it returns the sample.  The ``n``-th difference is
+    ``n! c_n``: the normalized volume ``delta'^n / prod q'`` for ``dim = n``,
+    else zero.  It is the top term of a sample of ``n`` values and is
+    checked on one of ``n + 1``; so is every difference above ``dim``,
+    which must vanish.  Once the top difference is known, the ``(n-1)``-th
+    difference at ``start`` is checked too: ``2 (n-1)! c_(n-1)`` is
+    ``f`` times the facets' normalized volume ``delta'^(n-1) sum q' / prod q'``,
+    with ``f = 1`` for ``L``, ``-1`` for the interior ``(-1)^n L(-x)``,
+    ``2`` for the facets' own count and ``0`` below.
     """
     value, binom, lead, row = 0, 1, [], samples
     for i in range(len(samples)):
         lead.append(row[0])
         value += row[0] * binom
         binom = binom * (x - start - i) // (i + 1)
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = list(map(sub, row[1:], row))
     n, pq = len(weights) - 1, prod(weights)
-    if dim == n == len(samples):
-        lead.append(delta ** n // pq)
+    top = delta ** n if dim == n else 0     # n! c_n prod q'
+    if len(samples) == n:
+        lead.append(top // pq)
         value += lead[n] * binom
     if len(lead) == n + 1:
-        if dim == n and lead[n] * pq != delta ** n:
+        if dim == n and lead[n] * pq != top:
             raise AssertionError(f"lattice counts fail the volume check: n-th difference "
                                  f"{lead[n]} for weights {weights}")
-        if dim < n and lead[n]:
-            raise AssertionError(f"face dimension {dim} count has a nonzero {n}-th "
-                                 f"difference {lead[n]} for weights {weights}")
-        # 2 prod q' D^(n-1) L(start) = 2 (n-1)! c_(n-1) + (2 start + n - 1) n! c_n
-        if total and n and (2 * pq * lead[n - 1] != delta ** (n - 1)
-                            * (sum(weights) + (2 * start + n - 1) * delta)):
+        if any(lead[dim + 1:]):
+            raise AssertionError(f"face dimension {dim} count has nonzero differences "
+                                 f"{lead[dim + 1:]} above its degree for weights {weights}")
+        # 2 prod q' D^(n-1) f(start) = 2 (n-1)! c_(n-1) prod q' + (2 start + n - 1) n! c_n prod q'
+        facets = 1 if total else -1 if dim == n else 2 if dim == n - 1 else 0
+        if n and (2 * pq * lead[n - 1] != facets * delta ** (n - 1) * sum(weights)
+                  + (2 * start + n - 1) * top):
             raise AssertionError(f"lattice counts fail the facet check: (n-1)-th difference "
                                  f"{lead[n - 1]} for weights {weights}")
     return value
@@ -264,19 +279,37 @@ def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
 
     A solution with ``z`` zero coordinates sits on a face of dimension
     ``n - z``; the zero dilate is the single vertex of a point.  For
-    ``m >= 1`` each face-graded count is a polynomial in ``m`` of degree
-    the face dimension: the dilates ``1..min(m, n + 1)`` come from one
-    counting table, graded by the number of positive coordinates through
-    a numerator, and the polynomials extend them to ``m``.
+    ``m >= 1`` the count ``H_s`` of face dimension ``s`` is a polynomial
+    in ``m`` of degree ``s``.  One counting table, graded by the number
+    of positive coordinates through a numerator, gives ``H_s(1..k)``
+    with the totals' bound ``k = min(m, n // 2)``: ``k delta' + 1``
+    cells, at a cost of ``O(n k delta' + n^2 sum q' + n k sum q')``.
+    Reciprocity on each face, summed over the faces of dimension ``s``,
+    gives the rest of ``H_s(-k..k)``:
+    ``H_s(-j) = (-1)^s sum_(t <= s) C(n - t, s - t) H_t(j)`` and
+    ``H_s(0) = (-1)^s C(n + 1, s + 1)``; the polynomials extend these to ``m``.
     """
     if m < 0:
         raise ValueError("dilation factor must be nonnegative")
     if m == 0:
         return {0: 1}
     weights, delta = _reduced(q)
-    hist: dict[int, int] = {}
-    for s, samples in enumerate(_face_samples(weights, delta, min(m, len(weights)))):
-        value = _ehrhart(samples, m - 1, weights, delta, s)
-        if value:
-            hist[s] = value
-    return hist
+    n = len(weights) - 1
+    k = min(m, n // 2)
+    samples, totals = _face_samples(weights, delta, k)
+    if m == k:
+        values = [row[-1] for row in samples]
+    else:
+        values, dilates = [], list(zip(*samples))
+        for s, row in enumerate(samples):
+            sign, binoms = (-1) ** s, [comb(n - t, s - t) for t in range(s + 1)]
+            negative = [sign * sum(map(mul, binoms, counts)) for counts in dilates]
+            full = negative[::-1] + [sign * comb(n + 1, s + 1)] + row
+            values.append(_ehrhart(full, m, weights, delta, s, -k))
+        # for odd n the checks above see only the part of H_n that the lower
+        # faces fix; its own samples are checked by summing to the totals
+        sums = list(map(sum, dilates))
+        if sums != totals:
+            raise AssertionError(f"face counts fail the sum check: {sums} at dilates 1..{k} "
+                                 f"against the totals {totals} for weights {weights}")
+    return {s: value for s, value in enumerate(values) if value}

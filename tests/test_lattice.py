@@ -250,6 +250,17 @@ def test_totals_match_the_solution_count(case):
             assert count_interior(q, m) == solution_count(reduced, m * delta - sum(reduced)), (q, m)
 
 
+@settings(max_examples=80, deadline=None)
+@given(presented_weights())
+@example(((1,), WeightsVector((5,))))
+@example(((1, 1), WeightsVector((1, 1))))
+def test_face_histogram_matches_full_dynamic_programming(case):
+    _, q = case
+    n, half = q.n, q.n // 2
+    for m in sorted({1, half, half + 1, n, n + 1, 2 * n + 7} - {0}):
+        assert face_histogram(q, m) == dp_face_histogram(q, m), (q, m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(presented_weights())
 def test_top_two_coefficients_of_the_total_have_closed_forms(case):
@@ -291,11 +302,13 @@ def test_a_face_histogram_builds_one_counting_table(monkeypatch):
         return count_table(weights, size)
 
     monkeypatch.setattr(wps.lattice, "_count_table", counted)
-    for raw in ((1, 1), (1, 1, 1, 1), (2, 3, 5), (2, 3, 4, 15, 25)):
-        for m in (1, 2, len(raw), len(raw) + 3):
+    for raw in ((5,), (1, 1), (1, 1, 1, 1), (2, 3, 5), (2, 3, 4, 15, 25), (1, 2, 3, 4, 5, 6)):
+        q = WeightsVector(raw)
+        delta = reduce_weights(q).delta
+        for m in sorted({1, 2, q.n + 1, q.n + 3}):
             calls.clear()
-            face_histogram(WeightsVector(raw), m)
-            assert len(calls) == 1, (raw, m)
+            face_histogram(q, m)
+            assert calls == [min(m, q.n // 2) * delta + 1], (raw, m)
 
 
 def test_closed_forms_at_a_million():
@@ -314,9 +327,9 @@ def test_volume_check_rejects_corrupted_samples(monkeypatch):
         return samples
 
     def corrupted_faces(weights, delta, k):
-        samples = face_samples(weights, delta, k)
+        samples, totals = face_samples(weights, delta, k)
         samples[-1][-1] += 1
-        return samples
+        return samples, totals
 
     q = WeightsVector((2, 3, 4, 15, 25))
     monkeypatch.setattr(wps.lattice, "_total_samples", corrupted_counts)
@@ -326,9 +339,9 @@ def test_volume_check_rejects_corrupted_samples(monkeypatch):
             count(q, 9)
 
     def corrupted_vertices(weights, delta, k):
-        samples = face_samples(weights, delta, k)
+        samples, totals = face_samples(weights, delta, k)
         samples[0][-1] += 1
-        return samples
+        return samples, totals
 
     # lower face dimensions have lower degree: their n-th difference is 0
     monkeypatch.setattr(wps.lattice, "_face_samples", corrupted_vertices)
@@ -356,6 +369,32 @@ def test_every_sample_of_an_extended_total_is_checked(monkeypatch, raw):
                     count(q, m)
 
 
+@pytest.mark.parametrize("raw", [(1, 1, 2), (2, 3, 5, 7), (2, 3, 4, 15, 25), (24, 33, 728, 5005),
+                                 (2, 3, 5, 6, 50, 100)])
+def test_every_sample_of_an_extended_histogram_is_checked(monkeypatch, raw):
+    # a sample H_t(j), t < n, enters every H_s(-j), s >= t: the n + 1
+    # values of H_n meet the volume check (even n), or its n values and
+    # the volume meet the facet checks (odd n).  H_n(j) itself, and the
+    # total at j, must agree with the sum of the counts at j; a point
+    # moved from the top face to a lower one keeps that sum
+    q = WeightsVector(raw)
+    n, k = q.n, q.n // 2
+    shifts = [{(t, j): 1} for t in range(n + 2) for j in range(k)]
+    shifts += [{(t, j): 1, (n, j): -1} for t in range(n) for j in range(k)]
+    face_samples = wps.lattice._face_samples
+    for shift in shifts:
+        def corrupted(weights, delta, k, shift=shift):
+            samples, totals = face_samples(weights, delta, k)
+            for (t, j), by in shift.items():
+                (samples + [totals])[t][j] += by
+            return samples, totals
+
+        monkeypatch.setattr(wps.lattice, "_face_samples", corrupted)
+        for m in (k + 1, 2 * n + 7):
+            with pytest.raises(AssertionError, match="fail the|nonzero"):
+                face_histogram(q, m)
+
+
 # ---------------------------------------------------------------------------
 # the bound on the counting table: delta' = 6 for (1, 2, 3), n = 2
 
@@ -363,7 +402,7 @@ def test_every_sample_of_an_extended_total_is_checked(monkeypatch, raw):
 @pytest.mark.parametrize("count,m,cells", [
     (count_points, 2, 1 * 6 + 1),               # k delta' + 1, k = n // 2
     (count_interior, 3, 1 * 6 + 1),
-    (face_histogram, 3, 3 * 6 + 1 + 4 * 7),     # table, n + 2 rows of sum q' + 1
+    (face_histogram, 3, 1 * 6 + 1 + 4 * 7),     # table, n + 2 rows of sum q' + 1
 ])
 def test_counting_table_is_bounded_at_the_cell_limit(monkeypatch, count, m, cells):
     q = WeightsVector((1, 2, 3))
