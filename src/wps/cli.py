@@ -1,11 +1,12 @@
 """Command-line interface.
 
 One subcommand per construction or recognition procedure plus the
-derived numerical queries.  All machine output goes through ``--json``
-with every integer rendered as a decimal string, so values survive any
-JSON parser bit-exactly; identical invocations produce byte-identical
-output.  Exit codes: 0 success, 1 recognition failure, 2 malformed
-input or usage error, 3 internal error (a failed self-check).
+derived numerical queries.  The library takes and returns ints; only
+this module turns them into text and back, reading each integer with
+:func:`_read_int` and writing big ones to JSON as decimal strings, so
+they survive any parser bit-exactly.  Identical invocations produce
+byte-identical output.  Exit codes: 0 success, 1 recognition failure,
+2 malformed input or usage error, 3 internal error (a failed self-check).
 
 Each subcommand handler parses its input and computes the answer, and
 raises on bad input, a rejection or a failed self-check; it returns two
@@ -24,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from functools import cache
 
-from .cohomology import divisor_info, hodge, hodge_table, rational_homology
+from .cohomology import HodgeTable, divisor_info, hodge, hodge_table, rational_homology
 from .fan import FanMatrix, FanRejection, canonical_fan, recognize_fan
 from .lattice import count_interior, count_points, face_histogram
 from .linalg import DimensionError, IntMatrix
@@ -36,19 +37,82 @@ class InputError(ValueError):
     """Malformed user input (exit code 2)."""
 
 
+def _read_int(x) -> int:
+    """A JSON integer, or text that is an optional sign and ASCII digits
+    once surrounding whitespace is stripped: ``int``'s syntax less its
+    ``_`` separators and non-ASCII digits.  What ``int`` refuses keeps
+    ``int``'s message."""
+    if type(x) is int:
+        return x
+    text = str(x)
+    value = int(text, 10)
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"{text!r} is not an optional sign and ASCII digits")
+    return value
+
+
+_read_int.__name__ = "int"      # argparse says "invalid <__name__> value: ..."
+
+
+def _ints(values) -> list[str]:
+    """``values`` as decimal strings, the form of every big integer in JSON output."""
+    return [str(x) for x in values]
+
+
 def _parse_weights(text: str) -> WeightsVector:
     try:
-        return WeightsVector.parse(text)
+        if not text.strip():
+            raise ValueError("empty weights list")
+        return WeightsVector(tuple(map(_read_int, text.split(","))))
     except ValueError as exc:
         raise InputError(f"bad weights {text!r}: {exc}") from exc
 
 
-def _load_json(path: str):
+def _matrix_of(obj) -> IntMatrix:
+    """Read a plain rows array or a ``{"columns": ...}`` object."""
+    lists = obj.get("columns") if isinstance(obj, dict) else obj
+    if not isinstance(lists, list) or not all(isinstance(x, list) for x in lists):
+        raise ValueError('expected {"columns": [[...], ...]} or a rows array [[...], ...]')
+    if isinstance(obj, dict):
+        if not lists or any(len(col) != len(lists[0]) for col in lists):
+            raise DimensionError("columns must be nonempty and of equal length")
+        lists = zip(*lists)
+    return IntMatrix.from_rows([list(map(_read_int, r)) for r in lists])
+
+
+def _simplex_of(obj) -> LatticeSimplex:
+    verts = obj.get("vertices") if isinstance(obj, dict) else None
+    if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
+        raise ValueError('expected {"vertices": [[...], ...]}, a list of vertex lists')
+    return LatticeSimplex(vertices=tuple(tuple(map(_read_int, v)) for v in verts))
+
+
+def _fan_payload(fan: FanMatrix) -> dict:
+    return {"n": fan.n, "columns": [_ints(fan.column(j)) for j in range(fan.v.cols)],
+            "weights": _ints(fan.weights)}
+
+
+def _simplex_payload(simplex: LatticeSimplex) -> dict:
+    return {"vertices": [_ints(v) for v in simplex.vertices]}
+
+
+def _table_payload(table: HodgeTable) -> dict:
+    cells = [{"p": p, "q": qq, "m": str(m), "h": str(h)}
+             for (p, qq, m), h in sorted(table.entries.items())]
+    return {"n": table.n, "entries": cells}
+
+
+def _load(path: str, what: str, reader):
+    """``reader`` of the JSON file ``path``, any fault of which is bad input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+    try:
+        return reader(obj)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise InputError(f"bad {what} payload in {path}: {exc}") from exc
 
 
 def _dump(obj) -> str:
@@ -78,7 +142,7 @@ def _parse_m_range(text: str) -> tuple[int, int]:
         raise InputError(f"bad range {text!r}: expected LO..HI")
     lo, _, hi = text.partition("..")
     try:
-        lo, hi = int(lo, 10), int(hi, 10)
+        lo, hi = _read_int(lo), _read_int(hi)
     except ValueError as exc:
         raise InputError(f"bad range {text!r}: {exc}") from exc
     if hi - lo + 1 > _MAX_TWISTS:
@@ -105,30 +169,30 @@ def _cmd_reduce(args):
 
     def payload():
         return {
-            "weights": q.to_json(),
-            "d": [str(x) for x in rd.d],
-            "a_coeffs": [str(x) for x in rd.a_coeffs],
+            "weights": _ints(q),
+            "d": _ints(rd.d),
+            "a_coeffs": _ints(rd.a_coeffs),
             "a": str(rd.a),
             "delta": str(rd.delta),
             "delta_reduced": str(rd.delta_reduced),
-            "reduced": rd.reduced.to_json(),
+            "reduced": _ints(rd.reduced),
             "is_reduced": rd.reduced.q == q.q,
         }
 
     def human():
-        return (f"weights       {q}\n"
+        return (f"weights       {_tuple(q)}\n"
                 f"d             {_tuple(rd.d)}\n"
                 f"a_coeffs      {_tuple(rd.a_coeffs)}\n"
                 f"a             {rd.a}\n"
                 f"delta         {rd.delta}\n"
                 f"delta'        {rd.delta_reduced}\n"
-                f"reduced       {rd.reduced}")
+                f"reduced       {_tuple(rd.reduced)}")
 
     return payload, human
 
 
 def _fan_answer(fan: FanMatrix):
-    return fan.to_json, lambda: _fmt_matrix(fan.v, weights=fan.weights.q)
+    return lambda: _fan_payload(fan), lambda: _fmt_matrix(fan.v, weights=fan.weights.q)
 
 
 def _cmd_fan(args):
@@ -136,11 +200,7 @@ def _cmd_fan(args):
 
 
 def _cmd_recognize_fan(args):
-    obj = _load_json(args.matrix)
-    try:
-        m = FanMatrix.matrix_from_json(obj)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"bad matrix payload in {args.matrix}: {exc}") from exc
+    m = _load(args.matrix, "matrix", _matrix_of)
     try:
         fan = recognize_fan(m)
     except DimensionError as exc:       # a rejection is not a payload fault
@@ -150,29 +210,24 @@ def _cmd_recognize_fan(args):
 
 def _cmd_polytope(args):
     simplex = polytope_of(_parse_weights(args.weights), args.m)
-    return simplex.to_json, lambda: "\n".join(map(_tuple, simplex.vertices))
+    return lambda: _simplex_payload(simplex), lambda: "\n".join(map(_tuple, simplex.vertices))
 
 
 def _cmd_recognize_polytope(args):
-    obj = _load_json(args.vertices)
-    try:
-        simplex = LatticeSimplex.from_json(obj)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"bad vertices payload in {args.vertices}: {exc}") from exc
-    polarized, fan = recognize_polytope(simplex)
+    polarized, fan = recognize_polytope(_load(args.vertices, "vertices", _simplex_of))
     weights = polarized.weights
 
     def payload():
         return {
-            "weights": weights.to_json(),
-            "weights_sorted": [str(x) for x in sorted(weights.q)],
+            "weights": _ints(weights),
+            "weights_sorted": _ints(sorted(weights)),
             "m": str(polarized.polarization),
-            "fan": fan.to_json(),
+            "fan": _fan_payload(fan),
         }
 
     def human():
-        return (f"weights       {weights}\n"
-                f"sorted        {_tuple(sorted(weights.q))}\n"
+        return (f"weights       {_tuple(weights)}\n"
+                f"sorted        {_tuple(sorted(weights))}\n"
                 f"polarization  {polarized.polarization}\n"
                 f"fan\n{_fmt_matrix(fan.v, weights=fan.weights.q)}")
 
@@ -195,7 +250,7 @@ def _cmd_lattice_points(args):
         k = count_points(q, args.m) if hist is None else sum(c for _, c in hist)
 
     def payload():
-        out = {"weights": q.to_json(), "m": str(args.m), key: str(k)}
+        out = {"weights": _ints(q), "m": str(args.m), key: str(k)}
         if hist is not None:
             out["histogram"] = {str(s): str(c) for s, c in hist}
         return out
@@ -220,14 +275,14 @@ def _cmd_cohom(args):
                      if h != 0]
             return "\n".join(lines) or "all entries vanish"
 
-        return table.to_json, human
+        return lambda: _table_payload(table), human
     if args.p is None or args.q is None or args.m is None:
         raise InputError("cohom needs -p, -q and -m (or --table with --m-range)")
     try:
         h = hodge(q, args.p, args.q, args.m)
     except IndexError as exc:
         raise InputError(str(exc)) from exc
-    return (lambda: {"weights": q.to_json(), "p": args.p, "q": args.q,
+    return (lambda: {"weights": _ints(q), "p": args.p, "q": args.q,
                      "m": str(args.m), "h": str(h)},
             lambda: f"h^{args.q} Omega^{args.p}({args.m}) = {h}")
 
@@ -239,13 +294,13 @@ def _cmd_divisors(args):
 
     def payload():
         return {
-            "weights": q.to_json(),
-            "chow_generator": [str(x) for x in info.chow_generator],
+            "weights": _ints(q),
+            "chow_generator": _ints(info.chow_generator),
             "picard_index": str(info.picard_index),
             "canonical_degree": str(info.canonical_degree),
             "gorenstein": info.gorenstein,
             "fano": info.fano,
-            "betti_even": [str(x) for x in betti[::2]],
+            "betti_even": _ints(betti[::2]),
         }
 
     def human():
@@ -261,7 +316,7 @@ def _cmd_divisors(args):
 def _cmd_gorenstein(args):
     q = _parse_weights(args.weights)
     info = divisor_info(q)
-    return (lambda: {"weights": q.to_json(), "gorenstein": info.gorenstein,
+    return (lambda: {"weights": _ints(q), "gorenstein": info.gorenstein,
                      "fano": info.fano, "canonical_degree": str(info.canonical_degree)},
             lambda: f"gorenstein  {_yes(info.gorenstein)}\nfano        {_yes(info.fano)}")
 
@@ -270,8 +325,8 @@ def _cmd_iso(args):
     q1 = _parse_weights(args.weights)
     q2 = _parse_weights(args.other)
     same, reduced = _isomorphism(q1, q2)
-    return (lambda: {"weights": q1.to_json(), "other": q2.to_json(), "isomorphic": same,
-                     "reduced": [str(x) for x in reduced]},
+    return (lambda: {"weights": _ints(q1), "other": _ints(q2), "isomorphic": same,
+                     "reduced": _ints(reduced)},
             lambda: f"isomorphic  {_yes(same)}")
 
 
@@ -318,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("polytope", "polytope of a polarized space")
     wflag(p)
-    p.add_argument("-m", type=int, default=1, help="polarization multiple (default 1)")
+    p.add_argument("-m", type=_read_int, default=1, help="polarization multiple (default 1)")
     p.set_defaults(handler=_cmd_polytope)
 
     p = add("recognize-polytope", "recognize a lattice simplex from a JSON vertices file")
@@ -328,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lattice-points", "lattice point counts of polytope dilates")
     wflag(p)
-    p.add_argument("-m", type=int, required=True, help="dilation factor")
+    p.add_argument("-m", type=_read_int, required=True, help="dilation factor")
     p.add_argument("--interior", action="store_true", help="count interior points only")
     p.add_argument("--histogram", action="store_true",
                    help="also report counts per smallest-face dimension")
@@ -336,9 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cohom", "twisted p-form cohomology dimensions")
     wflag(p)
-    p.add_argument("-p", type=int, default=None, help="form degree")
-    p.add_argument("-q", type=int, default=None, help="cohomology degree")
-    p.add_argument("-m", type=int, default=None, help="twist")
+    p.add_argument("-p", type=_read_int, default=None, help="form degree")
+    p.add_argument("-q", type=_read_int, default=None, help="cohomology degree")
+    p.add_argument("-m", type=_read_int, default=None, help="twist")
     p.add_argument("--table", action="store_true", help="emit the full table")
     p.add_argument("--m-range", default=None,
                    help=f"twist range LO..HI for --table, at most {_MAX_TWISTS} twists")

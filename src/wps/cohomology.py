@@ -108,11 +108,6 @@ class HodgeTable:
     def cell(self, p: int, qq: int, m: int) -> int:
         return self.entries[(p, qq, m)]
 
-    def to_json(self) -> dict:
-        cells = [{"p": p, "q": qq, "m": str(m), "h": str(h)}
-                 for (p, qq, m), h in sorted(self.entries.items())]
-        return {"n": self.n, "entries": cells}
-
 
 def hodge_table(q: WeightsVector, m_range: tuple[int, int]) -> HodgeTable:
     """Full table of ``hodge`` values for ``m`` in the inclusive range."""

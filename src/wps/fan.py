@@ -62,25 +62,6 @@ class FanMatrix:
         """The square block of columns 1..n (column 0 deleted)."""
         return self.v.delete_column(0)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "columns": [[str(x) for x in self.v.column(j)] for j in range(self.v.cols)],
-            "weights": self.weights.to_json(),
-        }
-
-    @staticmethod
-    def matrix_from_json(obj) -> IntMatrix:
-        """Read a plain rows array or a ``{"columns": ...}`` object."""
-        lists = obj.get("columns") if isinstance(obj, dict) else obj
-        if not isinstance(lists, list) or not all(isinstance(x, list) for x in lists):
-            raise ValueError('expected {"columns": [[...], ...]} or a rows array [[...], ...]')
-        if isinstance(obj, dict):
-            if not lists or any(len(col) != len(lists[0]) for col in lists):
-                raise DimensionError("columns must be nonempty and of equal length")
-            return IntMatrix.from_json_rows(zip(*lists))
-        return IntMatrix.from_json_rows(lists)
-
 
 def _fmt_int(x: int) -> str:
     """Decimal up to about 60 digits, else ``<N-bit integer>``: no decimal

@@ -40,8 +40,6 @@ def _as_int(x) -> int:
         if x.denominator != 1:
             raise ValueError(f"entry {x} is not an integer")
         return x.numerator
-    if isinstance(x, str):
-        return int(x, 10)
     raise TypeError(f"cannot use {type(x).__name__} as an exact integer")
 
 
@@ -96,8 +94,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Matrix product.
 
-        No answer calls it; it stays because the benchmark's tracer
-        (``perfbench/spans.py``) wraps it by name.
+        No answer calls it yet: the tests check answers with it, and the
+        witnessed recognition of ROADMAP item 6 checks its unimodular
+        map by the product ``U @ C == V``.
         """
         if self.cols != other.rows:
             raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -125,14 +124,6 @@ class IntMatrix:
             for x in r:
                 g = gcd(g, x)
         return g
-
-    @classmethod
-    def from_json_rows(cls, rows) -> "IntMatrix":
-        return cls.from_rows([[int(str(x), 10) for x in r] for r in rows])
-
-    def __str__(self) -> str:
-        width = max((len(str(x)) for r in self.entries for x in r), default=1)
-        return "\n".join(" ".join(str(x).rjust(width) for x in r) for r in self.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -68,16 +68,6 @@ class LatticeSimplex:
         return IntMatrix.from_rows(
             [[v[i] - p0[i] for v in self.vertices[1:]] for i in range(self.n)])
 
-    def to_json(self) -> dict:
-        return {"vertices": [[str(x) for x in v] for v in self.vertices]}
-
-    @classmethod
-    def from_json(cls, obj) -> "LatticeSimplex":
-        verts = obj.get("vertices") if isinstance(obj, dict) else None
-        if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
-            raise ValueError('expected {"vertices": [[...], ...]}, a list of vertex lists')
-        return cls(vertices=tuple(tuple(int(str(x), 10) for x in v) for v in verts))
-
 
 @dataclass(frozen=True)
 class PolarizedWps:
@@ -90,7 +80,7 @@ class PolarizedWps:
         if self.polarization < 1:
             raise ValueError("polarization must be positive")
         if not is_reduced(self.weights):
-            raise ValueError(f"weights {self.weights} are not reduced")
+            raise ValueError(f"weights {self.weights.q} are not reduced")
 
 
 def weighted_transverse(v: FanMatrix) -> IntMatrix:

@@ -37,21 +37,6 @@ class WeightsVector:
             qs = tuple(x // g for x in qs)
         object.__setattr__(self, "q", qs)
 
-    @classmethod
-    def parse(cls, text: str) -> "WeightsVector":
-        """Parse a comma-separated decimal list like ``"2,3,4,15,25"``."""
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not parts:
-            raise ValueError("empty weights list")
-        return cls(tuple(int(p, 10) for p in parts))
-
-    @classmethod
-    def from_json(cls, items) -> "WeightsVector":
-        return cls(tuple(int(str(x), 10) for x in items))
-
-    def to_json(self) -> list[str]:
-        return [str(x) for x in self.q]
-
     @property
     def n(self) -> int:
         """Dimension of the associated space (one less than the length)."""
@@ -73,9 +58,6 @@ class WeightsVector:
 
     def __getitem__(self, j):
         return self.q[j]
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(x) for x in self.q) + ")"
 
 
 def _extended_gcd_combination(values: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import wps.cli
 import wps.lattice
 import wps.linalg
-from wps.cli import main
-from wps.cohomology import HodgeTable, divisor_info
-from wps.fan import FanMatrix, FanRejection, canonical_fan, recognize_fan
+from wps.cli import _fan_payload, _ints, _simplex_payload, main
+from wps.cohomology import divisor_info
+from wps.fan import FanRejection, canonical_fan, recognize_fan
 from wps.lattice import count_points
 from wps.linalg import IntMatrix
-from wps.polytope import LatticeSimplex, polytope_of, recognize_polytope
+from wps.polytope import polytope_of, recognize_polytope
 from wps.weights import WeightsVector, reduce_weights
 
 
@@ -301,6 +301,70 @@ def test_malformed_weights_exit_code(capsys):
     assert "bad weights" in err and out == ""
 
 
+# one rule for every integer the CLI reads: an optional sign and ASCII
+# digits, after stripping surrounding whitespace (or a JSON integer); no
+# empty field, "_" separator or non-ASCII digit is read as a number
+MALFORMED_TEXT = ["", "1_0", "١٠", "1.0", "0x1", "1 0", "1-", "+"]
+WELL_FORMED_TEXT = [" 1", "+1", "1\t"]
+
+
+@pytest.mark.parametrize("weights,reads_as", [
+    ("2,,3", None), ("2,3,", None), (",2,3", None), ("1_0,3", None),
+    ("٢,٣", None), ("2,3.0", None), ("2, 3", "2,3"), ("+2, 3 ", "2,3")])
+def test_weights_fields_are_a_sign_and_ascii_digits(capsys, weights, reads_as):
+    code, out, err = run(capsys, "--json", "reduce", "--weights", weights)
+    if reads_as is None:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad weights {weights!r}: ")
+    else:
+        assert (code, out, err) == run(capsys, "--json", "reduce", "--weights", reads_as)
+
+
+JSON_ENTRIES = ([(json.dumps(x), None) for x in MALFORMED_TEXT]
+                + [(json.dumps(x), "1") for x in WELL_FORMED_TEXT]
+                + [("1", "1"), ("true", None), ("1.0", None), ("null", None)])
+
+
+@pytest.mark.parametrize("entry,reads_as", JSON_ENTRIES)
+def test_matrix_entries_are_a_sign_and_ascii_digits(capsys, tmp_path, entry, reads_as):
+    # entry 1 makes a fan, and so does 10, which "1_0" used to be read as:
+    # only the reader turns the malformed entries away
+    path = tmp_path / "fan.json"
+    path.write_text(f'{{"columns": [[{entry}, 0], [0, 1], [-1, -1]]}}')
+    code, out, err = run(capsys, "--json", "recognize-fan", "--matrix", str(path))
+    if reads_as is None:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad matrix payload in {path}: ")
+    else:
+        assert (code, json.loads(out)["weights"], err) == (0, ["1", "1", "1"], "")
+
+
+@pytest.mark.parametrize("entry,reads_as", JSON_ENTRIES)
+def test_vertex_entries_are_a_sign_and_ascii_digits(capsys, tmp_path, entry, reads_as):
+    path = tmp_path / "simplex.json"
+    path.write_text(f'{{"vertices": [[0, 0], [{entry}, 0], [0, 1]]}}')
+    code, out, err = run(capsys, "--json", "recognize-polytope", "--vertices", str(path))
+    if reads_as is None:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad vertices payload in {path}: ")
+    else:
+        assert (code, json.loads(out)["weights"], err) == (0, ["1", "1", "1"], "")
+
+
+@pytest.mark.parametrize("m,reads_as", [(x, None) for x in MALFORMED_TEXT]
+                         + [(x.replace("1", "3"), "3") for x in WELL_FORMED_TEXT])
+def test_dilation_is_a_sign_and_ascii_digits(capsys, m, reads_as):
+    argv = ("lattice-points", "--weights", "1,1,2", "-m")
+    if reads_as is None:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, m])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument -m: invalid int value: {m!r}\n")
+    else:
+        assert run(capsys, *argv, m) == run(capsys, *argv, reads_as)
+
+
 def test_missing_file_exit_code(capsys):
     code, out, err = run(capsys, "recognize-fan", "--matrix", "/nonexistent.json")
     assert code == 2
@@ -343,8 +407,8 @@ RENDER_CALLS = [
     ("iso", "--weights", "1,2,2", "--other", "1,1,1"),
 ]
 
-JSON_RENDERERS = [(FanMatrix, "to_json"), (LatticeSimplex, "to_json"),
-                  (HodgeTable, "to_json"), (WeightsVector, "to_json")]
+JSON_RENDERERS = [(wps.cli, "_fan_payload"), (wps.cli, "_simplex_payload"),
+                  (wps.cli, "_table_payload"), (wps.cli, "_ints")]
 HUMAN_RENDERERS = [(wps.cli, "_fmt_matrix"), (wps.cli, "_tuple"), (wps.cli, "_yes")]
 
 
@@ -352,7 +416,7 @@ HUMAN_RENDERERS = [(wps.cli, "_fmt_matrix"), (wps.cli, "_tuple"), (wps.cli, "_ye
 def render_calls(tmp_path, monkeypatch):
     """The calls of RENDER_CALLS, and a counter of renderer calls by mode."""
     (tmp_path / "fan.json").write_text(
-        json.dumps(canonical_fan(WeightsVector((2, 3, 4, 15, 25))).to_json()))
+        json.dumps(_fan_payload(canonical_fan(WeightsVector((2, 3, 4, 15, 25))))))
     (tmp_path / "nonfan.json").write_text(json.dumps([[1, 0, 1], [0, 1, 1]]))
     (tmp_path / "simplex.json").write_text(POLYTOPE_2_3_4_15_25)
     (tmp_path / "triangle.json").write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 3]]}))
@@ -393,10 +457,10 @@ def test_each_answer_is_rendered_once_in_the_printed_mode(capsys, render_calls, 
 def test_rendering_failures_keep_their_exit_codes(capsys, monkeypatch):
     # rendering runs inside the CLI's error handling: a failed check
     # while rendering is exit 3, not a traceback, and prints nothing
-    def broken(self):
+    def broken(fan):
         raise AssertionError("render check failed")
 
-    monkeypatch.setattr(FanMatrix, "to_json", broken)
+    monkeypatch.setattr(wps.cli, "_fan_payload", broken)
     code, out, err = run(capsys, "--json", "fan", "--weights", "2,3,4,15,25")
     assert (code, out, err) == (3, "", "internal error: render check failed\n")
     # the human text does not touch the payload, and --quiet renders nothing
@@ -569,7 +633,8 @@ def test_polytope_json_with_5000_digit_weights(capsys):
                                           ",".join(weights))
     assert code == 0, err
     payload = json.loads(out)
-    expected = unlimited(lambda: polytope_of(WeightsVector.parse(",".join(weights))).to_json())
+    expected = unlimited(
+        lambda: _simplex_payload(polytope_of(WeightsVector(tuple(map(int, weights))))))
     assert payload == expected
     assert max(len(x.lstrip("-")) for v in payload["vertices"] for x in v) >= 5000
 
@@ -578,7 +643,7 @@ def test_polytope_json_with_5000_digit_weights(capsys):
 def test_divisors_with_5000_digit_weights(capsys):
     code, out, err = run_at_default_limit(capsys, "divisors", "--weights", ",".join(BIG))
     assert code == 0, err
-    info = unlimited(lambda: divisor_info(WeightsVector.parse(",".join(BIG))))
+    info = unlimited(lambda: divisor_info(WeightsVector(tuple(map(int, BIG)))))
     lines = unlimited(lambda: [f"picard index      {info.picard_index}",
                                f"canonical degree  {info.canonical_degree}"])
     assert len(lines[0]) > 15000
@@ -618,7 +683,7 @@ def test_round_trips_with_4000_to_5000_digit_weights(capsys, tmp_path, n, seed):
         code, out, err = run_at_default_limit(capsys, "--json", "recognize-fan",
                                               "--matrix", str(path))
         assert code == 0, err
-        assert json.loads(out) == unlimited(fan.to_json)
+        assert json.loads(out) == unlimited(lambda: _fan_payload(fan))
         assert json.loads(out)["weights"] == text.split(",")
         assert sys.get_int_max_str_digits() == default
 
@@ -642,8 +707,8 @@ def test_polytope_round_trips_through_the_cli_with_20000_digit_weights(capsys, t
     payload = json.loads(out)
     reduced = reduce_weights(WeightsVector(q))
     assert payload["m"] == "1"
-    assert payload["weights"] == unlimited(reduced.to_json)
-    assert payload["fan"] == unlimited(canonical_fan(reduced).to_json)
+    assert payload["weights"] == unlimited(lambda: _ints(reduced))
+    assert payload["fan"] == unlimited(lambda: _fan_payload(canonical_fan(reduced)))
 
 
 @has_digit_limit
@@ -676,7 +741,7 @@ def test_fan_round_trips_with_20000_digit_weights(capsys, tmp_path, n):
         code, out, err = run_at_default_limit(capsys, "--json", "recognize-fan",
                                               "--matrix", str(path))
         assert code == 0, err
-        assert json.loads(out) == unlimited(fan.to_json)
+        assert json.loads(out) == unlimited(lambda: _fan_payload(fan))
         assert json.loads(out)["weights"] == text.split(",")
 
 

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from wps.cli import main
 from wps.cohomology import (divisor_info, h0_line_bundle, hodge, hodge_table,
                             rational_homology)
 from wps.lattice import count_points
@@ -206,7 +208,7 @@ def test_hodge_reduces_weights_internally():
 # tables
 
 
-def test_hodge_table_contents():
+def test_hodge_table_contents(capsys):
     q = WeightsVector((1, 1, 2))
     table = hodge_table(q, (-2, 2))
     assert table.n == 2
@@ -214,9 +216,12 @@ def test_hodge_table_contents():
     assert table.cell(0, 0, 1) == h0_line_bundle(q, 1)
     assert table.cell(1, 1, 0) == 1
     assert len(table.entries) == 9 * 5
-    payload = table.to_json()
+    assert main(["--json", "cohom", "--weights", "1,1,2", "--table", "--m-range", "-2..2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 2
     assert all(set(cell) == {"p", "q", "m", "h"} for cell in payload["entries"])
+    assert {(c["p"], c["q"], int(c["m"])): int(c["h"])
+            for c in payload["entries"]} == table.entries
 
 
 def test_hodge_table_rejects_empty_range():

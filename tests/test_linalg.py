@@ -137,15 +137,18 @@ def test_det_shape_check():
 
 
 def test_entries_keep_their_conversions():
-    # exact ints pass through unchanged; bools, integral fractions and
-    # decimal strings convert, anything inexact is refused
+    # exact ints pass through unchanged; bools and integral fractions
+    # convert, anything inexact is refused, and so is text: reading
+    # decimal strings is the CLI's job
     big = 3 ** 700
     assert mat([[big]]).entries[0][0] is big
-    assert mat([[True, Fraction(4, 2), "-7", 5]]).entries == ((1, 2, -7, 5),)
+    assert mat([[True, Fraction(4, 2), -7, 5]]).entries == ((1, 2, -7, 5),)
     with pytest.raises(ValueError):
         mat([[Fraction(1, 2)]])
     with pytest.raises(TypeError):
         mat([[2.0]])
+    with pytest.raises(TypeError):
+        mat([["-7"]])
 
 
 def test_minors_of_1x2():

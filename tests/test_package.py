@@ -46,4 +46,20 @@ def test_linalg_defines_only_what_answers_use():
                and (not node.name.startswith("_") or node.name.endswith("__"))]
     assert methods == [
         "__post_init__", "from_rows", "is_square", "column", "transpose",
-        "delete_column", "__matmul__", "det", "entry_gcd", "from_json_rows", "__str__"]
+        "delete_column", "__matmul__", "det", "entry_gcd"]
+
+
+def test_only_the_cli_reads_and_writes_text():
+    # the library takes and returns ints; the text and JSON formats, and
+    # the one rule for reading an integer, belong to wps.cli
+    writers = {"parse", "to_json", "from_json", "from_json_rows", "matrix_from_json", "__str__"}
+    for path in sorted(Path(wps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert ("json" in imported) == (path.name == "cli.py"), path.name
+        defined = [f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name in writers]
+        assert not defined, f"text readers or writers in {path.name}: {defined}"

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import wps.linalg
 import wps.polytope
+from wps.cli import _simplex_of, _simplex_payload, main
 from wps.fan import FanRejection, canonical_fan, permutation_matrix, recognize_fan
 from wps.linalg import IntMatrix, SingularMatrixError, _primitive_rows
 from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection, is_p_admissible,
@@ -353,12 +355,15 @@ def test_simplex_rejects_non_integral_vertices():
     assert LatticeSimplex(vertices=((0, 0), (Fraction(4, 2), 0), (0, 2))).vertices[1] == (2, 0)
 
 
-def test_simplex_json_round_trip():
+def test_simplex_json_round_trip(capsys):
+    # the CLI writes a simplex as JSON and its vertices reader reads it back
     s = simplex_2_3_4_15_25()
-    assert LatticeSimplex.from_json(s.to_json()).vertices == s.vertices
+    assert _simplex_of(json.loads(json.dumps(_simplex_payload(s)))) == s
     for q, m in (((2, 3, 4, 15, 25), 1), ((3, 5, 7), 2), ((1, 1), 3)):
-        s = polytope_of(WeightsVector(q), m)
-        assert LatticeSimplex.from_json(s.to_json()) == s
+        assert main(["--json", "polytope", "--weights", ",".join(map(str, q)),
+                     "-m", str(m)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert _simplex_of(payload) == polytope_of(WeightsVector(q), m)
 
 
 def test_simplex_normalize_and_edges():

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wps.cli import main
 from wps.linalg import DimensionError
 from wps.weights import (WeightsVector, _extended_gcd_combination, is_reduced, isomorphic,
                          reduce_weights, reduction_data)
@@ -35,10 +37,14 @@ def test_constructor_rejects_non_integral():
     assert WeightsVector((Fraction(6, 2), 2)).q == (3, 2)
 
 
-def test_parse_and_json_round_trip():
-    q = WeightsVector.parse("2,3,4,15,25")
-    assert q.q == (2, 3, 4, 15, 25)
-    assert WeightsVector.from_json(q.to_json()) == q
+def test_parse_and_json_round_trip(capsys):
+    # the CLI reads the weights text and writes them back as JSON strings,
+    # which read back to the same answer
+    assert main(["--json", "reduce", "--weights", " 2, +3,4 ,15,25"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["weights"] == ["2", "3", "4", "15", "25"]
+    assert main(["--json", "reduce", "--weights", ",".join(payload["weights"])]) == 0
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_reduction_of_all_ones():
