@@ -6,7 +6,8 @@ this module turns them into text and back, reading each integer with
 :func:`_read_int` and writing big ones to JSON as decimal strings, so
 they survive any parser bit-exactly.  Identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 recognition failure,
-2 malformed input or usage error, 3 internal error (a failed self-check).
+2 malformed input or usage error, 3 internal error (a failed self-check);
+:func:`main` returns each of them, argparse's usage errors included.
 
 Each subcommand handler parses its input and computes the answer, and
 raises on bad input, a rejection or a failed self-check; it returns two
@@ -119,16 +120,14 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
-def _fmt_matrix(m: IntMatrix, weights=None) -> str:
+def _fmt_matrix(m: IntMatrix, weights) -> str:
+    """``m`` in right-aligned columns, a rule, then ``weights`` under the columns."""
     cells = [[str(x) for x in row] for row in m.entries]
-    tag = [str(w) for w in weights] if weights is not None else None
-    widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)]
-    if tag:
-        widths = [max(w, len(t)) for w, t in zip(widths, tag)]
+    tag = [str(w) for w in weights]
+    widths = [max(len(t), *(len(row[j]) for row in cells)) for j, t in enumerate(tag)]
     lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
-    if tag:
-        lines.append("-" * len(lines[0]))
-        lines.append("  ".join(t.rjust(w) for t, w in zip(tag, widths)))
+    lines.append("-" * len(lines[0]))
+    lines.append("  ".join(t.rjust(w) for t, w in zip(tag, widths)))
     return "\n".join(lines)
 
 
@@ -278,10 +277,7 @@ def _cmd_cohom(args):
         return lambda: _table_payload(table), human
     if args.p is None or args.q is None or args.m is None:
         raise InputError("cohom needs -p, -q and -m (or --table with --m-range)")
-    try:
-        h = hodge(q, args.p, args.q, args.m)
-    except IndexError as exc:
-        raise InputError(str(exc)) from exc
+    h = hodge(q, args.p, args.q, args.m)
     return (lambda: {"weights": _ints(q), "p": args.p, "q": args.q,
                      "m": str(args.m), "h": str(h)},
             lambda: f"h^{args.q} Omega^{args.p}({args.m}) = {h}")
@@ -451,7 +447,10 @@ def main(argv=None) -> int:
             patched.append(tok)
     parser = build_parser()
     with _unlimited_digits():
-        args = parser.parse_args(patched)
+        try:
+            args = parser.parse_args(patched)
+        except SystemExit as exc:       # usage errors (2) and --help (0)
+            return exc.code
         as_json = getattr(args, "json", False)
         quiet = getattr(args, "quiet", False)
         try:

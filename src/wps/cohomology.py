@@ -88,7 +88,7 @@ def hodge(q: WeightsVector, p: int, qq: int, m: int) -> int:
     """
     n = q.n
     if not (0 <= p <= n and 0 <= qq <= n):
-        raise IndexError(f"form degree and cohomology degree must lie in [0, {n}]")
+        raise ValueError(f"form degree and cohomology degree must lie in [0, {n}]")
     if 0 < qq < n:
         return 1 if m == 0 and p == qq else 0
     if qq:          # top degree, so n > 0

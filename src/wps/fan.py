@@ -58,10 +58,6 @@ class FanMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return self.v.column(j)
 
-    def rays_block(self) -> IntMatrix:
-        """The square block of columns 1..n (column 0 deleted)."""
-        return self.v.delete_column(0)
-
 
 def _fmt_int(x: int) -> str:
     """Decimal up to about 60 digits, else ``<N-bit integer>``: no decimal

@@ -47,8 +47,8 @@ def _as_int(x) -> int:
 class IntMatrix:
     """Immutable integer matrix, entries in row-major order.
 
-    Zero-row matrices are allowed (``from_rows`` then needs an explicit
-    column count); the column count must still be positive.
+    Zero-row matrices are allowed, built as ``IntMatrix(0, cols, ())``;
+    the column count must still be positive.
     """
 
     rows: int
@@ -65,12 +65,10 @@ class IntMatrix:
                 raise DimensionError("ragged rows")
 
     @classmethod
-    def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
+    def from_rows(cls, rows) -> "IntMatrix":
         ent = tuple(tuple(_as_int(x) for x in r) for r in rows)
         if not ent:
-            if cols is None:
-                raise DimensionError("zero-row matrix needs an explicit column count")
-            return cls(0, cols, ())
+            raise DimensionError("zero-row matrix needs an explicit column count")
         return cls(len(ent), len(ent[0]), ent)
 
     @property
@@ -79,11 +77,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
 
     def delete_column(self, j: int) -> "IntMatrix":
         if self.cols < 2:
@@ -100,7 +93,7 @@ class IntMatrix:
         """
         if self.cols != other.rows:
             raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = other.transpose().entries
+        cols = tuple(zip(*other.entries))
         return IntMatrix(self.rows, other.cols,
                          tuple(tuple(sum(map(mul, r, c)) for c in cols)
                                for r in self.entries))
@@ -258,9 +251,10 @@ def _diagonal_of(r: list[list[int]], a: tuple[tuple[int, ...], ...]) -> tuple[in
     return tuple(lam)
 
 
-def _primitive_rows(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...], int]:
+def _primitive_rows(a) -> tuple[list[list[int]], tuple[int, ...], int]:
     """Primitive rows ``r_k`` with ``r_k @ a == lam_k * e_k``, ``lam_k > 0``,
-    and ``det`` of the matrix ``R`` of those rows (the paper's W-hat).
+    and ``det`` of the matrix ``R`` of those rows (the paper's W-hat); ``a``
+    is given by its rows, and ``R`` is returned as rows.
 
     Gauss-Jordan on ``[a | I]`` that divides each updated row by its
     content (that of its right block ``r``, as the left is ``r @ a``), so
@@ -275,10 +269,10 @@ def _primitive_rows(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...], int]:
     by ``R @ a == diag(lam)`` (:func:`_diagonal_of`), rows primitive;
     raises :class:`SingularMatrixError` for a singular ``a``.
     """
-    if not a.is_square:
-        raise DimensionError("primitive rows of a non-square matrix")
-    n = a.rows
-    mat = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.entries)]
+    n = len(a)
+    if not n or any(len(r) != n for r in a):
+        raise DimensionError("primitive rows of an empty or non-square matrix")
+    mat = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
     det = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if mat[i][k]), None)
@@ -300,7 +294,7 @@ def _primitive_rows(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...], int]:
                 if rem:
                     raise AssertionError("primitive rows lost their determinant")
     rows = [r[n:] for r in mat]
-    lam = _diagonal_of(rows, a.entries)
+    lam = _diagonal_of(rows, a)
     if any(gcd(*r) != 1 for r in rows):
         raise AssertionError("primitive rows failed their defining identity")
-    return IntMatrix.from_rows(rows), lam, det
+    return rows, lam, det

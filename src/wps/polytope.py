@@ -34,7 +34,7 @@ class LatticeSimplex:
     """Lattice simplex given by its vertices.
 
     ``vertices`` holds ``n+1`` integer points of ``Z^n``; the first one
-    is the anchor that :meth:`normalize` moves to the origin.
+    is the anchor that :meth:`edge_matrix` measures the edges from.
     """
 
     vertices: tuple[tuple[int, ...], ...]
@@ -53,14 +53,6 @@ class LatticeSimplex:
     @property
     def n(self) -> int:
         return len(self.vertices[0])
-
-    def normalize(self) -> "LatticeSimplex":
-        """Translate so the first listed vertex becomes the origin."""
-        p0 = self.vertices[0]
-        if not any(p0):
-            return self
-        moved = tuple(tuple(a - b for a, b in zip(v, p0)) for v in self.vertices)
-        return LatticeSimplex(vertices=moved)
 
     def edge_matrix(self) -> IntMatrix:
         """Columns ``vertex_i - vertex_0`` for ``i = 1..n``."""
@@ -94,7 +86,7 @@ def weighted_transverse(v: FanMatrix) -> IntMatrix:
     As ``r_k`` is primitive, column ``k`` is integral exactly when
     ``q_k * mu_k`` divides ``delta``: one division per column.
     """
-    r, mu, _ = _primitive_rows(v.rays_block())
+    r, mu, _ = _primitive_rows([row[1:] for row in v.v.entries])
     delta, q = v.weights.delta, v.weights.q
     scale = []
     for qk, mk in zip(q[1:], mu):
@@ -102,7 +94,7 @@ def weighted_transverse(v: FanMatrix) -> IntMatrix:
         if rem:
             raise AssertionError("weighted transverse is not integral")
         scale.append(f)
-    return IntMatrix.from_rows([[f * x for f, x in zip(scale, col)] for col in zip(*r.entries)])
+    return IntMatrix.from_rows([[f * x for f, x in zip(scale, col)] for col in zip(*r)])
 
 
 def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
@@ -125,7 +117,7 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
     return LatticeSimplex(vertices=verts)
 
 
-def _normal_weights(what: IntMatrix, lam: tuple[int, ...],
+def _normal_weights(what: list[list[int]], lam: tuple[int, ...],
                     det: int) -> tuple[tuple, list, tuple, int]:
     """Weights ``q`` of the normals ``what_k @ w = lam_k * e_k``, their sum
     ``s = sum_k q_k * what_k``, the minors of the fan ``[-s/q_0 | what^T]``
@@ -142,7 +134,7 @@ def _normal_weights(what: IntMatrix, lam: tuple[int, ...],
     if prod(lam) % q0:
         raise AssertionError("|det what| does not divide the product of the normal multiples")
     q = (q0,) + tuple(big_l // x for x in lam)
-    s = [sum(map(mul, q[1:], col)) for col in zip(*what.entries)]
+    s = [sum(map(mul, q[1:], col)) for col in zip(*what)]
     sign = 1 if det > 0 else -1
     return q, s, tuple(sign * (-1) ** k * qk for k, qk in enumerate(q)), big_l
 
@@ -156,7 +148,7 @@ def is_p_admissible(w: IntMatrix) -> bool:
     """
     if not w.is_square:
         raise DimensionError("admissibility needs a square matrix")
-    what, lam, det = _primitive_rows(w)   # raises SingularMatrixError when det w == 0
+    what, lam, det = _primitive_rows(w.entries)   # raises SingularMatrixError when det w == 0
     if w.entry_gcd() != 1:
         raise ValueError("entries are not primitive: divide by their gcd first")
     q, s, _, _ = _normal_weights(what, lam, det)
@@ -180,9 +172,8 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     m = w.entry_gcd()
     if m == 0:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional")
-    w_prime = IntMatrix.from_rows([[x // m for x in row] for row in w.entries])
     try:
-        what, lam, det = _primitive_rows(w_prime)
+        what, lam, det = _primitive_rows([[x // m for x in row] for row in w.entries])
     except SingularMatrixError:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
 
@@ -196,7 +187,7 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
             raise PolytopeRejection("not-wps", "not a wps polytope: "
                                     "reconstructed fan column is not integral")
         v0.append(quo)
-    fan = _fan_of(IntMatrix.from_rows([[x, *col] for x, col in zip(v0, zip(*what.entries))]),
+    fan = _fan_of(IntMatrix.from_rows([[x, *col] for x, col in zip(v0, zip(*what))]),
                   minors)
     if fan.weights.q != q:
         raise AssertionError("reconstructed fan disagrees with the derived weights")

@@ -4,13 +4,16 @@ A weights vector is a tuple of coprime positive integers
 ``(q_0, ..., q_n)``.  Each entry ``q_j`` carries a complementary gcd
 ``d_j`` (gcd of all the other weights); dividing ``q_j`` by the lcm of
 the other ``d``'s produces the reduced vector, which presents the same
-weighted projective space on a coarser lattice.
+weighted projective space on a coarser lattice.  The ``d_j`` are
+pairwise coprime (a common factor of two would divide every weight), so
+that lcm is the product of the other ``d``'s, and all of them come from
+prefix and suffix gcds in one linear pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .linalg import DimensionError, _as_int
 
@@ -101,19 +104,24 @@ class ReductionData:
     reduced: WeightsVector
 
 
-def _complementary(values: tuple[int, ...], combine, empty: int) -> tuple[int, ...]:
-    out = []
-    for j in range(len(values)):
-        rest = values[:j] + values[j + 1:]
-        out.append(combine(*rest) if rest else empty)
-    return tuple(out)
+def _complementary_gcds(q: tuple[int, ...]) -> tuple[int, ...]:
+    """``d_j``, the gcd of the weights other than ``q_j`` (1 for a single
+    weight): the gcd of the prefix before ``q_j`` and the suffix after it."""
+    suffix = [0] * (len(q) + 1)
+    for j in range(len(q) - 1, -1, -1):
+        suffix[j] = gcd(suffix[j + 1], q[j])
+    d, before = [], 0
+    for j, x in enumerate(q):
+        d.append(gcd(before, suffix[j + 1]) or 1)
+        before = gcd(before, x)
+    return tuple(d)
 
 
 def reduction_data(q: WeightsVector) -> ReductionData:
     """Compute the full reduction data of a weights vector."""
-    d = _complementary(q.q, gcd, 1)
-    a_coeffs = _complementary(d, lcm, 1)
-    a = lcm(*a_coeffs)
+    d = _complementary_gcds(q.q)
+    a = prod(d)
+    a_coeffs = tuple(a // dj for dj in d)
     reduced = tuple(x // ax for x, ax in zip(q.q, a_coeffs))
     if any(x % ax for x, ax in zip(q.q, a_coeffs)):
         raise AssertionError("reduction coefficients do not divide the weights")
@@ -134,7 +142,7 @@ def reduce_weights(q: WeightsVector) -> WeightsVector:
 
 def is_reduced(q: WeightsVector) -> bool:
     """True when every complementary gcd ``d_j`` equals 1."""
-    return all(x == 1 for x in _complementary(q.q, gcd, 1))
+    return all(x == 1 for x in _complementary_gcds(q.q))
 
 
 def _isomorphism(q1: WeightsVector, q2: WeightsVector) -> tuple[bool, tuple[int, ...]]:

@@ -13,9 +13,11 @@ admissibility test, the alternating cone count
 instead of the closed-form Betti numbers, geometric half-space
 enumeration instead of composition counting, and dynamic programming
 over the full target and point-by-point enumeration instead of sampled
-Ehrhart polynomials.  It also keeps :func:`witness_fan`, the fan read
-off the HNF witness of the weights column, for tests that need a fan
-which is not the canonical one.
+Ehrhart polynomials, and the gcd and lcm of each weight's complement
+instead of prefix and suffix gcds for the reduction data.  It also
+keeps :func:`witness_fan`, the fan read off the HNF witness of the
+weights column, for tests that need a fan which is not the canonical
+one.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def _adjugate_weights(det: int, adj: IntMatrix) -> tuple[tuple[int, ...], int]:
 
 def weighted_transverse_by_adjugate(v: FanMatrix) -> IntMatrix:
     """Entry ``(i, k)`` is ``delta * cof_ik / (q_k * det)``."""
-    det, adj = adjoint(v.rays_block())   # adj[k][i] is the (i, k) cofactor
+    det, adj = adjoint(v.v.delete_column(0))   # adj[k][i] is the (i, k) cofactor
     delta, q = v.weights.delta, v.weights.q
     rows = []
     for i in range(v.n):
@@ -243,12 +245,11 @@ def is_p_admissible_by_adjugate(w: IntMatrix) -> bool:
     if m != 1:
         raise ValueError("entries are not primitive: divide by their gcd first")
     q, s = _adjugate_weights(det, adj)
-    return all(sum(col) % (q[0] * s) == 0 for col in adj.transpose().entries)
+    return all(sum(col) % (q[0] * s) == 0 for col in zip(*adj.entries))
 
 
 def recognize_polytope_by_adjugate(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     """Recognition with the same rejections, weights read off the adjugate."""
-    s = s.normalize()
     w = s.edge_matrix()
     m = w.entry_gcd()
     if m == 0:
@@ -324,7 +325,7 @@ def admissible_by_lattice_membership(w: IntMatrix) -> bool:
         return False
     # solve x @ w = target over the rationals; membership needs x integral
     target = delta // q[0]
-    return all(target * sum(col) % det == 0 for col in adj.transpose().entries)
+    return all(target * sum(col) % det == 0 for col in zip(*adj.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +485,9 @@ def hnf(a: IntMatrix) -> HnfResult:
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         r += 1
-    b = IntMatrix.from_rows([row[:n] for row in rows], cols=n)
-    trans = IntMatrix.from_rows([row[n:] for row in rows], cols=m)
+    # built directly, as a has no rows when m == 0
+    b = IntMatrix(m, n, tuple(tuple(row[:n]) for row in rows))
+    trans = IntMatrix(m, m, tuple(tuple(row[n:]) for row in rows))
     if trans @ a != b:
         raise AssertionError("HNF witness failed re-multiplication check")
     return HnfResult(hnf=b, transform=trans, rank=r)
@@ -780,6 +782,23 @@ def lattice_points(q: WeightsVector, m: int) -> Iterator[LatticePoint]:
     for comp in solve(0, target, ()):
         zeros = sum(1 for x in comp if x == 0)
         yield LatticePoint(composition=comp, face_dim=n - zeros)
+
+
+# ---------------------------------------------------------------------------
+# reduction data from each weight's complement, quadratic in the length
+
+
+def reduction_by_complements(q: tuple[int, ...]) -> tuple[tuple, tuple, int]:
+    """``(d, a_coeffs, a)``: ``d_j`` the gcd of the weights other than
+    ``q_j``, ``a_coeffs[j]`` the lcm of the ``d``'s other than ``d_j``
+    (1 when there are none), and ``a`` the lcm of ``a_coeffs``."""
+    def complementary(values, combine):
+        return tuple(combine(*values[:j], *values[j + 1:]) if len(values) > 1 else 1
+                     for j in range(len(values)))
+
+    d = complementary(q, gcd)
+    a_coeffs = complementary(d, lcm)
+    return d, a_coeffs, lcm(*a_coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -189,9 +189,9 @@ def test_hodge_euler_sequence_cross_check():
 
 
 def test_hodge_range_checks():
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         hodge(WeightsVector((1, 1)), 2, 0, 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         hodge(WeightsVector((1, 1)), 0, -1, 0)
 
 

@@ -231,7 +231,7 @@ def test_canonical_block_is_nonneg_hnf_and_first_column_negative():
     for _ in range(60):
         q = WeightsVector(random_weights(rng, n_min=1, n_max=5, w_max=60))
         fan = canonical_fan(q)
-        block = fan.rays_block()
+        block = fan.v.delete_column(0)
         assert is_hnf(block)
         assert all(x >= 0 for row in block.entries for x in row)
         assert all(x < 0 for x in fan.column(0))

@@ -21,6 +21,11 @@ def scalar(n, d=1):
     return diagonal((d,) * n)
 
 
+def rows_of(m):
+    """The rows of ``m`` as lists, the form :func:`_primitive_rows` returns."""
+    return [list(r) for r in m.entries]
+
+
 small_square = st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
                        min_size=n, max_size=n))
@@ -330,12 +335,12 @@ def test_transverse_involution_and_multiplicativity(pair):
 
 
 def test_what_matrix_examples():
-    assert _primitive_rows(mat([[2, 0], [0, 2]]))[0] == scalar(2)
-    assert _primitive_rows(scalar(4))[0] == scalar(4)
-    w = mat([[100, 0, 0, 0], [0, 75, 0, 0], [0, 0, 20, 0], [-50, 0, -10, 6]])
+    assert _primitive_rows([[2, 0], [0, 2]])[0] == [[1, 0], [0, 1]]
+    assert _primitive_rows(scalar(4).entries)[0] == rows_of(scalar(4))
+    w = [[100, 0, 0, 0], [0, 75, 0, 0], [0, 0, 20, 0], [-50, 0, -10, 6]]
     # adjugate rows divided by their gcds (9000, 12000, 45000, 75000)
-    assert _primitive_rows(w)[0] == mat([[1, 0, 0, 0], [0, 1, 0, 0],
-                                         [0, 0, 1, 0], [1, 0, 1, 2]])
+    assert _primitive_rows(w)[0] == [[1, 0, 0, 0], [0, 1, 0, 0],
+                                     [0, 0, 1, 0], [1, 0, 1, 2]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,9 +350,9 @@ def test_what_matrix_product_is_positive_diagonal(rows):
     d = a.det()
     if d == 0:
         return
-    what, lam, _ = _primitive_rows(a)
+    what, lam, _ = _primitive_rows(rows)
     prod = diagonal(lam)
-    assert prod == what @ a
+    assert prod == mat(what) @ a
     for i in range(a.rows):
         for j in range(a.rows):
             x = prod.entries[i][j]
@@ -377,11 +382,11 @@ def test_primitive_rows_match_the_normalized_adjugate(n, bits, seed):
     a = random_square(random.Random(seed), n, bits)
     if a.det() == 0:
         with pytest.raises(SingularMatrixError):
-            _primitive_rows(a)
+            _primitive_rows(a.entries)
         return
-    rows, lam, _ = _primitive_rows(a)
-    assert rows == what_by_adjugate(*adjoint(a))
-    assert rows @ a == diagonal(lam)
+    rows, lam, _ = _primitive_rows(a.entries)
+    assert rows == rows_of(what_by_adjugate(*adjoint(a)))
+    assert mat(rows) @ a == diagonal(lam)
 
 
 def test_primitive_rows_of_large_entries():
@@ -390,10 +395,10 @@ def test_primitive_rows_of_large_entries():
     for n in (2, 3, 5):
         a = random_square(rng, n, 1024)
         if a.det():
-            assert _primitive_rows(a)[0] == what_by_adjugate(*adjoint(a))
+            assert _primitive_rows(a.entries)[0] == rows_of(what_by_adjugate(*adjoint(a)))
     a = mat([[6, 4, 2], [10, 0, 5], [0, 9, 3]])      # det -210
-    rows, lam, _ = _primitive_rows(a)
-    assert rows == what_by_adjugate(*adjoint(a)) and lam == (210, 105, 105)
+    rows, lam, _ = _primitive_rows(a.entries)
+    assert rows == rows_of(what_by_adjugate(*adjoint(a))) and lam == (210, 105, 105)
 
 
 @st.composite
@@ -413,8 +418,8 @@ def pivoting_squares(draw):
 
 
 def check_tracked_determinant(a):
-    rows, lam, det = _primitive_rows(a)
-    assert det == to_rational(rows).det()
+    rows, lam, det = _primitive_rows(a.entries)
+    assert det == to_rational(mat(rows)).det()
     assert det * to_rational(a).det() == prod(lam)
 
 
@@ -424,7 +429,7 @@ def test_primitive_rows_track_their_determinant(rows):
     a = mat(rows)
     if to_rational(a).det() == 0:
         with pytest.raises(SingularMatrixError):
-            _primitive_rows(a)
+            _primitive_rows(rows)
         return
     check_tracked_determinant(a)
 
@@ -470,7 +475,7 @@ def test_primitive_rows_reject_a_wrong_content(monkeypatch, a):
 
     monkeypatch.setattr(wps.linalg, "_primitive", wrong_content)
     with pytest.raises(AssertionError, match="lost their determinant"):
-        _primitive_rows(a)
+        _primitive_rows(a.entries)
 
 
 @pytest.mark.parametrize("where", [0, -1])
@@ -491,12 +496,14 @@ def test_primitive_rows_reject_a_corrupted_row(monkeypatch, a, change, where):
 
     monkeypatch.setattr(wps.linalg, "_primitive", corrupted)
     with pytest.raises(AssertionError, match="defining identity"):
-        _primitive_rows(a)
+        _primitive_rows(a.entries)
 
 
 def test_primitive_rows_reject_non_square():
     with pytest.raises(DimensionError):
-        _primitive_rows(mat([[1, 2]]))
+        _primitive_rows([[1, 2]])
+    with pytest.raises(DimensionError):
+        _primitive_rows([])
 
 
 def test_row_gcds():

@@ -2,7 +2,9 @@ import ast
 from pathlib import Path
 
 import wps
+import wps.fan
 import wps.linalg
+import wps.polytope
 
 
 def test_public_names_are_pinned():
@@ -41,12 +43,23 @@ def test_linalg_defines_only_what_answers_use():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
     assert [node.name for node in defs] == [
         "SingularMatrixError", "DimensionError", "IntMatrix", "is_hnf", "max_minors"]
-    int_matrix = next(node for node in defs if node.name == "IntMatrix")
-    methods = [node.name for node in int_matrix.body if isinstance(node, ast.FunctionDef)
-               and (not node.name.startswith("_") or node.name.endswith("__"))]
-    assert methods == [
-        "__post_init__", "from_rows", "is_square", "column", "transpose",
+    assert methods_of(wps.linalg, "IntMatrix") == [
+        "__post_init__", "from_rows", "is_square", "column",
         "delete_column", "__matmul__", "det", "entry_gcd"]
+
+
+def methods_of(module, name: str) -> list[str]:
+    """The methods, dunders included, that class ``name`` of ``module`` defines."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+    return [node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+            and (not node.name.startswith("_") or node.name.endswith("__"))]
+
+
+def test_fan_and_simplex_define_only_what_answers_use():
+    # as for IntMatrix: a method that only tests call belongs in the tests
+    assert methods_of(wps.fan, "FanMatrix") == ["__post_init__", "n", "column"]
+    assert methods_of(wps.polytope, "LatticeSimplex") == ["__post_init__", "n", "edge_matrix"]
 
 
 def test_only_the_cli_reads_and_writes_text():

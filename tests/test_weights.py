@@ -1,6 +1,7 @@
 import json
+import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +11,7 @@ from wps.linalg import DimensionError
 from wps.weights import (WeightsVector, _extended_gcd_combination, is_reduced, isomorphic,
                          reduce_weights, reduction_data)
 
-from oracles import ext_gcd
+from oracles import ext_gcd, reduction_by_complements
 
 
 raw_weights = st.lists(st.integers(1, 60), min_size=1, max_size=6).map(tuple)
@@ -107,6 +108,41 @@ def test_reduction_relations(raw):
             assert gcd(rd.d[i], rd.d[j]) == 1
     assert rd.delta == rd.a * rd.delta_reduced
     assert is_reduced(rd.reduced)
+
+
+@st.composite
+def presented_weights(draw):
+    """``n + 1 = 1..8`` weights: a raw vector, or one whose ``q_j`` is
+    multiplied by the pairwise coprime ``d_i``, ``i != j``, so that it
+    is unreduced whenever some ``d_i > 1``."""
+    n1 = draw(st.integers(1, 8))
+    q = draw(st.lists(st.integers(1, 60), min_size=n1, max_size=n1))
+    if draw(st.booleans()):
+        d = [p if draw(st.booleans()) else 1 for p in (2, 3, 5, 7, 11, 13, 17, 19)[:n1]]
+        q = [x * prod(d) // dj for x, dj in zip(q, d)]
+    return tuple(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presented_weights())
+@example((1,))
+@example((6,))
+@example((1, 2, 2))
+@example((6, 10, 15))
+def test_reduction_data_matches_the_complements(raw):
+    q = WeightsVector(raw)
+    rd = reduction_data(q)
+    assert (rd.d, rd.a_coeffs, rd.a) == reduction_by_complements(q.q)
+    assert is_reduced(q) == (rd.reduced == q)
+
+
+def test_reduce_of_20000_weights_returns_within_a_second(capsys):
+    # one linear pass: the gcds of each weight's complement cost O(n^2)
+    start = time.perf_counter()
+    assert main(["--json", "reduce", "--weights", ",".join(["1"] * 19_999 + ["2"])]) == 0
+    assert time.perf_counter() - start < 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["d"] == ["1"] * 20_000 and payload["a"] == "1" and payload["is_reduced"]
 
 
 @settings(max_examples=100, deadline=None)
