@@ -126,7 +126,8 @@ def canonical_fan(q: WeightsVector) -> FanMatrix:
         g[i] = gcd(g[i + 1], q[i + 1])
     d = [1] + [g[i] // g[i - 1] for i in range(1, n + 1)]
     inv = [pow(q[j] // g[j - 1], -1, d[j]) if d[j] > 1 else 0 for j in range(n + 1)]
-    v = IntMatrix.from_rows([_canonical_row(q.q, i, g, d, inv) for i in range(1, n + 1)])
+    v = IntMatrix(n, n + 1, tuple(tuple(_canonical_row(q.q, i, g, d, inv))
+                                  for i in range(1, n + 1)))
     block = v.delete_column(0)
     if not is_hnf(block) or any(x < 0 for row in block.entries for x in row):
         raise AssertionError("canonical block is not a nonnegative HNF")

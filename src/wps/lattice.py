@@ -46,67 +46,43 @@ the dilates its degree asks for:
 One evaluator, :func:`_ehrhart`, does the extension and the check for
 all three counts.
 
-Each weight updates the table with running sums along its residue
-classes, or block by block when the classes are short, in slices of at
-most a few thousand entries: the per-entry work runs at C level and the
-temporaries stay bounded.  For the totals the largest weight enters
-only at the sampled targets.  The histogram's numerator has ``n + 2``
-rows of at most ``sum q' + 1`` small coefficients, each weight a slice
-update of every row, and each sample is one numerator row against the
-table below its target.  So with ``K`` as above the totals cost
-``O(n * K * delta')`` and the histogram
-``O(n * K * delta' + n^2 * sum q' + n * K * sum q')``, independent of
-``m`` beyond ``n // 2``.  The table still grows linearly with
-``delta'``; lcms in the millions (say ``(7,11,13,17,19,23)``,
-``delta' = 7,436,429``) remain the open case, and a table of more than
-``_MAX_CELLS`` cells, the histogram's numerator rows counted with its
-table, raises ``ValueError`` before it is allocated (the CLI's exit 2).  The geometric enumeration and the dynamic
-programming over the whole target ``m * delta'`` live in the test suite
-as oracles.
+The table is one buffer of cells in fields of ``width`` bytes, sized by a
+bound on the largest count.  The first weight enters as its indicator of
+multiples.  Each further weight ``w`` divides by ``1 - x^w`` block by block:
+the block as one integer times ``(1 + x^w)(1 + x^2w)..``, a shift and add
+per factor in C loops, plus the ``w`` final cells before it, repeated; a
+weight of more than ``_BLOCK`` cells takes blocks of its own length.  So with
+``K`` as above the totals cost ``O(n K delta' log2 _BLOCK)`` additions and the
+histogram, whose ``n + 2`` numerator rows have at most ``sum q' + 1`` terms,
+that plus ``O(n^2 sum q' + n K sum q')``, independent of ``m`` beyond
+``n // 2``.  The table grows linearly with ``delta'``, and one of more than
+``_MAX_CELLS`` cells, numerator rows included, raises ``ValueError`` before
+it is allocated (the CLI's exit 2).  The geometric enumeration and the
+full-target dynamic programming are test oracles.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from math import comb, prod
+import sys
+from math import comb, factorial, prod
 from operator import add, mul, sub
 
 from .weights import WeightsVector, reduction_data
 
-# longest slice one table update materializes at a time
-_CHUNK = 4096
-
 # most cells that one counting table may hold: the table grows with
 # delta', so a huge lcm fails fast instead of running out of memory
 _MAX_CELLS = 5 * 10 ** 7
+
+_BLOCK = 4096       # cells in one block of a table update, few enough for the cache
+
+# array codes of the fields read in place, where the native order is little-endian
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
 def _reduced(q: WeightsVector) -> tuple[tuple[int, ...], int]:
     """The reduced weights and their lcm."""
     rd = reduction_data(q)
     return rd.reduced.q, rd.delta_reduced
-
-
-def _divide(a: list[int], w: int) -> None:
-    """Divide the series ``a`` by ``1 - x^w`` in place.
-
-    That is ``a[t] += a[t - w]`` for ascending ``t``: prefix sums along
-    each residue class mod ``w`` when the classes are long, otherwise
-    adding the already final entries ``w`` below, block by block.
-    Either way no slice is longer than about ``_CHUNK`` entries.
-    """
-    size = len(a)
-    if w * w <= size:
-        step = w * _CHUNK
-        for r in range(w):
-            for s in range(r, size, step):
-                # start at the previous chunk's last sum to carry it on
-                lo = s - w if s > r else s
-                a[lo:s + step:w] = accumulate(a[lo:s + step:w])
-    else:
-        span = min(w, _CHUNK)
-        for s in range(w, size, span):
-            a[s:s + span] = map(add, a[s:s + span], a[s - w:s - w + span])
 
 
 def _check_cells(cells: int, delta: int) -> None:
@@ -116,34 +92,58 @@ def _check_cells(cells: int, delta: int) -> None:
                          f"exceeds the limit of {_MAX_CELLS}")
 
 
-def _count_table(weights: tuple[int, ...], size: int) -> list[int]:
-    """Solutions of ``sum w_j x_j = t`` for ``0 <= t < size``.
+def _count_table(weights: tuple[int, ...], size: int) -> tuple[bytearray, int]:
+    """Solutions of ``sum w_j x_j = t`` for ``0 <= t < size``, packed: the
+    little-endian cells of ``width`` bytes, and ``width``.  Each field holds
+    a partial sum of its final count, so none carries into the next while
+    ``width`` holds the largest: with ``x_0`` fixed by the others, at most
+    the points ``x_1..x_k >= 0`` with ``sum w_j x_j <= size - 1``, fewer than
+    their box and than the simplex of their unit cubes."""
+    first, *rest = weights or (size + 1,)      # no weight: 1 at t = 0 alone
+    box = prod((size - 1) // w + 1 for w in rest)
+    cubes = (size - 1 + sum(rest)) ** len(rest) // (factorial(len(rest)) * prod(rest))
+    width = (min(box, cubes).bit_length() + 7) // 8
+    width = next(f for f in (1, 2, 4, 8, width) if f >= width)      # in _FORMATS up to 8
+    table = bytearray(size * width)
+    table[::first * width] = b"\x01" * ((size - 1) // first + 1)     # the multiples of first
+    groups = [([w for w in rest if w <= _BLOCK], _BLOCK)] + [([w], w) for w in rest if w > _BLOCK]
+    for ws, span in groups:
+        step, tails = span * width, [b""] * len(ws)
+        for lo in range(0, len(table), step):
+            bits = 8 * len(block := table[lo:lo + step])
+            cells, mask = int.from_bytes(block, "little"), (1 << bits) - 1
+            for j, w in enumerate(ws):
+                # the block times (1 + x^w)(1 + x^2w).., plus the w final cells before it, repeated
+                gap, shift = w * width, 8 * w * width
+                while shift < bits:
+                    cells += (cells << shift) & mask
+                    shift *= 2
+                if lo:
+                    carry = (tails[j] * (len(block) // gap + 1))[:len(block)]
+                    cells += int.from_bytes(carry, "little")
+                if lo + step < len(table):
+                    tails[j] = cells.to_bytes(len(block), "little")[-gap:]
+            table[lo:lo + step] = cells.to_bytes(len(block), "little")
+    return table, width
 
-    The series ``prod 1/(1 - x^w)``: the first weight's indicator of its
-    multiples, divided by ``1 - x^w`` for each further weight.
-    """
-    first = weights[0] if weights else size + 1     # no weight: 1 at t = 0 alone
-    a = ([1] + [0] * (first - 1)) * (size // first + 1)
-    del a[size:]
-    for w in weights[1:]:
-        _divide(a, w)
-    return a
+
+def _cells(table: tuple[bytearray, int], index: slice) -> list[int]:
+    """The cells of a packed table at ``index``: a C-level view for
+    fields of 1, 2, 4 or 8 bytes, else one ``int.from_bytes`` a cell."""
+    raw, width = table
+    if width in _FORMATS:
+        return memoryview(raw).cast(_FORMATS[width])[index].tolist()
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little")
+            for i in range(*index.indices(len(raw) // width))]
 
 
-def _sums_at(a: list[int], targets: range, w: int) -> list[int]:
-    """``a[t] + a[t - w] + a[t - 2w] + ...`` at each of the ascending
-    ``targets``, which share one residue mod ``w`` (0 below zero).
-
-    One pass along that residue class, in slices of ``_CHUNK`` entries.
-    """
-    out, total, start = [], 0, targets[0] % w
-    step = w * _CHUNK
-    for t in targets:
-        if t >= start:
-            total += sum(sum(a[s:min(s + step, t + 1):w]) for s in range(start, t + 1, step))
-            start = t + w
-        out.append(total)
-    return out
+def _sums_at(table: tuple[bytearray, int], targets: range, w: int) -> list[int]:
+    """``a[t] + a[t - w] + a[t - 2w] + ...`` over the cells ``a`` of ``table``
+    at each of the ``targets`` (0 below zero), byte by byte: byte ``b`` of
+    the cells, summed along the residue class of ``t``, weighs ``2^8b``."""
+    raw, width = table
+    return [sum(sum(raw[t % w * width + b:t * width + b + 1:w * width]) << 8 * b
+                for b in range(width)) if t >= 0 else 0 for t in targets]
 
 
 def _total_samples(weights: tuple[int, ...], delta: int, k: int) -> list[int]:
@@ -192,10 +192,10 @@ def _face_samples(weights: tuple[int, ...], delta: int,
     out: list[list[int]] = [[] for _ in weights]
     for t in range(delta, size, delta):
         # table[t], table[t - 1], .., against num[p][0], num[p][1], ..
-        below = table[t:t - terms:-1] if t >= terms else table[t::-1]
+        below = _cells(table, slice(t, t - terms if t >= terms else None, -1))
         for row, samples in zip(num[1:], out):
             samples.append(sum(map(mul, row, below)))
-    return out, table[delta::delta]
+    return out, _cells(table, slice(delta, None, delta))
 
 
 def _ehrhart(samples: list[int], x: int, weights: tuple[int, ...], delta: int,

@@ -57,8 +57,8 @@ class LatticeSimplex:
     def edge_matrix(self) -> IntMatrix:
         """Columns ``vertex_i - vertex_0`` for ``i = 1..n``."""
         p0 = self.vertices[0]
-        return IntMatrix.from_rows(
-            [[v[i] - p0[i] for v in self.vertices[1:]] for i in range(self.n)])
+        return IntMatrix(self.n, self.n, tuple(tuple(v[i] - p0[i] for v in self.vertices[1:])
+                                               for i in range(self.n)))
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ def weighted_transverse(v: FanMatrix) -> IntMatrix:
         if rem:
             raise AssertionError("weighted transverse is not integral")
         scale.append(f)
-    return IntMatrix.from_rows([[f * x for f, x in zip(scale, col)] for col in zip(*r)])
+    return IntMatrix(len(r), len(r), tuple(tuple(f * x for f, x in zip(scale, col))
+                                           for col in zip(*r)))
 
 
 def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
@@ -187,8 +188,8 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
             raise PolytopeRejection("not-wps", "not a wps polytope: "
                                     "reconstructed fan column is not integral")
         v0.append(quo)
-    fan = _fan_of(IntMatrix.from_rows([[x, *col] for x, col in zip(v0, zip(*what))]),
-                  minors)
+    fan = _fan_of(IntMatrix(len(v0), len(v0) + 1,
+                            tuple((x, *col) for x, col in zip(v0, zip(*what)))), minors)
     if fan.weights.q != q:
         raise AssertionError("reconstructed fan disagrees with the derived weights")
     if not is_reduced(fan.weights):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb, lcm, prod
 
 import pytest
@@ -25,7 +26,8 @@ def census_of(q: WeightsVector, m: int):
 
 
 def test_zero_dilate_is_a_single_point():
-    for raw in ((1, 1), (2, 3, 5), (2, 3, 4, 15, 25)):
+    # the zero dilate's table has one cell, below every weight however large
+    for raw in ((1, 1), (2, 3, 5), (2, 3, 4, 15, 25), (3, 5, 2 ** 200 + 1, 2 ** 201 + 3)):
         assert count_points(WeightsVector(raw), 0) == 1
         assert face_histogram(WeightsVector(raw), 0) == {0: 1}
 
@@ -279,19 +281,49 @@ def test_top_two_coefficients_of_the_total_have_closed_forms(case):
         assert 2 * prod(reduced) * lead[n - 1] == delta ** (n - 1) * (sum(reduced) + (n - 1) * delta)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-def test_chunked_table_updates_match_full_dynamic_programming(monkeypatch, chunk):
-    # tiny slices put chunk borders inside every residue class and block
-    monkeypatch.setattr(wps.lattice, "_CHUNK", chunk)
-    # (5,) is n = 0; (1, 1, 2), (1, 1, 1) and (1, 1, 1, 1) at m = 1 have
-    # numerators longer than the last target
-    for raw in ((5,), (1, 1, 1), (1, 1, 2), (1, 1, 1, 1), (2, 3, 5), (1, 4, 6, 9),
-                (3, 5, 7), (1, 6, 10, 15), (1, 2, 2, 3, 12)):
-        q = WeightsVector(raw)
-        for m in sorted({1, 2, q.n + 1, q.n + 2, q.n + 3}):
-            assert count_points(q, m) == dp_count_points(q, m)
-            assert count_interior(q, m) == dp_count_interior(q, m)
-            assert face_histogram(q, m) == dp_face_histogram(q, m)
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=6), st.integers(1, 200), st.sampled_from([1, 5, 4096]),
+       st.none())
+@example((), 7, 4096, 1)                # no weight: 1 at t = 0 alone
+@example((5,), 23, 1, 1)                # the first weight's multiples alone
+@example((1, 2, 3), 20, 1, 1)
+@example((1, 1, 1), 300, 5, 2)
+@example((1, 1, 1), 400, 4096, 4)       # 3 bytes of count, read in place as 4
+@example((1,) * 5, 200, 5, 4)
+@example((1,) * 10, 100, 1, 8)          # 6 bytes of count
+@example((1,) * 15, 100, 4096, 8)
+@example((1,) * 20, 100, 1, 10)         # past 8 bytes: read with from_bytes
+def test_packed_counting_table_matches_the_oracle(weights, size, block, width):
+    # blocks down to one cell (then as long as the largest weight) carry
+    # their sums into the next; every field holds its cell, none carries
+    # into the next field, and both readers, the in-place view and
+    # from_bytes, see the same cells
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wps.lattice, "_BLOCK", block)
+        table = wps.lattice._count_table(tuple(weights), size)
+    assert width in (None, table[1]) and len(table[0]) == size * table[1]
+    cells = wps.lattice._cells(table, slice(None))
+    assert cells == [solution_count(weights, t) for t in range(size)]
+    assert max(cells) < 2 ** (8 * table[1])
+    window = slice(size - 1, None, -3)
+    assert wps.lattice._cells(table, window) == cells[window]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wps.lattice, "_FORMATS", {})
+        assert wps.lattice._cells(table, slice(None)) == cells
+        assert wps.lattice._cells(table, window) == cells[window]
+
+
+def test_a_counting_table_is_updated_in_place():
+    # lcm 120,120: a table of 120,121 cells of 4 bytes, about 0.46 MiB; the
+    # update holds a few blocks besides it, never a copy of the whole table
+    q = WeightsVector((24, 33, 728, 5005))
+    tracemalloc.start()
+    try:
+        assert count_points(q, 2) == 830238
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20, peak
 
 
 def test_a_face_histogram_builds_one_counting_table(monkeypatch):
