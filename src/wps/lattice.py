@@ -38,10 +38,10 @@ the dilates its degree asks for:
   ``-K..K`` meet both closed forms; for odd ``n`` the volume supplies
   the top term of the ``n`` samples and the facets check them.  The
   part of ``H_n`` that the lower faces do not fix has no other check
-  for odd ``n``, so the histogram at each sampled dilate must also sum
-  to the table's total there.  So every count extended past its
-  samples is checked; a mismatch raises ``AssertionError`` (the CLI's
-  exit 3).
+  for odd ``n``, and at ``m <= n // 2`` the samples are the answer, so
+  the histogram at each sampled dilate must also sum to the table's
+  total there.  So every count is checked; a mismatch raises
+  ``AssertionError`` (the CLI's exit 3).
 
 One evaluator, :func:`_ehrhart`, does the extension and the check for
 all three counts.
@@ -51,21 +51,29 @@ bound on the largest count.  The first weight enters as its indicator of
 multiples.  Each further weight ``w`` divides by ``1 - x^w`` block by block:
 the block as one integer times ``(1 + x^w)(1 + x^2w)..``, a shift and add
 per factor in C loops, plus the ``w`` final cells before it, repeated; a
-weight of more than ``_BLOCK`` cells takes blocks of its own length.  So with
-``K`` as above the totals cost ``O(n K delta' log2 _BLOCK)`` additions and the
-histogram, whose ``n + 2`` numerator rows have at most ``sum q' + 1`` terms,
-that plus ``O(n^2 sum q' + n K sum q')``, independent of ``m`` beyond
-``n // 2``.  The table grows linearly with ``delta'``, and one of more than
+weight of more than ``_BLOCK`` cells takes blocks of its own length.
+
+The numerator's ``n + 2`` rows of at most ``sum q' + 1`` terms are packed
+too: row ``p`` is one integer of signed fields, wide enough for
+the bound ``C(n + 1, p) 2^(n + 1 - p) <= 3^(n + 1)`` on its coefficients,
+and each weight updates it with one shift and add.  At ``y = 1`` the
+numerator is 1, so the rows must sum to exactly 1; otherwise
+``AssertionError``.  So with ``K`` as above the totals cost
+``O(n K delta' log2 _BLOCK)`` additions and the histogram that plus
+``O(n^2)`` shift-adds on integers of ``sum q' + 1`` fields and
+``O(n K sum q')`` multiplications, independent of ``m`` beyond ``n // 2``.
+The table grows linearly with ``delta'``, and one of more than
 ``_MAX_CELLS`` cells, numerator rows included, raises ``ValueError`` before
-it is allocated (the CLI's exit 2).  The geometric enumeration and the
-full-target dynamic programming are test oracles.
+it is allocated (the CLI's exit 2).  The geometric enumeration, the
+full-target dynamic programming and the numerator as lists of
+coefficients are test oracles.
 """
 
 from __future__ import annotations
 
 import sys
 from math import comb, factorial, prod
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .weights import WeightsVector, reduction_data
 
@@ -92,6 +100,13 @@ def _check_cells(cells: int, delta: int) -> None:
                          f"exceeds the limit of {_MAX_CELLS}")
 
 
+def _width(bound: int) -> int:
+    """Bytes of a field that holds ``0..bound``: 1, 2, 4 or 8, which
+    ``_FORMATS`` reads in place, or as many as it takes past 8."""
+    width = (bound.bit_length() + 7) // 8
+    return next(f for f in (1, 2, 4, 8, width) if f >= width)
+
+
 def _count_table(weights: tuple[int, ...], size: int) -> tuple[bytearray, int]:
     """Solutions of ``sum w_j x_j = t`` for ``0 <= t < size``, packed: the
     little-endian cells of ``width`` bytes, and ``width``.  Each field holds
@@ -102,8 +117,7 @@ def _count_table(weights: tuple[int, ...], size: int) -> tuple[bytearray, int]:
     first, *rest = weights or (size + 1,)      # no weight: 1 at t = 0 alone
     box = prod((size - 1) // w + 1 for w in rest)
     cubes = (size - 1 + sum(rest)) ** len(rest) // (factorial(len(rest)) * prod(rest))
-    width = (min(box, cubes).bit_length() + 7) // 8
-    width = next(f for f in (1, 2, 4, 8, width) if f >= width)      # in _FORMATS up to 8
+    width = _width(min(box, cubes))
     table = bytearray(size * width)
     table[::first * width] = b"\x01" * ((size - 1) // first + 1)     # the multiples of first
     groups = [([w for w in rest if w <= _BLOCK], _BLOCK)] + [([w], w) for w in rest if w > _BLOCK]
@@ -165,6 +179,40 @@ def _total_samples(weights: tuple[int, ...], delta: int, k: int) -> list[int]:
     return [sign * c for c in reversed(interior)] + _sums_at(table, range(0, size, delta), last)
 
 
+def _numerator_width(count: int) -> int:
+    """Bytes of a signed field of the face numerator over ``count``
+    weights.  A ``y^p`` coefficient sums terms of ``C(count, p)`` choices
+    of ``y x^w`` and ``2^(count - p)`` of ``1`` or ``-x^w``, so its absolute
+    value is at most ``C(count, p) 2^(count - p) <= 3^count``; the field
+    holds twice the largest such bound, which leaves the sign bit."""
+    return _width(2 * max(comb(count, p) << count - p for p in range(count + 1)))
+
+
+def _numerator(weights: tuple[int, ...], terms: int) -> tuple[list[int], int]:
+    """The coefficients ``num[p]`` of ``y^p``, ``p = 0..len(weights)``, in
+    ``prod ((1 - x^w) + y x^w)`` cut past ``x^(terms - 1)``, and the
+    field width in bytes.  Row ``p`` is one integer
+    ``sum_i num[p][i] 2^(F i)`` of signed fields ``F`` bits wide, which
+    hold every coefficient, so a weight updates a row with one shift and
+    add; a row cut to ``terms`` fields returns to the symmetric range."""
+    width = _numerator_width(len(weights))
+    field = 8 * width
+    half, mask = 1 << field * terms - 1, (1 << field * terms) - 1
+    rows, degree = [1] + [0] * len(weights), 0
+    for j, w in enumerate(weights):
+        if w >= terms:
+            continue        # (1 - x^w) + y x^w is 1 below x^terms
+        shift, degree = field * w, degree + w
+        # num[p] <- num[p] (1 - x^w) + num[p - 1] x^w, from the top row down
+        # so that row p - 1 still holds its value from before the weight
+        for p in range(j + 1, 0, -1):
+            rows[p] += (rows[p - 1] - rows[p]) << shift
+        rows[0] -= rows[0] << shift
+        if degree >= terms:
+            rows = [((row + half) & mask) - half for row in rows]
+    return rows, width
+
+
 def _face_samples(weights: tuple[int, ...], delta: int,
                   k: int) -> tuple[list[list[int]], list[int]]:
     """For ``p = 1..n+1``, the solutions of ``sum w_j x_j = t`` with
@@ -173,28 +221,33 @@ def _face_samples(weights: tuple[int, ...], delta: int,
 
     These are the coefficients of ``y^p`` in
     ``prod (1 + y x^w / (1 - x^w)) = prod ((1 - x^w) + y x^w) / prod (1 - x^w)``.
-    The numerator's ``y^p`` coefficients ``num[p]``, cut past the last
-    target, take one two-term factor per weight; the denominator is the
-    one counting table, and each sample is a numerator row convolved
-    with the table at one target.  The totals are the table's entries there.
+    The numerator's rows, cut past the last target, are packed integers
+    (:func:`_numerator`); at ``y = 1`` the numerator is
+    ``prod ((1 - x^w) + x^w) = 1``, so the rows, cut or not, must sum to
+    exactly 1.  Each row is unpacked once with ``h = 2^(F - 1)`` added to
+    every field; the denominator is the one counting table, and each sample
+    is a row convolved with the table at one target,
+    ``sum (c + h) T - h sum T``.  The totals are the table's entries there.
     """
     size = k * delta + 1
     terms = min(sum(weights) + 1, size)
     _check_cells(size + (len(weights) + 1) * terms, delta)     # table and numerator
-    num = [[1] + [0] * (terms - 1)] + [[0] * terms for _ in weights]
-    for j, w in enumerate(weights):
-        # num[p] <- num[p] (1 - x^w) + num[p - 1] x^w, from the top row down
-        # so that row p - 1 still holds its value from before the weight
-        for p in range(j + 1, 0, -1):
-            num[p][w:] = map(add, num[p][w:], map(sub, num[p - 1][:-w], num[p][:-w]))
-        num[0][w:] = map(sub, num[0][w:], num[0][:-w])
+    rows, width = _numerator(weights, terms)
+    if sum(rows) != 1:
+        raise AssertionError(f"face numerator fails the y = 1 check: its {len(rows)} rows "
+                             f"of {terms} terms do not sum to 1 for weights {weights}")
+    h = 1 << 8 * width - 1
+    bias = int.from_bytes(h.to_bytes(width, "little") * terms, "little")
+    num = [_cells(((row + bias).to_bytes(terms * width, "little"), width), slice(None))
+           for row in rows[1:]]
     table = _count_table(tuple(sorted(weights)), size)
     out: list[list[int]] = [[] for _ in weights]
     for t in range(delta, size, delta):
-        # table[t], table[t - 1], .., against num[p][0], num[p][1], ..
+        # table[t], table[t - 1], .., against num[p][0] + h, num[p][1] + h, ..
         below = _cells(table, slice(t, t - terms if t >= terms else None, -1))
-        for row, samples in zip(num[1:], out):
-            samples.append(sum(map(mul, row, below)))
+        offset = h * sum(below)
+        for row, samples in zip(num, out):
+            samples.append(sum(map(mul, row, below)) - offset)
     return out, _cells(table, slice(delta, None, delta))
 
 
@@ -283,7 +336,9 @@ def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
     in ``m`` of degree ``s``.  One counting table, graded by the number
     of positive coordinates through a numerator, gives ``H_s(1..k)``
     with the totals' bound ``k = min(m, n // 2)``: ``k delta' + 1``
-    cells, at a cost of ``O(n k delta' + n^2 sum q' + n k sum q')``.
+    cells, at a cost of ``O(n k delta' + n k sum q')`` plus ``O(n^2)``
+    shift-adds of packed numerator rows.  The counts at each sampled
+    dilate must sum to the total there.
     Reciprocity on each face, summed over the faces of dimension ``s``,
     gives the rest of ``H_s(-k..k)``:
     ``H_s(-j) = (-1)^s sum_(t <= s) C(n - t, s - t) H_t(j)`` and
@@ -297,19 +352,21 @@ def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
     n = len(weights) - 1
     k = min(m, n // 2)
     samples, totals = _face_samples(weights, delta, k)
+    dilates = list(zip(*samples))
     if m == k:
         values = [row[-1] for row in samples]
     else:
-        values, dilates = [], list(zip(*samples))
+        values = []
         for s, row in enumerate(samples):
             sign, binoms = (-1) ** s, [comb(n - t, s - t) for t in range(s + 1)]
             negative = [sign * sum(map(mul, binoms, counts)) for counts in dilates]
             full = negative[::-1] + [sign * comb(n + 1, s + 1)] + row
             values.append(_ehrhart(full, m, weights, delta, s, -k))
-        # for odd n the checks above see only the part of H_n that the lower
-        # faces fix; its own samples are checked by summing to the totals
-        sums = list(map(sum, dilates))
-        if sums != totals:
-            raise AssertionError(f"face counts fail the sum check: {sums} at dilates 1..{k} "
-                                 f"against the totals {totals} for weights {weights}")
+    # for m <= k the samples are the answer, and for odd n the checks above
+    # see only the part of H_n that the lower faces fix: the counts at each
+    # sampled dilate must sum to the table's total there
+    sums = list(map(sum, dilates))
+    if sums != totals:
+        raise AssertionError(f"face counts fail the sum check: {sums} at dilates 1..{k} "
+                             f"against the totals {totals} for weights {weights}")
     return {s: value for s, value in enumerate(values) if value}

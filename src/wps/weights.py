@@ -7,12 +7,14 @@ the other ``d``'s produces the reduced vector, which presents the same
 weighted projective space on a coarser lattice.  The ``d_j`` are
 pairwise coprime (a common factor of two would divide every weight), so
 that lcm is the product of the other ``d``'s, and all of them come from
-prefix and suffix gcds in one linear pass.
+prefix and suffix gcds in one linear pass.  A vector computes its
+reduction data on first use and keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .linalg import DimensionError, _as_int
@@ -61,6 +63,12 @@ class WeightsVector:
 
     def __getitem__(self, j):
         return self.q[j]
+
+    @cached_property
+    def _reduction(self) -> ReductionData:
+        # written to the instance __dict__ on first use, past the frozen
+        # __setattr__; not a field, so equality and hashing ignore it
+        return _reduce(self)
 
 
 def _extended_gcd_combination(values: tuple[int, ...]) -> tuple[int, ...]:
@@ -117,7 +125,7 @@ def _complementary_gcds(q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(d)
 
 
-def reduction_data(q: WeightsVector) -> ReductionData:
+def _reduce(q: WeightsVector) -> ReductionData:
     """Compute the full reduction data of a weights vector."""
     d = _complementary_gcds(q.q)
     a = prod(d)
@@ -134,6 +142,12 @@ def reduction_data(q: WeightsVector) -> ReductionData:
         raise AssertionError("lcm factorization failed")
     return ReductionData(d=d, a_coeffs=a_coeffs, a=a, delta=delta,
                          delta_reduced=delta_reduced, reduced=red)
+
+
+def reduction_data(q: WeightsVector) -> ReductionData:
+    """The full reduction data of a weights vector, computed once per
+    vector object and kept on it: a table of twists reduces once."""
+    return q._reduction
 
 
 def reduce_weights(q: WeightsVector) -> WeightsVector:

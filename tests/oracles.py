@@ -13,7 +13,8 @@ admissibility test, the alternating cone count
 instead of the closed-form Betti numbers, geometric half-space
 enumeration instead of composition counting, and dynamic programming
 over the full target and point-by-point enumeration instead of sampled
-Ehrhart polynomials, and the gcd and lcm of each weight's complement
+Ehrhart polynomials, lists of coefficients instead of packed integers
+for the face numerator, and the gcd and lcm of each weight's complement
 instead of prefix and suffix gcds for the reduction data.  It also
 keeps :func:`witness_fan`, the fan read off the HNF witness of the
 weights column, for tests that need a fan which is not the canonical
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
+from operator import add, sub
 from typing import Iterator
 
 from wps.fan import FanMatrix, recognize_fan
@@ -697,6 +699,21 @@ def solution_count(weights: tuple[int, ...], target: int) -> int:
         for t in range(w, target + 1):
             table[t] += table[t - w]
     return table[target]
+
+
+def face_numerator(weights: tuple[int, ...], terms: int) -> list[list[int]]:
+    """The coefficients of ``y^p``, ``p = 0..len(weights)``, in
+    ``prod ((1 - x^w) + y x^w)`` cut past ``x^(terms - 1)``: one list of
+    ``terms`` coefficients a row, updated element by element, the
+    library's numerator before it packed its rows into integers."""
+    num = [[1] + [0] * (terms - 1)] + [[0] * terms for _ in weights]
+    for j, w in enumerate(weights):
+        # num[p] <- num[p] (1 - x^w) + num[p - 1] x^w, from the top row down
+        # so that row p - 1 still holds its value from before the weight
+        for p in range(j + 1, 0, -1):
+            num[p][w:] = map(add, num[p][w:], map(sub, num[p - 1][:-w], num[p][:-w]))
+        num[0][w:] = map(sub, num[0][w:], num[0][:-w])
+    return num
 
 
 def dp_count_points(q: WeightsVector, m: int) -> int:

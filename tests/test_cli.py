@@ -558,6 +558,29 @@ def test_internal_error_from_the_counting_self_check(capsys, monkeypatch):
         assert err.startswith(f"internal error: lattice counts fail the {check} check")
 
 
+@pytest.mark.parametrize("fault", ["row", "width"])
+def test_internal_error_from_the_face_numerator_check(capsys, monkeypatch, fault):
+    # a corrupted numerator row, or fields one byte too narrow for ten
+    # ones, fails the check at y = 1: exit 3, and no count is printed
+    numerator, width = wps.lattice._numerator, wps.lattice._numerator_width
+
+    def corrupted(weights, terms):
+        rows, w = numerator(weights, terms)
+        rows[1] += 1
+        return rows, w
+
+    if fault == "row":
+        monkeypatch.setattr(wps.lattice, "_numerator", corrupted)
+    else:
+        monkeypatch.setattr(wps.lattice, "_numerator_width", lambda count: width(count) - 1)
+    ones = ",".join(["1"] * 10)
+    for argv in (("--json", "lattice-points", "--weights", ones, "-m", "7", "--histogram"),
+                 ("cohom", "--weights", ones, "-p", "2", "-q", "0", "-m", "7")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("internal error: face numerator fails the y = 1 check"), argv
+
+
 def test_internal_error_from_the_tracked_determinant(capsys, monkeypatch, tmp_path):
     # a wrong row content leaves a remainder in the determinant that
     # polytope recognition tracks through its one elimination

@@ -5,11 +5,12 @@ from math import comb
 
 import pytest
 
+import wps.weights
 from wps.cli import main
 from wps.cohomology import (divisor_info, h0_line_bundle, hodge, hodge_table,
                             rational_homology)
 from wps.lattice import count_points
-from wps.weights import WeightsVector, reduce_weights
+from wps.weights import WeightsVector, reduce_weights, reduction_data
 
 from oracles import betti_by_cone_count, random_weights
 
@@ -227,3 +228,24 @@ def test_hodge_table_contents(capsys):
 def test_hodge_table_rejects_empty_range():
     with pytest.raises(ValueError):
         hodge_table(WeightsVector((1, 1)), (2, 1))
+
+
+def test_a_hodge_table_reduces_its_weights_once(monkeypatch):
+    # the reduction data is computed once per vector and kept on it: one
+    # reduction for the 21 twists of the table and their 525 cells
+    reduce, calls = wps.weights._reduce, []
+
+    def counted(q):
+        calls.append(q)
+        return reduce(q)
+
+    monkeypatch.setattr(wps.weights, "_reduce", counted)
+    q = WeightsVector((2, 3, 4, 15, 25))
+    table = hodge_table(q, (-10, 10))
+    assert len(calls) == 1
+    # a second vector of equal values gets its own reduction data, equal to the first
+    twin = WeightsVector((2, 3, 4, 15, 25))
+    assert reduction_data(twin) == reduction_data(q)
+    assert reduction_data(twin) is not reduction_data(q)
+    assert len(calls) == 2
+    assert hodge_table(twin, (-10, 10)) == table and len(calls) == 2

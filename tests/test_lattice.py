@@ -12,8 +12,8 @@ from wps.polytope import weighted_transverse
 from wps.weights import WeightsVector, reduce_weights
 
 from oracles import (LatticePoint, dp_count_interior, dp_count_points, dp_face_histogram,
-                     lattice_points, random_weights, simplex_census, simplex_census_boxscan,
-                     solution_count)
+                     face_numerator, lattice_points, random_weights, simplex_census,
+                     simplex_census_boxscan, solution_count)
 
 
 def census_of(q: WeightsVector, m: int):
@@ -491,3 +491,106 @@ def test_face_histogram_bound_counts_its_numerator(monkeypatch):
     monkeypatch.setattr(wps.lattice, "_count_table", no_table)
     with pytest.raises(ValueError, match="counting table of 56 cells for delta' = 7 "):
         face_histogram(q, 1)
+
+
+# ---------------------------------------------------------------------------
+# the face numerator, packed: row p is the integer sum_i num[p][i] 2^(F i)
+
+
+def packed(row: list[int], width: int) -> int:
+    return sum(c << 8 * width * i for i, c in enumerate(row))
+
+
+# n = 0..8 and weights up to 40; terms up to sum q' + 1, where nothing is cut
+numerators = st.lists(st.integers(1, 40), min_size=1, max_size=9).map(tuple).flatmap(
+    lambda ws: st.tuples(st.just(ws), st.just(sum(ws) + 1) | st.integers(1, sum(ws) + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerators)
+@example(((1,), 2))
+@example(((40,) * 9, 361))
+@example(((7, 7, 7, 1, 1), 8))
+def test_packed_face_numerator_matches_the_oracle(case):
+    weights, terms = case
+    rows, width = wps.lattice._numerator(weights, terms)
+    num = face_numerator(weights, terms)
+    assert width == wps.lattice._numerator_width(len(weights))
+    assert all(abs(c) < 2 ** (8 * width - 1) for row in num for c in row)
+    assert rows == [packed(row, width) for row in num]
+
+
+@pytest.mark.parametrize("n,width", [(0, 1), (4, 1), (5, 2), (9, 2), (10, 4), (20, 4),
+                                     (21, 8), (40, 8), (41, 9)])
+def test_all_ones_numerator_at_each_field_width(n, width):
+    # prod ((1 - x) + y x) has y^p x^i coefficient (-1)^(i + p) C(n + 1, i) C(i, p);
+    # uncut, the largest is within a factor 7 of the field bound.  The width
+    # steps up past n = 4, 9, 20 and 40; from_bytes reads fields past 8 bytes
+    ones = (1,) * (n + 1)
+    expected = [[(-1) ** (i + p) * comb(n + 1, i) * comb(i, p) for i in range(n + 2)]
+                for p in range(n + 2)]
+    assert face_numerator(ones, n + 2) == expected
+    assert wps.lattice._numerator(ones, n + 2) == ([packed(row, width) for row in expected], width)
+    # H_s(m) = C(n + 1, s + 1) C(m - 1, s), through both readers of the fields
+    for m in (1, 2, 3):
+        counts = {s: comb(n + 1, s + 1) * comb(m - 1, s) for s in range(min(m, n + 1))}
+        assert face_histogram(WeightsVector(ones), m) == counts, m
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wps.lattice, "_FORMATS", {})
+            assert face_histogram(WeightsVector(ones), m) == counts, m
+
+
+@pytest.mark.parametrize("raw,ms", [((1,) * 10, (4, 7, 12)), ((1,) * 21, (8, 12)),
+                                    ((2, 3, 4, 15, 25), (1, 2, 9)), ((1, 1, 10, 10), (1, 5))])
+def test_a_faulty_face_numerator_fails_the_y_equals_1_check(monkeypatch, raw, ms):
+    # at y = 1 the rows sum to prod ((1 - x^w) + x^w) = 1, cut or not: a
+    # corrupted row breaks that, and so do fields one byte too narrow
+    # for ten and 21 ones, whose cut rows then wrap around at the top
+    q, numerator, width = WeightsVector(raw), wps.lattice._numerator, wps.lattice._numerator_width
+
+    def corrupted(weights, terms):
+        rows, w = numerator(weights, terms)
+        rows[1] += 1 << 8 * w * (terms - 1)
+        return rows, w
+
+    faults = [("_numerator", corrupted)]
+    if raw.count(1) > 9:
+        faults.append(("_numerator_width", lambda count: width(count) - 1))
+    for name, fault in faults:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wps.lattice, name, fault)
+            for m in ms:
+                with pytest.raises(AssertionError, match="face numerator fails the y = 1 check"):
+                    face_histogram(q, m)
+
+
+@pytest.mark.parametrize("raw", [(1, 1, 2), (2, 3, 5, 7), (2, 3, 4, 15, 25), (24, 33, 728, 5005),
+                                 (2, 3, 5, 6, 50, 100)])
+def test_face_counts_at_sampled_dilates_meet_the_sum_check(monkeypatch, raw):
+    # at m <= n // 2 the samples are the answer: a count moved off the
+    # vertex row into row p keeps the numerator's sum at y = 1, yet the
+    # counts at each dilate must still sum to the table's total there
+    q = WeightsVector(raw)
+    numerator, face_samples = wps.lattice._numerator, wps.lattice._face_samples
+    for p in range(1, q.n + 2):
+        def moved(weights, terms, p=p):
+            rows, w = numerator(weights, terms)
+            rows[p] += 1
+            rows[0] -= 1
+            return rows, w
+
+        monkeypatch.setattr(wps.lattice, "_numerator", moved)
+        for m in range(1, q.n // 2 + 1):
+            with pytest.raises(AssertionError, match="face counts fail the sum check"):
+                face_histogram(q, m)
+    monkeypatch.setattr(wps.lattice, "_numerator", numerator)
+    for t in range(q.n + 1):
+        def corrupted(weights, delta, k, t=t):
+            samples, totals = face_samples(weights, delta, k)
+            samples[t][-1] += 1
+            return samples, totals
+
+        monkeypatch.setattr(wps.lattice, "_face_samples", corrupted)
+        for m in range(1, q.n // 2 + 1):
+            with pytest.raises(AssertionError, match="face counts fail the sum check"):
+                face_histogram(q, m)

@@ -6,6 +6,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import wps.weights
 from wps.cli import main
 from wps.linalg import DimensionError
 from wps.weights import (WeightsVector, _extended_gcd_combination, is_reduced, isomorphic,
@@ -134,6 +135,18 @@ def test_reduction_data_matches_the_complements(raw):
     rd = reduction_data(q)
     assert (rd.d, rd.a_coeffs, rd.a) == reduction_by_complements(q.q)
     assert is_reduced(q) == (rd.reduced == q)
+
+
+def test_reduction_checks_run_on_the_first_computation(monkeypatch):
+    # a wrong complementary gcd fails the divisibility check; a failed
+    # computation keeps nothing, so the vector runs the checks again
+    q = WeightsVector((2, 3, 4, 15, 25))
+    monkeypatch.setattr(wps.weights, "_complementary_gcds", lambda qs: (2,) + (1,) * (len(qs) - 1))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="reduction coefficients do not divide"):
+            reduction_data(q)
+    monkeypatch.undo()
+    assert reduction_data(q).d == (1,) * 5
 
 
 def test_reduce_of_20000_weights_returns_within_a_second(capsys):
