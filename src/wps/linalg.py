@@ -12,7 +12,9 @@ W-hat) with their determinant tracked through the elimination, which
 transversion and polytope recognition read their answers off.  Their
 defining identity ``W-hat @ a == diag(lam)`` is checked by Kronecker
 substitution (:func:`_diagonal_of`), ``n^2`` big-integer products where
-the matrix product takes ``n^3``.
+the matrix product takes ``n^3``.  An upper triangular system needs no
+elimination: :func:`_solve_upper` solves it by forward substitution, one
+exact division per entry.
 """
 
 from __future__ import annotations
@@ -249,6 +251,38 @@ def _diagonal_of(r: list[list[int]], a: tuple[tuple[int, ...], ...]) -> tuple[in
             raise AssertionError("primitive rows failed their defining identity")
         lam.append(li)
     return tuple(lam)
+
+
+def _solve_upper(block, rhs) -> list[list[int]]:
+    """The integer rows ``x`` with ``x @ block == b``, one for each row ``b``
+    of ``rhs``, for an upper triangular ``block`` given by its rows (the
+    entries below its nonzero diagonal are not read).
+
+    Forward substitution: ``x_j = (b_j - sum_(l<j) x_l * block[l][j]) /
+    block[j][j]``, summed over the nonzero entries above the diagonal
+    only.  Each division must be exact; its remainder is entry ``j`` of
+    ``x @ block - b``, so the defining identity is checked entry by
+    entry, and an inexact step raises.
+    """
+    n = len(block)
+    cols = []                           # pivot, then the rows and entries above it
+    for j in range(n):
+        above = [(l, row[j]) for l, row in enumerate(block[:j]) if row[j]]
+        cols.append((block[j][j], [l for l, _ in above], [c for _, c in above]))
+    out = []
+    for k, b in enumerate(rhs):
+        x = [0] * n
+        get = x.__getitem__
+        for j, (s, (d, ls, cs)) in enumerate(zip(b, cols)):
+            if ls:
+                s -= sum(map(mul, map(get, ls), cs))
+            if s and d != 1:
+                s, rem = divmod(s, d)
+                if rem:
+                    raise AssertionError(f"forward substitution is not exact in row {k}, column {j}")
+            x[j] = s
+        out.append(x)
+    return out
 
 
 def _primitive_rows(a) -> tuple[list[list[int]], tuple[int, ...], int]:

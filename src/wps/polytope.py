@@ -3,20 +3,26 @@
 The fan-to-polytope map deletes column 0 of the fan matrix, takes the
 transposed inverse and rescales column ``k`` by ``lcm(weights)/q_k``.
 The result is an integer matrix whose columns, together with the
-origin, span the polytope of the minimal very ample polarization.  The
-inverse direction divides out the entry gcd and reads the weights and
-the fan's minors off one elimination, the primitive facet normals with
-their determinant, which is also the recognition procedure for
-arbitrary origin-anchored simplices.
+origin, span the polytope of the minimal very ample polarization.  For
+an arbitrary fan that takes one elimination (:func:`weighted_transverse`);
+the canonical fan's block is upper triangular, so :func:`polytope_of`
+solves for its vertices by forward substitution instead, one exact
+division per entry where the elimination takes a gcd per row update.
+The inverse direction divides out the entry gcd and reads the weights
+and the fan's minors off one elimination, the primitive facet normals
+with their determinant, which is also the recognition procedure for
+arbitrary origin-anchored simplices.  Every lcm of weights read here is
+the one the weights vector keeps, computed at most once per vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
-from .linalg import DimensionError, IntMatrix, SingularMatrixError, _as_int, _primitive_rows
+from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int, _primitive_rows,
+                     _solve_upper)
 from .fan import FanMatrix, _fan_of, canonical_fan
 from .weights import WeightsVector, is_reduced
 
@@ -63,7 +69,11 @@ class LatticeSimplex:
 
 @dataclass(frozen=True)
 class PolarizedWps:
-    """Reduced weights plus a polarization multiple ``m >= 1``."""
+    """Reduced weights plus a polarization multiple ``m >= 1``.
+
+    Reducedness is read off the reduction data that the weights vector
+    keeps, so a vector checked before is not checked again.
+    """
 
     weights: WeightsVector
     polarization: int
@@ -105,16 +115,30 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
     transverse of the canonical fan; any fan of ``q`` gives the same
     polytope up to ``GL(n, Z)``, and this one is what
     :func:`recognize_polytope` returns for reduced ``q``.
+
+    Column ``k`` is the row ``u_k`` with ``u_k @ B = (delta / q_k) e_k``
+    for the fan's upper triangular block ``B``, that is ``delta / q_k``
+    times row ``k`` of ``B^-1`` as in :func:`weighted_transverse`, solved
+    by :func:`_solve_upper`:
+    ``u_k[j] = 0`` for ``j < k``, ``u_k[k] = delta / (q_k d_k)`` with the
+    pivot ``d_k``, then one exact division per entry, which checks
+    ``(u_k @ B)_j`` entry by entry.
     """
     if q.n < 1:
         raise DimensionError("need at least two weights")
     if m < 1:
         raise ValueError("polarization must be positive")
-    w = weighted_transverse(canonical_fan(q))
-    if w.entry_gcd() != 1:
+    n, delta = q.n, q.delta
+    block = [row[1:] for row in canonical_fan(q).v.entries]
+    rhs = [[0] * k + [delta // qk] + [0] * (n - 1 - k) for k, qk in enumerate(q.q[1:])]
+    cols = _solve_upper(block, rhs)
+    # the diagonal first, from the last column: u_k[k] = delta / (q_k d_k)
+    # lacks q_k, so the running gcd sheds a weight at each step, and the
+    # other entries meet math.gcd's shortcut once it is 1
+    diagonal = [cols[k][k] for k in range(n - 1, -1, -1)]
+    if gcd(*diagonal, *(x for col in cols for x in col)) != 1:
         raise AssertionError("minimal polytope matrix must be primitive")
-    origin = tuple(0 for _ in range(q.n))
-    verts = (origin,) + tuple(tuple(m * x for x in w.column(k)) for k in range(q.n))
+    verts = ((0,) * n,) + tuple(tuple(m * x for x in col) for col in cols)
     return LatticeSimplex(vertices=verts)
 
 
@@ -195,7 +219,7 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     if not is_reduced(fan.weights):
         raise AssertionError("recognition must produce reduced weights")
     # consistency: the lcm of the recognized weights against the normals
-    delta = lcm(*q)
+    delta = fan.weights.delta
     if delta != lam_lcm:
         raise AssertionError("weights lcm mismatch during recognition")
     # ``weighted_transverse(fan) == w'`` is decided by the equivalent

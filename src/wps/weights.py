@@ -8,16 +8,41 @@ weighted projective space on a coarser lattice.  The ``d_j`` are
 pairwise coprime (a common factor of two would divide every weight), so
 that lcm is the product of the other ``d``'s, and all of them come from
 prefix and suffix gcds in one linear pass.  A vector computes its
-reduction data on first use and keeps it.
+reduction data and its lcm ``delta`` on first read and keeps them, so
+each is computed at most once per vector, and only when an answer reads
+it; :func:`is_reduced` reads the kept reduction data.  The reduction
+takes ``delta'`` from the reduced vector and reads the input's lcm only
+to check ``delta == a * delta'`` where ``a > 1`` (at ``a = 1`` both are
+the same lcm).  The reduced vector is a vector of its own, never the
+input, so no vector reaches itself through its reduction data and none
+waits for the cycle collector to be freed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm, prod
 
 from .linalg import DimensionError, _as_int
+
+
+class _kept:
+    """A method read as an attribute, computed on first read and stored in
+    the instance ``__dict__``, which shadows this non-data descriptor from
+    then on; past a frozen dataclass's ``__setattr__``, and not a field,
+    so equality and hashing ignore it.  A computation that raises stores
+    nothing.  It is ``functools.cached_property`` without the lock that
+    Python 3.11 takes on each first read: threads that read it at once
+    compute equal values, and whichever store lands last is kept."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -51,8 +76,9 @@ class WeightsVector:
     def total(self) -> int:
         return sum(self.q)
 
-    @property
+    @_kept
     def delta(self) -> int:
+        """The lcm of the weights, kept after the first read."""
         return lcm(*self.q)
 
     def __iter__(self):
@@ -64,10 +90,8 @@ class WeightsVector:
     def __getitem__(self, j):
         return self.q[j]
 
-    @cached_property
+    @_kept
     def _reduction(self) -> ReductionData:
-        # written to the instance __dict__ on first use, past the frozen
-        # __setattr__; not a field, so equality and hashing ignore it
         return _reduce(self)
 
 
@@ -101,15 +125,22 @@ class ReductionData:
 
     ``d[j]`` is the gcd of all weights except ``q_j``; ``a_coeffs[j]``
     the lcm of the other ``d``'s; ``a`` their common lcm.  The reduced
-    weights are ``q_j // a_coeffs[j]`` and ``delta == a * delta_reduced``.
+    weights are ``q_j // a_coeffs[j]`` and ``delta == a * delta_reduced``,
+    both read off the lcm that the reduced vector keeps.
     """
 
     d: tuple[int, ...]
     a_coeffs: tuple[int, ...]
     a: int
-    delta: int
-    delta_reduced: int
     reduced: WeightsVector
+
+    @property
+    def delta_reduced(self) -> int:
+        return self.reduced.delta
+
+    @property
+    def delta(self) -> int:
+        return self.a * self.reduced.delta
 
 
 def _complementary_gcds(q: tuple[int, ...]) -> tuple[int, ...]:
@@ -126,7 +157,11 @@ def _complementary_gcds(q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _reduce(q: WeightsVector) -> ReductionData:
-    """Compute the full reduction data of a weights vector."""
+    """Compute the full reduction data of a weights vector.
+
+    The lcm factorization ``delta == a * delta'`` is checked where
+    ``a > 1``; at ``a = 1`` the reduced weights are the input's and it
+    would compare an lcm with itself."""
     d = _complementary_gcds(q.q)
     a = prod(d)
     a_coeffs = tuple(a // dj for dj in d)
@@ -136,12 +171,9 @@ def _reduce(q: WeightsVector) -> ReductionData:
     red = WeightsVector(reduced)
     if red.q != reduced:
         raise AssertionError("reduced vector is not coprime")
-    delta = q.delta
-    delta_reduced = red.delta
-    if delta != a * delta_reduced:
+    if a > 1 and q.delta != a * red.delta:
         raise AssertionError("lcm factorization failed")
-    return ReductionData(d=d, a_coeffs=a_coeffs, a=a, delta=delta,
-                         delta_reduced=delta_reduced, reduced=red)
+    return ReductionData(d=d, a_coeffs=a_coeffs, a=a, reduced=red)
 
 
 def reduction_data(q: WeightsVector) -> ReductionData:
@@ -155,8 +187,9 @@ def reduce_weights(q: WeightsVector) -> WeightsVector:
 
 
 def is_reduced(q: WeightsVector) -> bool:
-    """True when every complementary gcd ``d_j`` equals 1."""
-    return all(x == 1 for x in _complementary_gcds(q.q))
+    """True when every complementary gcd ``d_j`` equals 1, read off the
+    reduction data the vector keeps (``a``, their product, is 1)."""
+    return reduction_data(q).a == 1
 
 
 def _isomorphism(q1: WeightsVector, q2: WeightsVector) -> tuple[bool, tuple[int, ...]]:

@@ -1,16 +1,17 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wps.linalg
 import wps.polytope
+import wps.weights
 from wps.cli import _simplex_of, _simplex_payload, main
-from wps.fan import FanRejection, canonical_fan, permutation_matrix, recognize_fan
-from wps.linalg import IntMatrix, SingularMatrixError, _primitive_rows
+from wps.fan import FanMatrix, FanRejection, canonical_fan, permutation_matrix, recognize_fan
+from wps.linalg import IntMatrix, SingularMatrixError, _primitive_rows, _solve_upper
 from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection, is_p_admissible,
                           permute_polytope, polytope_of, recognize_polytope,
                           weighted_transverse)
@@ -524,3 +525,104 @@ def test_recognition_checks_the_determinant_it_is_given(monkeypatch):
     monkeypatch.setattr(wps.polytope, "_primitive_rows", wrong_det)
     with pytest.raises(AssertionError, match="does not divide"):
         recognize_polytope(simplex_2_3_4_15_25())
+
+
+# ---------------------------------------------------------------------------
+# the canonical polytope by forward substitution
+
+
+def substituted_columns(q: WeightsVector) -> list[list[int]]:
+    """The columns ``u_k`` with ``u_k @ B = (delta / q_k) e_k`` for the
+    canonical block ``B``, solved by :func:`_solve_upper`."""
+    n, delta = q.n, q.delta
+    block = [row[1:] for row in canonical_fan(q).v.entries]
+    return _solve_upper(block, [[delta // qk if j == k else 0 for j in range(n)]
+                                for k, qk in enumerate(q.q[1:])])
+
+
+def assert_substitution_is_the_transverse(q: WeightsVector):
+    cols = substituted_columns(q)
+    fan = canonical_fan(q)
+    w = weighted_transverse(fan)
+    assert [list(col) for col in zip(*w.entries)] == cols
+    assert weighted_transverse_by_adjugate(fan) == w
+    assert polytope_of(q, 1).vertices == ((0,) * q.n,) + tuple(map(tuple, cols))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.lists(
+    st.one_of(st.integers(1, 60), st.integers(1, 2 ** 512)), min_size=n + 1, max_size=n + 1)))
+def test_substitution_matches_the_transverse_and_the_adjugate(raw):
+    # raw vectors, reduced or not: small weights give pivots above 1 and
+    # entries above them, big ones give one large pivot
+    assert_substitution_is_the_transverse(WeightsVector(tuple(raw)))
+
+
+@pytest.mark.parametrize("n,seed", [(1, 1), (2, 2), (4, 3), (6, 4)])
+def test_substitution_at_4096_bits(n, seed):
+    rng = random.Random(seed)
+    assert_substitution_is_the_transverse(random_weights_of_bits(rng, n, 4096))
+
+
+def test_substitution_at_20000_digits():
+    rng = random.Random(20_000)
+    q = WeightsVector(tuple(rng.randrange(10 ** 19_999, 10 ** 20_000) for _ in range(4)))
+    assert_substitution_is_the_transverse(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2 ** 32))
+def test_substitution_solves_any_upper_triangular_system(n, seed):
+    # an integral solution is found exactly, and a right side off by one
+    # in a column whose pivot is not a unit fails at that column
+    rng = random.Random(seed)
+    block = [[0] * i + [rng.choice((1, -1, 2, 3, -5, 12))]
+             + [rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(n - 1 - i)]
+             for i in range(n)]
+    x = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(3)]
+    rhs = [[sum(xr[l] * block[l][j] for l in range(j + 1)) for j in range(n)] for xr in x]
+    assert _solve_upper(block, rhs) == x
+    j = next((j for j in range(n) if abs(block[j][j]) > 1), None)
+    if j is not None:
+        rhs[1][j] += 1
+        with pytest.raises(AssertionError, match=f"not exact in row 1, column {j}$"):
+            _solve_upper(block, rhs)
+
+
+def test_an_inexact_substitution_step_exits_3(capsys, monkeypatch):
+    # the block of (2,3,4,15,25) with a 1 above its pivot 2 in row 1:
+    # vertex 1 starts at delta / q_2 = 75, which 2 does not divide
+    def corrupted(q):
+        fan = canonical_fan(q)
+        rows = [list(r) for r in fan.v.entries]
+        rows[1][4] += 1
+        return FanMatrix(v=IntMatrix.from_rows(rows), weights=q, epsilon=0)
+
+    monkeypatch.setattr(wps.polytope, "canonical_fan", corrupted)
+    for argv in (("polytope", "--weights", "2,3,4,15,25"),
+                 ("--json", "polytope", "--weights", "2,3,4,15,25", "-m", "2")):
+        assert main(list(argv)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: forward substitution is not exact in row 1, column 3\n"
+
+
+def test_a_doubled_lcm_fails_the_primitivity_check(capsys, monkeypatch):
+    # every right side doubles, so the substitution stays exact and only
+    # the entry gcd of the vertex matrix sees the fault
+    monkeypatch.setattr(wps.weights, "lcm", lambda *values: 2 * lcm(*values))
+    assert main(["polytope", "--weights", "2,3,4,15,25"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: minimal polytope matrix must be primitive\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.sampled_from((1, 4, 16, 128, 512)), st.integers(1, 3),
+       st.integers(0, 2 ** 32))
+def test_recognized_fan_recognizes_as_itself(n, bits, m, seed):
+    # epsilon comes from the sign of the determinant that _primitive_rows
+    # tracks; recognize_fan reads it off the maximal minors instead
+    rng = random.Random(seed)
+    q = random_weights_of_bits(rng, n, bits)
+    _, fan = recognize_polytope(moved_simplex(rng, polytope_of(q, 1).edge_matrix(), m))
+    assert recognize_fan(fan.v) == fan

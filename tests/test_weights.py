@@ -1,11 +1,16 @@
+import gc
 import json
+import random
 import time
+import weakref
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import wps.polytope
 import wps.weights
 from wps.cli import main
 from wps.linalg import DimensionError
@@ -147,6 +152,59 @@ def test_reduction_checks_run_on_the_first_computation(monkeypatch):
             reduction_data(q)
     monkeypatch.undo()
     assert reduction_data(q).d == (1,) * 5
+
+
+def test_each_request_computes_each_lcm_at_most_once(capsys, monkeypatch, tmp_path):
+    # a vector keeps its lcm, the reduction reads the lcms only for its
+    # check at a > 1, and is_reduced reads the kept reduction data
+    calls, passes = Counter(), []
+
+    def counted(*values):
+        calls[values] += 1
+        return lcm(*values)
+
+    complementary = wps.weights._complementary_gcds
+    monkeypatch.setattr(wps.weights, "lcm", counted)
+    monkeypatch.setattr(wps.polytope, "lcm", counted)
+    monkeypatch.setattr(wps.weights, "_complementary_gcds",
+                        lambda q: passes.append(q) or complementary(q))
+    rng = random.Random(4096)
+    reduced = [rng.getrandbits(4096) | 1 for _ in range(5)]
+    unreduced = [x * 6 if j else x for j, x in enumerate(reduced)]
+    simplex = tmp_path / "simplex.json"
+    for q in (reduced, unreduced):
+        weights = ",".join(map(str, q))
+        requests = {"reduce": ["reduce", "--weights", weights],
+                    "iso": ["iso", "--weights", weights, "--other", ",".join(map(str, q[::-1]))],
+                    "polytope": ["polytope", "--weights", weights, "-m", "2"],
+                    "divisors": ["divisors", "--weights", weights],
+                    "recognize-polytope": ["recognize-polytope", "--vertices", str(simplex)]}
+        for name, argv in requests.items():
+            calls.clear()
+            passes.clear()
+            assert main(["--json", *argv]) == 0, name
+            out = capsys.readouterr().out
+            if name == "polytope":
+                simplex.write_text(out)
+            assert all(c == 1 for c in calls.values()), (name, sorted(calls.values()))
+            if name == "iso" and q is reduced:
+                assert not calls
+            if name == "recognize-polytope":
+                assert len(passes) == 1         # PolarizedWps reads the kept reduction
+    # reduction data hold no reference cycle: without the collector, a
+    # dropped vector and its reduced vector die with their last reference
+    gc.collect()
+    gc.disable()
+    try:
+        for q in (reduced, unreduced, [1, 1, 1]):
+            v = WeightsVector(tuple(q))
+            rd = reduction_data(v)
+            assert rd.reduced is not v and is_reduced(rd.reduced) and rd.delta == v.delta
+            refs = weakref.ref(v), weakref.ref(rd.reduced)
+            del v, rd
+            assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_reduce_of_20000_weights_returns_within_a_second(capsys):
