@@ -8,9 +8,10 @@ weighted projective space on a coarser lattice.  The ``d_j`` are
 pairwise coprime (a common factor of two would divide every weight), so
 that lcm is the product of the other ``d``'s, and all of them come from
 prefix and suffix gcds in one linear pass.  A vector computes its
-reduction data and its lcm ``delta`` on first read and keeps them, so
-each is computed at most once per vector, and only when an answer reads
-it; :func:`is_reduced` reads the kept reduction data.  The reduction
+reduction data and its lcm ``delta`` on first read and keeps them as
+cached properties, not fields, so equality and hashing ignore them: each
+is computed at most once per vector, and only when an answer reads it;
+:func:`is_reduced` reads the kept reduction data.  The reduction
 takes ``delta'`` from the reduced vector and reads the input's lcm only
 to check ``delta == a * delta'`` where ``a > 1`` (at ``a = 1`` both are
 the same lcm).  The reduced vector is a vector of its own, never the
@@ -21,28 +22,10 @@ waits for the cycle collector to be freed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .linalg import DimensionError, _as_int
-
-
-class _kept:
-    """A method read as an attribute, computed on first read and stored in
-    the instance ``__dict__``, which shadows this non-data descriptor from
-    then on; past a frozen dataclass's ``__setattr__``, and not a field,
-    so equality and hashing ignore it.  A computation that raises stores
-    nothing.  It is ``functools.cached_property`` without the lock that
-    Python 3.11 takes on each first read: threads that read it at once
-    compute equal values, and whichever store lands last is kept."""
-
-    def __init__(self, func):
-        self.func, self.name = func, func.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -76,7 +59,7 @@ class WeightsVector:
     def total(self) -> int:
         return sum(self.q)
 
-    @_kept
+    @cached_property
     def delta(self) -> int:
         """The lcm of the weights, kept after the first read."""
         return lcm(*self.q)
@@ -90,7 +73,7 @@ class WeightsVector:
     def __getitem__(self, j):
         return self.q[j]
 
-    @_kept
+    @cached_property
     def _reduction(self) -> ReductionData:
         return _reduce(self)
 

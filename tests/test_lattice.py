@@ -297,7 +297,8 @@ def test_packed_counting_table_matches_the_oracle(weights, size, block, width):
     # blocks down to one cell (then as long as the largest weight) carry
     # their sums into the next; every field holds its cell, none carries
     # into the next field, and both readers, the in-place view and
-    # from_bytes, see the same cells
+    # from_bytes, see the same cells, also along a residue class as the
+    # totals read them
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wps.lattice, "_BLOCK", block)
         table = wps.lattice._count_table(tuple(weights), size)
@@ -305,12 +306,13 @@ def test_packed_counting_table_matches_the_oracle(weights, size, block, width):
     cells = wps.lattice._cells(table, slice(None))
     assert cells == [solution_count(weights, t) for t in range(size)]
     assert max(cells) < 2 ** (8 * table[1])
-    window = slice(size - 1, None, -3)
-    assert wps.lattice._cells(table, window) == cells[window]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wps.lattice, "_FORMATS", {})
-        assert wps.lattice._cells(table, slice(None)) == cells
-        assert wps.lattice._cells(table, window) == cells[window]
+    windows = slice(size - 1, None, -3), slice((size - 1) % 7, None, 7)
+    for formats in (wps.lattice._FORMATS, {}):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wps.lattice, "_FORMATS", formats)
+            assert wps.lattice._cells(table, slice(None)) == cells
+            for window in windows:
+                assert wps.lattice._cells(table, window) == cells[window]
 
 
 def test_a_counting_table_is_updated_in_place():

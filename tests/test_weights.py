@@ -140,6 +140,12 @@ def test_reduction_data_matches_the_complements(raw):
     rd = reduction_data(q)
     assert (rd.d, rd.a_coeffs, rd.a) == reduction_by_complements(q.q)
     assert is_reduced(q) == (rd.reduced == q)
+    # the kept lcm and reduction data are not fields: equal vectors compare
+    # and hash equal whichever of them were read
+    fresh, lcm_only = WeightsVector(raw), WeightsVector(raw)
+    assert lcm_only.delta == q.delta == rd.delta
+    assert {"delta", "_reduction"} <= vars(q).keys() and vars(fresh) == {"q": q.q}
+    assert q == fresh == lcm_only and len({hash(q), hash(fresh), hash(lcm_only)}) == 1
 
 
 def test_reduction_checks_run_on_the_first_computation(monkeypatch):
