@@ -52,8 +52,10 @@ multiples.  Each further weight ``w`` divides by ``1 - x^w`` block by block:
 the block as one integer times ``(1 + x^w)(1 + x^2w)..``, a shift and add
 per factor in C loops, plus the ``w`` final cells before it, repeated; a
 weight of more than ``_BLOCK`` cells takes blocks of its own length.
-Every count reads it through :func:`_cells`; the totals' table leaves out
-the largest weight and sums the cells along its residue class at each target.
+The totals' table leaves out the largest weight, which enters only at the
+targets: :func:`_sums_at` sums the cells along its residue class there,
+byte plane by byte plane.  Every other count reads cells through
+:func:`_cells`.
 
 The numerator's ``n + 2`` rows of at most ``sum q' + 1`` terms are packed
 too: row ``p`` is one integer of signed fields, wide enough for
@@ -153,24 +155,35 @@ def _cells(table: tuple[bytearray, int], index: slice) -> list[int]:
             for i in range(*index.indices(len(raw) // width))]
 
 
+def _sums_at(table: tuple[bytearray, int], targets: range, w: int) -> list[int]:
+    """``a[t] + a[t - w] + a[t - 2w] + ...`` over the cells ``a`` of ``table``
+    at each of the ``targets`` (0 below zero), byte by byte: byte ``b`` of
+    the cells, summed along the residue class of ``t``, weighs ``2^8b``.
+    No int per cell: summing :func:`_cells` instead read 9-byte cells 2.6
+    times slower and raised the peak memory by 28 % (CPython 3.11,
+    ``count_points((11, 13, 14, 15, 16, 17), 2)``)."""
+    raw, width = table
+    return [sum(sum(raw[t % w * width + b:t * width + b + 1:w * width]) << 8 * b
+                for b in range(width)) if t >= 0 else 0 for t in targets]
+
+
 def _total_samples(weights: tuple[int, ...], delta: int, k: int) -> list[int]:
     """``L(-k), .., L(k)`` for the total ``L(j)``, the solutions of
     ``sum w_j x_j = j delta``, where ``delta`` is the lcm of the weights.
 
     By reciprocity ``L(-j) = (-1)^n L°(j)`` for ``j >= 1``, with the
     interior count ``L°(j)`` at ``j delta - sum w``.  The table runs over
-    all weights but the largest, ``last``: the count at ``t >= 0`` is
-    ``a[t] + a[t - last] + ..``, read through :func:`_cells`.
+    all weights but the largest, which is added only at the targets: a
+    sum along one residue class for the totals and one for the interiors.
     """
     *rest, last = sorted(weights)
     size = k * delta + 1
     _check_cells(size, delta)
     table, shift = _count_table(rest, size), sum(weights)
-    # the interiors at k..1, then the totals at 0..k; 0 at t < 0, where a slice would wrap
-    targets = [*range(k * delta - shift, -shift, -delta), *range(0, size, delta)]
-    sums = [sum(_cells(table, slice(t % last, t + 1, last))) if t >= 0 else 0 for t in targets]
+    inner = range(delta - shift, size - shift, delta)
+    interior = _sums_at(table, inner, last) if inner else []
     sign = (-1) ** len(rest)
-    return [sign * c for c in sums[:k]] + sums[k:]
+    return [sign * c for c in reversed(interior)] + _sums_at(table, range(0, size, delta), last)
 
 
 def _numerator_width(count: int) -> int:

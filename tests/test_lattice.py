@@ -297,8 +297,9 @@ def test_packed_counting_table_matches_the_oracle(weights, size, block, width):
     # blocks down to one cell (then as long as the largest weight) carry
     # their sums into the next; every field holds its cell, none carries
     # into the next field, and both readers, the in-place view and
-    # from_bytes, see the same cells, also along a residue class as the
-    # totals read them
+    # from_bytes, see the same cells, also along a residue class ending
+    # before the last cell; the totals' byte-plane sums along every
+    # residue class of w match the cells (0 at a negative target)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wps.lattice, "_BLOCK", block)
         table = wps.lattice._count_table(tuple(weights), size)
@@ -306,7 +307,10 @@ def test_packed_counting_table_matches_the_oracle(weights, size, block, width):
     cells = wps.lattice._cells(table, slice(None))
     assert cells == [solution_count(weights, t) for t in range(size)]
     assert max(cells) < 2 ** (8 * table[1])
-    windows = slice(size - 1, None, -3), slice((size - 1) % 7, None, 7)
+    t, w = max(size - 2, 0), max(weights, default=1)
+    assert wps.lattice._sums_at(table, range(-1, size), w) == [0] + [
+        sum(cells[u % w:u + 1:w]) for u in range(size)]
+    windows = slice(size - 1, None, -3), slice(t % w, t + 1, w)
     for formats in (wps.lattice._FORMATS, {}):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wps.lattice, "_FORMATS", formats)
