@@ -34,10 +34,6 @@ from .polytope import LatticeSimplex, PolytopeRejection, polytope_of, recognize_
 from .weights import WeightsVector, _isomorphism, reduction_data
 
 
-class InputError(ValueError):
-    """Malformed user input (exit code 2)."""
-
-
 def _read_int(x) -> int:
     """A JSON integer, or text that is an optional sign and ASCII digits
     once surrounding whitespace is stripped: ``int``'s syntax less its
@@ -66,7 +62,7 @@ def _parse_weights(text: str) -> WeightsVector:
             raise ValueError("empty weights list")
         return WeightsVector(tuple(map(_read_int, text.split(","))))
     except ValueError as exc:
-        raise InputError(f"bad weights {text!r}: {exc}") from exc
+        raise ValueError(f"bad weights {text!r}: {exc}") from exc
 
 
 def _matrix_of(obj) -> IntMatrix:
@@ -109,11 +105,11 @@ def _load(path: str, what: str, reader):
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
     try:
         return reader(obj)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"bad {what} payload in {path}: {exc}") from exc
+        raise ValueError(f"bad {what} payload in {path}: {exc}") from exc
 
 
 def _dump(obj) -> str:
@@ -138,14 +134,14 @@ _MAX_TWISTS = 10_000
 
 def _parse_m_range(text: str) -> tuple[int, int]:
     if ".." not in text:
-        raise InputError(f"bad range {text!r}: expected LO..HI")
+        raise ValueError(f"bad range {text!r}: expected LO..HI")
     lo, _, hi = text.partition("..")
     try:
         lo, hi = _read_int(lo), _read_int(hi)
     except ValueError as exc:
-        raise InputError(f"bad range {text!r}: {exc}") from exc
+        raise ValueError(f"bad range {text!r}: {exc}") from exc
     if hi - lo + 1 > _MAX_TWISTS:
-        raise InputError(f"bad range {text!r}: {hi - lo + 1} twists, at most {_MAX_TWISTS}")
+        raise ValueError(f"bad range {text!r}: {hi - lo + 1} twists, at most {_MAX_TWISTS}")
     return lo, hi
 
 
@@ -203,7 +199,7 @@ def _cmd_recognize_fan(args):
     try:
         fan = recognize_fan(m)
     except DimensionError as exc:       # a rejection is not a payload fault
-        raise InputError(f"bad matrix payload in {args.matrix}: {exc}") from exc
+        raise ValueError(f"bad matrix payload in {args.matrix}: {exc}") from exc
     return _fan_answer(fan)
 
 
@@ -236,9 +232,9 @@ def _cmd_recognize_polytope(args):
 def _cmd_lattice_points(args):
     q = _parse_weights(args.weights)
     if args.m < 0:
-        raise InputError("dilation factor must be nonnegative")
+        raise ValueError("dilation factor must be nonnegative")
     if args.interior and args.m < 1:
-        raise InputError("interior counts need m >= 1")
+        raise ValueError("interior counts need m >= 1")
     hist = sorted(face_histogram(q, args.m).items()) if args.histogram else None
     # a histogram holds the count: its sum, or its top face for the interior
     if args.interior:
@@ -264,7 +260,7 @@ def _cmd_cohom(args):
     q = _parse_weights(args.weights)
     if args.table:
         if args.m_range is None:
-            raise InputError("--table needs --m-range LO..HI")
+            raise ValueError("--table needs --m-range LO..HI")
         table = hodge_table(q, _parse_m_range(args.m_range))
 
         def human():
@@ -276,7 +272,7 @@ def _cmd_cohom(args):
 
         return lambda: _table_payload(table), human
     if args.p is None or args.q is None or args.m is None:
-        raise InputError("cohom needs -p, -q and -m (or --table with --m-range)")
+        raise ValueError("cohom needs -p, -q and -m (or --table with --m-range)")
     h = hodge(q, args.p, args.q, args.m)
     return (lambda: {"weights": _ints(q), "p": args.p, "q": args.q,
                      "m": str(args.m), "h": str(h)},
@@ -344,69 +340,54 @@ def build_parser() -> argparse.ArgumentParser:
                     "polytopes, divisor classes and cohomology dimensions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    # the parent of every subcommand that reads a weights vector
+    weighted = argparse.ArgumentParser(add_help=False, parents=[common])
+    weighted.add_argument("--weights", required=True,
+                          help="comma-separated positive integers, e.g. 2,3,4,15,25")
+
+    def add(name, parent, help_text, handler):
+        p = sub.add_parser(name, parents=[parent], help=help_text)
+        p.set_defaults(handler=handler)
         return p
 
-    def wflag(p):
-        p.add_argument("--weights", required=True,
-                       help="comma-separated positive integers, e.g. 2,3,4,15,25")
+    add("reduce", weighted, "reduction data of a weights vector", _cmd_reduce)
 
-    p = add("reduce", "reduction data of a weights vector")
-    wflag(p)
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = add("fan", "produce a fan matrix from weights")
-    wflag(p)
+    p = add("fan", weighted, "produce a fan matrix from weights", _cmd_fan)
     p.add_argument("--canonical", action="store_true",
                    help="accepted for older scripts; the canonical fan is the default")
-    p.set_defaults(handler=_cmd_fan)
 
-    p = add("recognize-fan", "recognize a fan matrix from a JSON file")
+    p = add("recognize-fan", common, "recognize a fan matrix from a JSON file", _cmd_recognize_fan)
     p.add_argument("--matrix", required=True,
                    help="JSON file: rows array or {\"columns\": ...} object")
-    p.set_defaults(handler=_cmd_recognize_fan)
 
-    p = add("polytope", "polytope of a polarized space")
-    wflag(p)
+    p = add("polytope", weighted, "polytope of a polarized space", _cmd_polytope)
     p.add_argument("-m", type=_read_int, default=1, help="polarization multiple (default 1)")
-    p.set_defaults(handler=_cmd_polytope)
 
-    p = add("recognize-polytope", "recognize a lattice simplex from a JSON vertices file")
+    p = add("recognize-polytope", common,
+            "recognize a lattice simplex from a JSON vertices file", _cmd_recognize_polytope)
     p.add_argument("--vertices", required=True,
                    help="JSON file: {\"vertices\": [[...], ...]}")
-    p.set_defaults(handler=_cmd_recognize_polytope)
 
-    p = add("lattice-points", "lattice point counts of polytope dilates")
-    wflag(p)
+    p = add("lattice-points", weighted, "lattice point counts of polytope dilates",
+            _cmd_lattice_points)
     p.add_argument("-m", type=_read_int, required=True, help="dilation factor")
     p.add_argument("--interior", action="store_true", help="count interior points only")
     p.add_argument("--histogram", action="store_true",
                    help="also report counts per smallest-face dimension")
-    p.set_defaults(handler=_cmd_lattice_points)
 
-    p = add("cohom", "twisted p-form cohomology dimensions")
-    wflag(p)
+    p = add("cohom", weighted, "twisted p-form cohomology dimensions", _cmd_cohom)
     p.add_argument("-p", type=_read_int, default=None, help="form degree")
     p.add_argument("-q", type=_read_int, default=None, help="cohomology degree")
     p.add_argument("-m", type=_read_int, default=None, help="twist")
     p.add_argument("--table", action="store_true", help="emit the full table")
     p.add_argument("--m-range", default=None,
                    help=f"twist range LO..HI for --table, at most {_MAX_TWISTS} twists")
-    p.set_defaults(handler=_cmd_cohom)
 
-    p = add("divisors", "divisor class data")
-    wflag(p)
-    p.set_defaults(handler=_cmd_divisors)
+    add("divisors", weighted, "divisor class data", _cmd_divisors)
+    add("gorenstein", weighted, "Gorenstein / Fano test", _cmd_gorenstein)
 
-    p = add("gorenstein", "Gorenstein / Fano test")
-    wflag(p)
-    p.set_defaults(handler=_cmd_gorenstein)
-
-    p = add("iso", "isomorphism test for two weight vectors")
-    wflag(p)
+    p = add("iso", weighted, "isomorphism test for two weight vectors", _cmd_iso)
     p.add_argument("--other", required=True, help="second weights vector")
-    p.set_defaults(handler=_cmd_iso)
 
     return parser
 

@@ -181,7 +181,7 @@ def _total_samples(weights: tuple[int, ...], delta: int, k: int) -> list[int]:
     _check_cells(size, delta)
     table, shift = _count_table(rest, size), sum(weights)
     inner = range(delta - shift, size - shift, delta)
-    interior = _sums_at(table, inner, last) if inner else []
+    interior = _sums_at(table, inner, last)
     sign = (-1) ** len(rest)
     return [sign * c for c in reversed(interior)] + _sums_at(table, range(0, size, delta), last)
 

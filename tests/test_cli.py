@@ -78,6 +78,96 @@ def test_polytope_json_is_pinned(capsys):
     assert out == POLYTOPE_2_3_4_15_25
 
 
+# answers pinned byte for byte as `wps --json` prints them, with the
+# canonical fan and the worked polytope first, then the lattice counts
+PINNED_ANSWERS = [
+    pytest.param(
+        ("fan", "--weights", "2,3,4,15,25", "--canonical"),
+        '{"columns": [["-14", "-2", "-20", "-25"], ["1", "0", "0", "0"], ["0", "1", "0", "0"], '
+        '["0", "0", "1", "0"], ["1", "0", "1", "2"]], "n": 4, "weights": ["2", "3", "4", "15", "25"]}',
+        id="fan-2,3,4,15,25"),
+    # every pivot 2 and every entry above the diagonal a nonzero residue
+    pytest.param(
+        ("fan", "--canonical", "--weights", "8,3,6,4"),
+        '{"columns": [["-2", "-2", "-1"], ["2", "0", "0"], ["1", "2", "0"], ["1", "1", "2"]], '
+        '"n": 3, "weights": ["8", "3", "6", "4"]}',
+        id="fan-8,3,6,4"),
+    pytest.param(
+        ("polytope", "--weights", "2,3,4,15,25", "-m", "2"),
+        '{"vertices": [["0", "0", "0", "0"], ["200", "0", "0", "-100"], ["0", "150", "0", "0"], '
+        '["0", "0", "40", "-20"], ["0", "0", "0", "12"]]}',
+        id="polytope-2,3,4,15,25-m2"),
+    # the face histogram and its total
+    pytest.param(
+        ("lattice-points", "--weights", "2,3,4,15,25", "-m", "3", "--histogram"),
+        '{"count": "3380287", "histogram": {"0": "5", "1": "596", "2": "33346", "3": "627910", '
+        '"4": "2718430"}, "m": "3", "weights": ["2", "3", "4", "15", "25"]}',
+        id="histogram-2,3,4,15,25-m3"),
+    # the totals, read off L(-k..k) of one table: even n, then odd n
+    pytest.param(
+        ("lattice-points", "--weights", "24,33,728,5005", "-m", "2"),
+        '{"count": "830238", "m": "2", "weights": ["24", "33", "728", "5005"]}',
+        id="count-24,33,728,5005-m2"),
+    pytest.param(
+        ("lattice-points", "--weights", "24,33,728,5005", "-m", "2", "--interior"),
+        '{"interior": "772336", "m": "2", "weights": ["24", "33", "728", "5005"]}',
+        id="interior-24,33,728,5005-m2"),
+    pytest.param(
+        ("lattice-points", "--weights", "7,11,13,17,19", "-m", "9"),
+        '{"count": "9240353679987116863", "m": "9", "weights": ["7", "11", "13", "17", "19"]}',
+        id="count-7,11,13,17,19-m9"),
+    pytest.param(
+        ("lattice-points", "--weights", "7,11,13,17,19", "-m", "9", "--interior"),
+        '{"interior": "9239502690332789701", "m": "9", "weights": ["7", "11", "13", "17", "19"]}',
+        id="interior-7,11,13,17,19-m9"),
+    # the face counts, read off H_s(-k..k) of one table: even n, odd n, odd n
+    pytest.param(
+        ("lattice-points", "--weights", "24,33,728,5005", "-m", "2", "--histogram"),
+        '{"count": "830238", "histogram": {"0": "4", "1": "1048", "2": "56850", "3": "772336"}, '
+        '"m": "2", "weights": ["24", "33", "728", "5005"]}',
+        id="histogram-24,33,728,5005-m2"),
+    pytest.param(
+        ("lattice-points", "--weights", "7,11,13,17,19", "-m", "9", "--histogram"),
+        '{"count": "9240353679987116863", "histogram": {"0": "5", "1": "199880", '
+        '"2": "22915217800", "3": "850966738909477", "4": "9239502690332789701"}, "m": "9", '
+        '"weights": ["7", "11", "13", "17", "19"]}',
+        id="histogram-7,11,13,17,19-m9"),
+    pytest.param(
+        ("lattice-points", "--weights", "2,3,5,6,50,100", "-m", "9", "--histogram"),
+        '{"count": "1543685179", "histogram": {"0": "6", "1": "2118", "2": "386093", '
+        '"3": "26780457", "4": "381676074", "5": "1134840431"}, "m": "9", '
+        '"weights": ["2", "3", "5", "6", "50", "100"]}',
+        id="histogram-2,3,5,6,50,100-m9"),
+    # the face numerator packed in 2-byte fields for ten ones,
+    # H_s(m) = C(10, s + 1) C(m - 1, s)
+    pytest.param(
+        ("lattice-points", "--weights", ",".join(["1"] * 10), "-m", "7", "--histogram"),
+        json.dumps({"count": "11440", "histogram": {"0": "10", "1": "270", "2": "1800",
+                                                    "3": "4200", "4": "3780", "5": "1260",
+                                                    "6": "120"},
+                    "m": "7", "weights": ["1"] * 10}),
+        id="histogram-ten-ones-m7"),
+    # a cut numerator: sum q' = 22 is past k delta' + 1 = 11; the values are the oracle's
+    pytest.param(
+        ("lattice-points", "--weights", "1,1,10,10", "-m", "5", "--histogram"),
+        '{"count": "371", "histogram": {"0": "4", "1": "69", "2": "204", "3": "94"}, "m": "5", '
+        '"weights": ["1", "1", "10", "10"]}',
+        id="histogram-1,1,10,10-m5"),
+    # counts past 8 bytes: 40 ones and a 2 at m = 25 pack the table in
+    # 12-byte fields; the count is sum_(y=0..25) C(89 - 2y, 39)
+    pytest.param(
+        ("lattice-points", "--weights", ",".join(["1"] * 40 + ["2"]), "-m", "25"),
+        json.dumps({"count": "38444538240310903521197806", "m": "25",
+                    "weights": ["1"] * 40 + ["2"]}),
+        id="count-forty-ones-and-a-two-m25"),
+]
+
+
+@pytest.mark.parametrize("argv,printed", PINNED_ANSWERS)
+def test_pinned_answers_byte_for_byte(capsys, argv, printed):
+    assert run(capsys, "--json", *argv) == (0, printed + "\n", "")
+
+
 def test_fan_output_round_trips_through_recognition(capsys, tmp_path):
     code, out, _ = run(capsys, "--json", "fan", "--weights", "3,5,7")
     assert code == 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import wps.linalg
 import wps.polytope
 import wps.weights
-from wps.cli import _simplex_of, _simplex_payload, main
+from wps.cli import _simplex_of, _simplex_payload, _unlimited_digits, main
 from wps.fan import FanMatrix, FanRejection, canonical_fan, permutation_matrix, recognize_fan
 from wps.linalg import IntMatrix, SingularMatrixError, _primitive_rows, _solve_upper
 from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection, is_p_admissible,
@@ -562,6 +562,18 @@ def test_substitution_matches_the_transverse_and_the_adjugate(raw):
 def test_substitution_at_4096_bits(n, seed):
     rng = random.Random(seed)
     assert_substitution_is_the_transverse(random_weights_of_bits(rng, n, 4096))
+
+
+def test_cli_polytope_at_4096_bits_is_the_transverse(capsys):
+    # five odd 4,096-bit weights through `wps --json polytope`: the vertices
+    # are the origin and the columns of the canonical fan's transverse
+    rng = random.Random(4096)
+    q = WeightsVector(tuple(rng.getrandbits(4096) | 1 for _ in range(5)))
+    assert main(["--json", "polytope", "--weights", ",".join(map(str, q.q))]) == 0
+    w = weighted_transverse(canonical_fan(q))
+    with _unlimited_digits():       # the entries pass the default int/str digit limit
+        expected = [["0"] * q.n] + [[str(x) for x in c] for c in zip(*w.entries)]
+    assert json.loads(capsys.readouterr().out)["vertices"] == expected
 
 
 def test_substitution_at_20000_digits():
