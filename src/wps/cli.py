@@ -31,7 +31,7 @@ from .fan import FanMatrix, FanRejection, canonical_fan, recognize_fan
 from .lattice import count_interior, count_points, face_histogram
 from .linalg import DimensionError, IntMatrix
 from .polytope import LatticeSimplex, PolytopeRejection, polytope_of, recognize_polytope
-from .weights import WeightsVector, _isomorphism, reduction_data
+from .weights import WeightsVector, is_reduced, isomorphic, reduce_weights, reduction_data
 
 
 def _read_int(x) -> int:
@@ -171,7 +171,7 @@ def _cmd_reduce(args):
             "delta": str(rd.delta),
             "delta_reduced": str(rd.delta_reduced),
             "reduced": _ints(rd.reduced),
-            "is_reduced": rd.reduced.q == q.q,
+            "is_reduced": is_reduced(q),
         }
 
     def human():
@@ -231,8 +231,6 @@ def _cmd_recognize_polytope(args):
 
 def _cmd_lattice_points(args):
     q = _parse_weights(args.weights)
-    if args.m < 0:
-        raise ValueError("dilation factor must be nonnegative")
     if args.interior and args.m < 1:
         raise ValueError("interior counts need m >= 1")
     hist = sorted(face_histogram(q, args.m).items()) if args.histogram else None
@@ -316,9 +314,9 @@ def _cmd_gorenstein(args):
 def _cmd_iso(args):
     q1 = _parse_weights(args.weights)
     q2 = _parse_weights(args.other)
-    same, reduced = _isomorphism(q1, q2)
+    same = isomorphic(q1, q2)
     return (lambda: {"weights": _ints(q1), "other": _ints(q2), "isomorphic": same,
-                     "reduced": _ints(reduced)},
+                     "reduced": _ints(sorted(reduce_weights(q1).q))},
             lambda: f"isomorphic  {_yes(same)}")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .linalg import DimensionError, IntMatrix, is_hnf, max_minors
+from .linalg import DimensionError, IntMatrix, _fmt_int, is_hnf, max_minors
 from .weights import WeightsVector, isomorphic
 
 
@@ -59,13 +59,6 @@ class FanMatrix:
         return self.v.column(j)
 
 
-def _fmt_int(x: int) -> str:
-    """Decimal up to about 60 digits, else ``<N-bit integer>``: no decimal
-    conversion of a huge value, so messages stay short and under the
-    interpreter's int/str digit limit."""
-    return str(x) if x.bit_length() <= 200 else f"<{x.bit_length()}-bit integer>"
-
-
 def recognize_fan(v: IntMatrix) -> FanMatrix:
     """Decide whether ``v`` is a fan matrix and recover its weights.
 
@@ -86,8 +79,7 @@ def _fan_of(v: IntMatrix, minors: tuple[int, ...]) -> FanMatrix:
     q = tuple(abs(mj) for mj in minors)
     if gcd(*q) != 1:
         raise FanRejection("non-coprime-minors",
-                           f"maximal minors ({', '.join(map(_fmt_int, q))}) "
-                           f"have gcd {_fmt_int(gcd(*q))}")
+                           f"maximal minors {_fmt_int(q)} have gcd {_fmt_int(gcd(*q))}")
     n = v.rows
     for i in range(n):
         s = sum(qj * v.entries[i][j] for j, qj in enumerate(q))

@@ -79,6 +79,7 @@ import sys
 from math import comb, factorial, prod
 from operator import mul, sub
 
+from .linalg import _fmt_int
 from .weights import WeightsVector, reduction_data
 
 # most cells that one counting table may hold: the table grows with
@@ -100,8 +101,8 @@ def _reduced(q: WeightsVector) -> tuple[tuple[int, ...], int]:
 def _check_cells(cells: int, delta: int) -> None:
     """Refuse a table of more than ``_MAX_CELLS`` cells, before allocating it."""
     if cells > _MAX_CELLS:
-        raise ValueError(f"counting table of {cells} cells for delta' = {delta} "
-                         f"exceeds the limit of {_MAX_CELLS}")
+        raise ValueError(f"counting table of {_fmt_int(cells)} cells for delta' = "
+                         f"{_fmt_int(delta)} exceeds the limit of {_MAX_CELLS}")
 
 
 def _width(bound: int) -> int:
@@ -242,7 +243,7 @@ def _face_samples(weights: tuple[int, ...], delta: int,
     rows, width = _numerator(weights, terms)
     if sum(rows) != 1:
         raise AssertionError(f"face numerator fails the y = 1 check: its {len(rows)} rows "
-                             f"of {terms} terms do not sum to 1 for weights {weights}")
+                             f"of {terms} terms do not sum to 1 for weights {_fmt_int(weights)}")
     h = 1 << 8 * width - 1
     bias = int.from_bytes(h.to_bytes(width, "little") * terms, "little")
     num = [_cells(((row + bias).to_bytes(terms * width, "little"), width), slice(None))
@@ -259,10 +260,11 @@ def _face_samples(weights: tuple[int, ...], delta: int,
 
 
 def _ehrhart(samples: list[int], x: int, weights: tuple[int, ...], delta: int,
-             dim: int, start: int = 0, total: bool = False) -> int:
+             dim: int, total: bool = False) -> int:
     """Value at ``x`` of the polynomial of degree at most ``dim`` that
-    takes ``samples[i]`` at ``start + i``: the total ``L`` with ``total``,
-    else the count of face dimension ``dim`` (``n`` for the interior).
+    takes ``samples[i]`` at ``start + i``, ``start = -k`` for the ``2k + 1``
+    samples on ``-k..k``: the total ``L`` with ``total``, else the count
+    of face dimension ``dim`` (``n`` for the interior).
 
     Newton's forward-difference form, with ``C(x - start, i)`` stepped by
     the exact recurrence ``C(y, i + 1) = C(y, i) * (y - i) / (i + 1)``; at
@@ -276,6 +278,7 @@ def _ehrhart(samples: list[int], x: int, weights: tuple[int, ...], delta: int,
     with ``f = 1`` for ``L``, ``-1`` for the interior ``(-1)^n L(-x)``,
     ``2`` for the facets' own count and ``0`` below.
     """
+    start = -(len(samples) // 2)
     value, binom, lead, row = 0, 1, [], samples
     for i in range(len(samples)):
         lead.append(row[0])
@@ -290,16 +293,17 @@ def _ehrhart(samples: list[int], x: int, weights: tuple[int, ...], delta: int,
     if len(lead) == n + 1:
         if dim == n and lead[n] * pq != top:
             raise AssertionError(f"lattice counts fail the volume check: n-th difference "
-                                 f"{lead[n]} for weights {weights}")
+                                 f"{_fmt_int(lead[n])} for weights {_fmt_int(weights)}")
         if any(lead[dim + 1:]):
             raise AssertionError(f"face dimension {dim} count has nonzero differences "
-                                 f"{lead[dim + 1:]} above its degree for weights {weights}")
+                                 f"{_fmt_int(lead[dim + 1:])} above its degree for weights "
+                                 f"{_fmt_int(weights)}")
         # 2 prod q' D^(n-1) f(start) = 2 (n-1)! c_(n-1) prod q' + (2 start + n - 1) n! c_n prod q'
         facets = 1 if total else -1 if dim == n else 2 if dim == n - 1 else 0
         if n and (2 * pq * lead[n - 1] != facets * delta ** (n - 1) * sum(weights)
                   + (2 * start + n - 1) * top):
             raise AssertionError(f"lattice counts fail the facet check: (n-1)-th difference "
-                                 f"{lead[n - 1]} for weights {weights}")
+                                 f"{_fmt_int(lead[n - 1])} for weights {_fmt_int(weights)}")
     return value
 
 
@@ -309,7 +313,7 @@ def _total(q: WeightsVector, x: int) -> int:
     weights, delta = _reduced(q)
     n = len(weights) - 1
     k = min(abs(x), n // 2)
-    return _ehrhart(_total_samples(weights, delta, k), x, weights, delta, n, -k, total=True)
+    return _ehrhart(_total_samples(weights, delta, k), x, weights, delta, n, total=True)
 
 
 def count_points(q: WeightsVector, m: int) -> int:
@@ -368,12 +372,13 @@ def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
             sign, binoms = (-1) ** s, [comb(n - t, s - t) for t in range(s + 1)]
             negative = [sign * sum(map(mul, binoms, counts)) for counts in dilates]
             full = negative[::-1] + [sign * comb(n + 1, s + 1)] + row
-            values.append(_ehrhart(full, m, weights, delta, s, -k))
+            values.append(_ehrhart(full, m, weights, delta, s))
     # for m <= k the samples are the answer, and for odd n the checks above
     # see only the part of H_n that the lower faces fix: the counts at each
     # sampled dilate must sum to the table's total there
     sums = list(map(sum, dilates))
     if sums != totals:
-        raise AssertionError(f"face counts fail the sum check: {sums} at dilates 1..{k} "
-                             f"against the totals {totals} for weights {weights}")
+        raise AssertionError(f"face counts fail the sum check: {_fmt_int(sums)} at dilates "
+                             f"1..{k} against the totals {_fmt_int(totals)} for weights "
+                             f"{_fmt_int(weights)}")
     return {s: value for s, value in enumerate(values) if value}

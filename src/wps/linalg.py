@@ -34,6 +34,17 @@ class DimensionError(ValueError):
     """Raised on shape mismatches."""
 
 
+def _fmt_int(x) -> str:
+    """``str(x)`` of an int or a tuple or list of ints, but an int of more
+    than 200 bits (about 60 digits) reads ``<N-bit integer>`` after its
+    sign: no decimal conversion of a huge value, so messages stay short
+    and under the interpreter's int/str digit limit."""
+    if isinstance(x, int):
+        return str(x) if x.bit_length() <= 200 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+    text = ", ".join(map(_fmt_int, x))
+    return f"[{text}]" if isinstance(x, list) else f"({text}{',' * (len(x) == 1)})"
+
+
 def _as_int(x) -> int:
     if type(x) is int:
         return x
@@ -41,7 +52,8 @@ def _as_int(x) -> int:
         return int(x)
     if isinstance(x, Fraction):
         if x.denominator != 1:
-            raise ValueError(f"entry {x} is not an integer")
+            raise ValueError(f"entry {_fmt_int(x.numerator)}/{_fmt_int(x.denominator)} "
+                             "is not an integer")
         return x.numerator
     raise TypeError(f"cannot use {type(x).__name__} as an exact integer")
 

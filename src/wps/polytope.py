@@ -11,8 +11,10 @@ division per entry where the elimination takes a gcd per row update.
 The inverse direction divides out the entry gcd and reads the weights
 and the fan's minors off one elimination, the primitive facet normals
 with their determinant, which is also the recognition procedure for
-arbitrary origin-anchored simplices.  Every lcm of weights read here is
-the one the weights vector keeps, computed at most once per vector.
+arbitrary origin-anchored simplices; a square matrix is admissible
+exactly when that recognition accepts the simplex of the origin and its
+columns.  Every lcm of weights read here is the one the weights vector
+keeps, computed at most once per vector.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul
 
-from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int, _primitive_rows,
-                     _solve_upper)
+from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int, _fmt_int,
+                     _primitive_rows, _solve_upper)
 from .fan import FanMatrix, _fan_of, canonical_fan
 from .weights import WeightsVector, is_reduced
 
@@ -82,7 +84,7 @@ class PolarizedWps:
         if self.polarization < 1:
             raise ValueError("polarization must be positive")
         if not is_reduced(self.weights):
-            raise ValueError(f"weights {self.weights.q} are not reduced")
+            raise ValueError(f"weights {_fmt_int(self.weights.q)} are not reduced")
 
 
 def weighted_transverse(v: FanMatrix) -> IntMatrix:
@@ -124,12 +126,10 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
     pivot ``d_k``, then one exact division per entry, which checks
     ``(u_k @ B)_j`` entry by entry.
     """
-    if q.n < 1:
-        raise DimensionError("need at least two weights")
+    block = [row[1:] for row in canonical_fan(q).v.entries]    # refuses fewer than two weights
     if m < 1:
         raise ValueError("polarization must be positive")
     n, delta = q.n, q.delta
-    block = [row[1:] for row in canonical_fan(q).v.entries]
     rhs = [[0] * k + [delta // qk] + [0] * (n - 1 - k) for k, qk in enumerate(q.q[1:])]
     cols = _solve_upper(block, rhs)
     # the diagonal first, from the last column: u_k[k] = delta / (q_k d_k)
@@ -142,44 +142,6 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
     return LatticeSimplex(vertices=verts)
 
 
-def _normal_weights(what: list[list[int]], lam: tuple[int, ...],
-                    det: int) -> tuple[tuple, list, tuple, int]:
-    """Weights ``q`` of the normals ``what_k @ w = lam_k * e_k``, their sum
-    ``s = sum_k q_k * what_k``, the minors of the fan ``[-s/q_0 | what^T]``
-    and ``lcm(lam)``.
-
-    ``q_k = lcm(lam) / lam_k`` for ``k >= 1`` and ``q_0 = |det|``, with
-    ``det = det what`` from :func:`_primitive_rows`; it divides ``prod(lam)
-    = det what * det w``.  The fan's minor ``0`` is ``det`` and, its first
-    column being ``-s / q_0``, minor ``k`` is ``sign(det) * (-1)^k * q_k``
-    by multilinearity.
-    """
-    big_l = lcm(*lam)
-    q0 = abs(det)
-    if prod(lam) % q0:
-        raise AssertionError("|det what| does not divide the product of the normal multiples")
-    q = (q0,) + tuple(big_l // x for x in lam)
-    s = [sum(map(mul, q[1:], col)) for col in zip(*what)]
-    sign = 1 if det > 0 else -1
-    return q, s, tuple(sign * (-1) ** k * qk for k, qk in enumerate(q)), big_l
-
-
-def is_p_admissible(w: IntMatrix) -> bool:
-    """Test whether a primitive square matrix is a polytope matrix.
-
-    It is one exactly when ``s = sum_k q_k * what_k == 0 (mod q_0)`` in
-    every component (:func:`_normal_weights`): the adjugate column sums
-    over ``|det w| / lcm(lam)``.
-    """
-    if not w.is_square:
-        raise DimensionError("admissibility needs a square matrix")
-    what, lam, det = _primitive_rows(w.entries)   # raises SingularMatrixError when det w == 0
-    if w.entry_gcd() != 1:
-        raise ValueError("entries are not primitive: divide by their gcd first")
-    q, s, _, _ = _normal_weights(what, lam, det)
-    return all(si % q[0] == 0 for si in s)
-
-
 def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     """Recognize an origin-anchored simplex as a polarized space.
 
@@ -188,10 +150,11 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     facet normals (:func:`_primitive_rows`), the rows of the paper's
     W-hat, which are the rays (columns 1..n) of the returned fan.  The
     weights, the fan's minors and every consistency check are read off
-    the normals, their multiples ``lam`` and determinant, through
-    :func:`_normal_weights`: one elimination in all.
+    the normals ``what_k @ w' = lam_k * e_k`` and ``det what``, one
+    elimination in all: ``q_0 = |det what|``, ``q_k = lcm(lam) / lam_k``,
+    and by multilinearity the fan's minor ``k`` is ``sign(det) (-1)^k q_k``.
     Fails with ``degenerate`` when the edge matrix is zero or singular,
-    and with ``not-wps`` when the derived first fan column is not integral.
+    and with ``not-wps`` when the first fan column is not integral.
     """
     w = s.edge_matrix()
     m = w.entry_gcd()
@@ -202,12 +165,17 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     except SingularMatrixError:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
 
-    q, wsum, minors, lam_lcm = _normal_weights(what, lam, det)
+    lam_lcm, q0 = lcm(*lam), abs(det)
+    if prod(lam) % q0:
+        raise AssertionError("|det what| does not divide the product of the normal multiples")
+    q = (q0,) + tuple(lam_lcm // x for x in lam)
+    sign = 1 if det > 0 else -1
+    minors = tuple(sign * (-1) ** k * qk for k, qk in enumerate(q))
     # the fan has the rows of ``what`` as columns 1..n; its first column
-    # ``v0 = -wsum / q_0`` is fixed by the weighted column sum being zero
+    # ``v0 = -sum_k q_k * what_k / q_0`` is fixed by the weighted column sum being zero
     v0 = []
-    for si in wsum:
-        quo, rem = divmod(-si, q[0])
+    for si in (sum(map(mul, q[1:], col)) for col in zip(*what)):
+        quo, rem = divmod(-si, q0)
         if rem:
             raise PolytopeRejection("not-wps", "not a wps polytope: "
                                     "reconstructed fan column is not integral")
@@ -229,6 +197,23 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     if any(x * qk != delta for x, qk in zip(lam, q[1:])):
         raise AssertionError("recognized fan does not map back to the polytope")
     return PolarizedWps(weights=fan.weights, polarization=m), fan
+
+
+def is_p_admissible(w: IntMatrix) -> bool:
+    """Test whether a primitive square matrix is a polytope matrix: the
+    verdict of :func:`recognize_polytope` on the simplex ``(0, columns of
+    w)``, whose ``degenerate`` rejection, a singular ``w``, raises
+    :class:`SingularMatrixError`.  An imprimitive ``w`` is refused after it."""
+    try:
+        recognize_polytope(LatticeSimplex(vertices=((0,) * w.rows, *zip(*w.entries))))
+        admissible = True
+    except PolytopeRejection as exc:
+        if exc.code == "degenerate":
+            raise SingularMatrixError(str(exc)) from None
+        admissible = False
+    if w.entry_gcd() != 1:
+        raise ValueError("entries are not primitive: divide by their gcd first")
+    return admissible
 
 
 def permute_polytope(w: IntMatrix, sigma: tuple[int, ...]) -> IntMatrix:

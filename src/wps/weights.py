@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .linalg import DimensionError, _as_int
+from .linalg import DimensionError, _as_int, _fmt_int
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class WeightsVector:
             raise ValueError("weights vector must be nonempty")
         qs = tuple(_as_int(x) for x in self.q)
         if any(x < 1 for x in qs):
-            raise ValueError(f"weights must be positive, got {qs}")
+            raise ValueError(f"weights must be positive, got {_fmt_int(qs)}")
         g = gcd(*qs)
         if g > 1:
             qs = tuple(x // g for x in qs)
@@ -179,19 +179,12 @@ def is_reduced(q: WeightsVector) -> bool:
     return reduction_data(q).a == 1
 
 
-def _isomorphism(q1: WeightsVector, q2: WeightsVector) -> tuple[bool, tuple[int, ...]]:
-    """:func:`isomorphic` of the two vectors, and the sorted reduced
-    weights of ``q1`` that decide it; each vector is reduced once."""
-    if q1.n != q2.n:
-        raise DimensionError(f"dimension mismatch: {q1.n} vs {q2.n}")
-    key = tuple(sorted(reduce_weights(q1).q))
-    return key == tuple(sorted(reduce_weights(q2).q)), key
-
-
 def isomorphic(q1: WeightsVector, q2: WeightsVector) -> bool:
     """Whether the two weights vectors present isomorphic spaces.
 
     Equivalent to equality of the sorted reduced weights; spaces of
     different dimension are a caller error.
     """
-    return _isomorphism(q1, q2)[0]
+    if q1.n != q2.n:
+        raise DimensionError(f"dimension mismatch: {q1.n} vs {q2.n}")
+    return sorted(reduce_weights(q1).q) == sorted(reduce_weights(q2).q)

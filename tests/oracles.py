@@ -551,7 +551,7 @@ def _facet_data(w: IntMatrix, m: int):
     # a . u >= b form
     ineqs = [(tuple(r), 0) for r in rows]
     ineqs.append((tuple(-x for x in cap), -m * big_d))
-    return ineqs, rows, cap, big_d
+    return ineqs
 
 
 def _fm_levels(ineqs, n):
@@ -573,11 +573,13 @@ def _fm_levels(ineqs, n):
     return levels
 
 
-def _bounds(level, t, prefix):
+def _bounds(level, t, rests):
+    """Bounds on coordinate ``t`` from the inequalities ``a . u >= b`` of
+    one level, given each one's rest ``b - a . prefix`` over the
+    coordinates before ``t``."""
     lo, hi = None, None
     feasible = True
-    for a, b in level:
-        rest = b - sum(a[i] * prefix[i] for i in range(t))
+    for (a, _), rest in zip(level, rests):
         at = a[t]
         if at > 0:
             cand = -((-rest) // at)
@@ -594,58 +596,55 @@ def simplex_census(w: IntMatrix, m: int):
     """Count lattice points of ``m * conv(0, columns of w)`` per face dim.
 
     Returns ``(total, interior, histogram)`` with ``histogram`` keyed by
-    the dimension of the smallest containing face.
+    the dimension of the smallest containing face.  The rest
+    ``b - a . prefix`` of every inequality of every deeper level is
+    carried down the recursion, one multiply-subtract per coordinate
+    fixed, instead of summed again at each node.
     """
     n = w.rows
     if m == 0:
         return 1, 0, {0: 1}
-    ineqs, rows, cap, big_d = _facet_data(w, m)
-    levels = _fm_levels(ineqs, n)
+    levels = _fm_levels(_facet_data(w, m), n)
     hist = [0] * (n + 1)
-    target = m * big_d
-    # innermost-axis view of every facet functional: f = base + coeff * u
-    funcs = [(r, r[n - 1]) for r in rows]
+    # coefficient of coordinate t in each inequality of level l
+    coeffs = [[[a[t] for a, _ in level] for t in range(n)] for level in levels]
+    # the innermost level is the facets ``r . u >= 0``, then the cap
+    # ``-cap . u >= -m |det W|``: along the innermost axis each functional
+    # is ``f = -rest + c * u`` with ``c`` its last coefficient
+    slab = coeffs[n - 1][n - 1]
 
-    def classify_slab(prefix, lo, hi):
+    def classify_slab(rests, lo, hi):
         baseline = 0
         specials: dict[int, int] = {}
-        for r, c in funcs:
-            base = sum(r[i] * prefix[i] for i in range(n - 1))
+        for j, (rest, c) in enumerate(zip(rests, slab)):
+            base = -rest
             assert base + c * lo >= 0 and base + c * hi >= 0, \
-                "facet test violated inside bounds"
+                "facet test violated inside bounds" if j < n else "cap test violated inside bounds"
             if c == 0:
                 baseline += base == 0
             elif base % c == 0:
                 root = -base // c
                 if lo <= root <= hi:
                     specials[root] = specials.get(root, 0) + 1
-        base = target - sum(cap[i] * prefix[i] for i in range(n - 1))
-        c = -cap[n - 1]
-        assert base + c * lo >= 0 and base + c * hi >= 0, \
-            "cap test violated inside bounds"
-        if c == 0:
-            baseline += base == 0
-        elif base % c == 0:
-            root = -base // c
-            if lo <= root <= hi:
-                specials[root] = specials.get(root, 0) + 1
         assert baseline <= n
         hist[n - baseline] += hi - lo + 1 - len(specials)
         for extra in specials.values():
             assert baseline + extra <= n, "too many active facets"
             hist[n - baseline - extra] += 1
 
-    def recurse(t, prefix):
-        feasible, lo, hi = _bounds(levels[t], t, prefix)
+    def recurse(t, rests):
+        # rests[l - t]: the rests of level l's inequalities, for l >= t
+        feasible, lo, hi = _bounds(levels[t], t, rests[0])
         if not feasible or lo is None or hi is None or lo > hi:
             return
         if t < n - 1:
+            deeper = [(rs, coeffs[l][t]) for l, rs in enumerate(rests[1:], t + 1)]
             for val in range(lo, hi + 1):
-                recurse(t + 1, prefix + (val,))
+                recurse(t + 1, [[r - c * val for r, c in zip(rs, cs)] for rs, cs in deeper])
             return
-        classify_slab(prefix, lo, hi)
+        classify_slab(rests[0], lo, hi)
 
-    recurse(0, ())
+    recurse(0, [[b for _, b in level] for level in levels])
     total = sum(hist)
     return total, hist[n], {s: c for s, c in enumerate(hist) if c}
 

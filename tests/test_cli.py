@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
@@ -16,7 +17,7 @@ from wps.cohomology import divisor_info
 from wps.fan import FanRejection, canonical_fan, recognize_fan
 from wps.lattice import count_points
 from wps.linalg import IntMatrix
-from wps.polytope import polytope_of, recognize_polytope
+from wps.polytope import PolarizedWps, polytope_of, recognize_polytope
 from wps.weights import WeightsVector, reduce_weights
 
 
@@ -367,6 +368,22 @@ def test_cohom_table_rejects_a_huge_range_at_once(capsys):
         assert "at most 10000" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("lattice-points", "-m", "-1"), "dilation factor must be nonnegative"),
+    (("lattice-points", "-m", "-1", "--histogram"), "dilation factor must be nonnegative"),
+    (("lattice-points", "-m", "-1", "--interior"), "interior counts need m >= 1"),
+    (("lattice-points", "-m", "0", "--interior"), "interior counts need m >= 1"),
+    (("cohom", "--table", "--m-range", "0:2"), "bad range '0:2': expected LO..HI"),
+    (("cohom", "--table", "--m-range", "0..x"),
+     "bad range '0..x': invalid literal for int() with base 10: 'x'"),
+    (("cohom", "--table"), "--table needs --m-range LO..HI"),
+    (("cohom", "-p", "0", "-q", "0"), "cohom needs -p, -q and -m (or --table with --m-range)"),
+])
+def test_input_guards_exit_2(capsys, argv, message):
+    command, *flags = argv
+    assert run(capsys, command, "--weights", "1,1,2", *flags) == (2, "", f"error: {message}\n")
+
+
 def test_divisors_and_gorenstein(capsys):
     code, payload, _ = run_json(capsys, "divisors", "--weights", "1,1,2")
     assert code == 0
@@ -399,7 +416,7 @@ WELL_FORMED_TEXT = [" 1", "+1", "1\t"]
 
 
 @pytest.mark.parametrize("weights,reads_as", [
-    ("2,,3", None), ("2,3,", None), (",2,3", None), ("1_0,3", None),
+    ("", None), (" ", None), ("2,,3", None), ("2,3,", None), (",2,3", None), ("1_0,3", None),
     ("٢,٣", None), ("2,3.0", None), ("2, 3", "2,3"), ("+2, 3 ", "2,3")])
 def test_weights_fields_are_a_sign_and_ascii_digits(capsys, weights, reads_as):
     code, out, err = run(capsys, "--json", "reduce", "--weights", weights)
@@ -886,6 +903,46 @@ def test_huge_non_coprime_minors_give_a_short_rejection(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and len(err) < 2048
     assert err.startswith("rejected: maximal minors (<19934-bit integer>, ")
     assert len(out) < 2048 and json.loads(out)["code"] == "non-coprime-minors"
+
+
+def bits(x: int) -> str:
+    return f"<{x.bit_length()}-bit integer>"
+
+
+@has_digit_limit
+def test_library_messages_name_20000_digit_values_by_bit_length():
+    # under the default digit limit a decimal message would raise the
+    # interpreter's ValueError in place of the library's own text
+    d = 10 ** 19999
+    with digit_limit(sys.int_info.default_max_str_digits):
+        with pytest.raises(ValueError) as exc:
+            WeightsVector((1, -d))
+        assert str(exc.value) == f"weights must be positive, got (1, -{bits(d)})"
+        with pytest.raises(ValueError) as exc:
+            IntMatrix.from_rows([[Fraction(d + 1, 3)]])
+        assert str(exc.value) == f"entry {bits(d + 1)}/3 is not an integer"
+        with pytest.raises(ValueError) as exc:
+            PolarizedWps(weights=WeightsVector((1, 2 * d, 2 * d + 2)), polarization=1)
+        assert str(exc.value) == f"weights (1, {bits(2 * d)}, {bits(2 * d + 2)}) are not reduced"
+        # pairwise coprime, so delta' is their product, a 200,000-bit integer
+        q = (d, d + 1, 2 * d + 1)
+        with pytest.raises(ValueError) as exc:
+            count_points(WeightsVector(q), 1)
+        delta = d * (d + 1) * (2 * d + 1)
+        assert str(exc.value) == (f"counting table of {bits(delta + 1)} cells for delta' = "
+                                  f"{bits(delta)} exceeds the limit of {wps.lattice._MAX_CELLS}")
+
+
+@has_digit_limit
+def test_a_counting_table_of_20000_bit_weights_is_refused_in_one_short_line(capsys):
+    # the CLI lifts the digit limit, so a decimal message would print 36 KB
+    weights = unlimited(lambda: ",".join(map(str, (2 ** 20000 + 1, 2 ** 20001 + 1,
+                                                   2 ** 20003 + 3))))
+    code, out, err = run_at_default_limit(capsys, "lattice-points", "--weights", weights,
+                                          "-m", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert err.startswith("error: counting table of <60005-bit integer> cells for delta' = ")
 
 
 # ---------------------------------------------------------------------------

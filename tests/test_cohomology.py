@@ -10,6 +10,7 @@ from wps.cli import main
 from wps.cohomology import (divisor_info, h0_line_bundle, hodge, hodge_table,
                             rational_homology)
 from wps.lattice import count_points
+from wps.linalg import DimensionError
 from wps.weights import WeightsVector, reduce_weights, reduction_data
 
 from oracles import betti_by_cone_count, random_weights
@@ -194,6 +195,12 @@ def test_hodge_range_checks():
         hodge(WeightsVector((1, 1)), 2, 0, 0)
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         hodge(WeightsVector((1, 1)), 0, -1, 0)
+
+
+@pytest.mark.parametrize("f", [divisor_info, rational_homology])
+def test_divisor_data_need_two_weights(f):
+    with pytest.raises(DimensionError, match="need at least two weights"):
+        f(WeightsVector((1,)))
 
 
 def test_hodge_reduces_weights_internally():

@@ -66,6 +66,28 @@ def test_recognize_shape_check():
         recognize_fan(IntMatrix.from_rows([[1, 2], [3, 4]]))
 
 
+@pytest.mark.parametrize("rows,weights,epsilon,error", [
+    ([[1, -1]], (1, 1), 2, ValueError),             # epsilon is 0 or 1
+    ([[1, 2], [3, 4]], (1, 1), 0, DimensionError),  # not n x (n+1)
+    ([[1, -1]], (1, 1, 1), 0, DimensionError),      # one weight per column
+], ids=["epsilon", "shape", "weights"])
+def test_fan_matrix_invariants(rows, weights, epsilon, error):
+    with pytest.raises(error):
+        wps.fan.FanMatrix(v=IntMatrix.from_rows(rows), weights=WeightsVector(weights),
+                          epsilon=epsilon)
+
+
+def test_canonical_fan_needs_two_weights():
+    with pytest.raises(DimensionError, match="need at least two weights"):
+        canonical_fan(WeightsVector((7,)))
+
+
+@pytest.mark.parametrize("sigma", [(0, 0, 1), (1, 2), (0, 1, 3)])
+def test_permutation_matrix_rejects_a_non_permutation(sigma):
+    with pytest.raises(ValueError, match="not a permutation"):
+        permutation_matrix(sigma)
+
+
 # ---------------------------------------------------------------------------
 # construction
 

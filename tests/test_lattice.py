@@ -66,6 +66,8 @@ def test_counts_reject_bad_dilation():
         count_points(WeightsVector((1, 1)), -1)
     with pytest.raises(ValueError):
         count_interior(WeightsVector((1, 1)), 0)
+    with pytest.raises(ValueError, match="dilation factor must be nonnegative"):
+        face_histogram(WeightsVector((1, 1)), -1)
 
 
 def test_point_enumeration_agrees_with_counts():

@@ -137,6 +137,15 @@ def test_det_shape_check():
         mat([[1, 2]]).det()
 
 
+def test_shape_checks():
+    with pytest.raises(DimensionError, match="row count"):
+        IntMatrix(2, 2, ((1, 2),))
+    with pytest.raises(DimensionError, match="only column"):
+        mat([[1], [2]]).delete_column(0)
+    with pytest.raises(DimensionError, match=r"^1x2 @ 1x2$"):
+        mat([[1, 2]]) @ mat([[3, 4]])
+
+
 # ---------------------------------------------------------------------------
 # maximal minors
 

@@ -11,7 +11,7 @@ import wps.polytope
 import wps.weights
 from wps.cli import _simplex_of, _simplex_payload, _unlimited_digits, main
 from wps.fan import FanMatrix, FanRejection, canonical_fan, permutation_matrix, recognize_fan
-from wps.linalg import IntMatrix, SingularMatrixError, _primitive_rows, _solve_upper
+from wps.linalg import DimensionError, IntMatrix, SingularMatrixError, _primitive_rows, _solve_upper
 from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection, is_p_admissible,
                           permute_polytope, polytope_of, recognize_polytope,
                           weighted_transverse)
@@ -263,6 +263,16 @@ def test_admissibility_rejects_imprimitive():
 def test_admissibility_rejects_singular():
     with pytest.raises(SingularMatrixError):
         is_p_admissible(IntMatrix.from_rows([[1, 1], [1, 1]]))
+    # the zero matrix is singular before it is imprimitive
+    with pytest.raises(SingularMatrixError):
+        is_p_admissible(IntMatrix.from_rows([[0, 0], [0, 0]]))
+
+
+def test_admissibility_rejects_non_square():
+    with pytest.raises(DimensionError):
+        is_p_admissible(IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]]))
+    with pytest.raises(DimensionError):
+        is_p_admissible(IntMatrix(0, 1, ()))
 
 
 def test_admissibility_conditions_agree_on_random_matrices():
@@ -345,6 +355,28 @@ def test_permuted_polytope_stays_admissible():
 def test_simplex_validation():
     with pytest.raises(ValueError):
         LatticeSimplex(vertices=((0, 0), (1, 0)))          # too few vertices
+
+
+def test_polarized_wps_guards():
+    with pytest.raises(ValueError, match="polarization must be positive"):
+        PolarizedWps(weights=WeightsVector((1, 1, 1)), polarization=0)
+    with pytest.raises(ValueError, match=r"^weights \(1, 2, 2\) are not reduced$"):
+        PolarizedWps(weights=WeightsVector((1, 2, 2)), polarization=1)
+
+
+def test_polytope_of_guards():
+    with pytest.raises(ValueError, match="polarization must be positive"):
+        polytope_of(WeightsVector((1, 1, 2)), 0)
+    with pytest.raises(DimensionError, match="need at least two weights"):
+        polytope_of(WeightsVector((3,)))
+
+
+def test_permute_polytope_guards():
+    with pytest.raises(DimensionError, match="must be square"):
+        permute_polytope(IntMatrix.from_rows([[1, 0, 1], [0, 1, 1]]), (0, 1, 2))
+    for sigma in ((0, 0, 1), (0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation of 0..2"):
+            permute_polytope(diagonal((1, 1)), sigma)
 
 
 def test_simplex_rejects_non_integral_vertices():

@@ -31,8 +31,15 @@ def test_constructor_normalizes_common_factor():
 def test_constructor_rejects_nonpositive():
     with pytest.raises(ValueError):
         WeightsVector((0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weights must be positive, got \(-2, 3\)$"):
         WeightsVector((-2, 3))
+    with pytest.raises(ValueError, match=r"^weights must be positive, got \(0,\)$"):
+        WeightsVector((0,))
+
+
+def test_constructor_rejects_the_empty_vector():
+    with pytest.raises(ValueError, match="must be nonempty"):
+        WeightsVector(())
 
 
 def test_constructor_rejects_non_integral():
