@@ -65,21 +65,19 @@ def recognize_fan(v: IntMatrix) -> FanMatrix:
     Checks, in order: every maximal minor nonzero, minors coprime, and
     the columns weighted by ``|minor|`` summing to zero.  The first
     failed check raises a :class:`FanRejection` naming the culprit.
+    The gcd of the minors is the factor the weights vector divides out.
     """
     if v.rows < 1 or v.cols != v.rows + 1:
         raise DimensionError(f"fan matrix must be n x (n+1) with n >= 1, got {v.rows}x{v.cols}")
-    return _fan_of(v, max_minors(v))
-
-
-def _fan_of(v: IntMatrix, minors: tuple[int, ...]) -> FanMatrix:
-    """The checks of :func:`recognize_fan` on ``v`` and its maximal minors."""
+    minors = max_minors(v)
     for j, mj in enumerate(minors):
         if mj == 0:
             raise FanRejection("zero-minor", f"zero maximal minor at index {j}", index=j)
     q = tuple(abs(mj) for mj in minors)
-    if gcd(*q) != 1:
-        raise FanRejection("non-coprime-minors",
-                           f"maximal minors {_fmt_int(q)} have gcd {_fmt_int(gcd(*q))}")
+    weights = WeightsVector(q)
+    if weights.q != q:
+        raise FanRejection("non-coprime-minors", f"maximal minors {_fmt_int(q)} "
+                           f"have gcd {_fmt_int(q[0] // weights.q[0])}")
     n = v.rows
     for i in range(n):
         s = sum(qj * v.entries[i][j] for j, qj in enumerate(q))
@@ -90,7 +88,7 @@ def _fan_of(v: IntMatrix, minors: tuple[int, ...]) -> FanMatrix:
     for j, mj in enumerate(minors):
         if mj != (-1) ** (epsilon + j) * q[j]:
             raise AssertionError("minor signs do not alternate")
-    return FanMatrix(v=v, weights=WeightsVector(q), epsilon=epsilon)
+    return FanMatrix(v=v, weights=weights, epsilon=epsilon)
 
 
 def canonical_fan(q: WeightsVector) -> FanMatrix:

@@ -9,12 +9,14 @@ the canonical fan's block is upper triangular, so :func:`polytope_of`
 solves for its vertices by forward substitution instead, one exact
 division per entry where the elimination takes a gcd per row update.
 The inverse direction divides out the entry gcd and reads the weights
-and the fan's minors off one elimination, the primitive facet normals
-with their determinant, which is also the recognition procedure for
-arbitrary origin-anchored simplices; a square matrix is admissible
-exactly when that recognition accepts the simplex of the origin and its
-columns.  Every lcm of weights read here is the one the weights vector
-keeps, computed at most once per vector.
+and the fan off one elimination, the primitive facet normals with their
+determinant, and builds the fan once from them, deciding each identity
+in one step (:func:`recognize_polytope`); the fan's orientation, the
+sign of that determinant, is checked by the tests, not at run time.
+This is the recognition procedure for arbitrary origin-anchored
+simplices; a square matrix is admissible exactly when it accepts the
+simplex of the origin and its columns.  Every lcm of weights read here
+is the one the weights vector keeps, computed at most once per vector.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from operator import mul
 
 from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int, _fmt_int,
                      _primitive_rows, _solve_upper)
-from .fan import FanMatrix, _fan_of, canonical_fan
+from .fan import FanMatrix, canonical_fan
 from .weights import WeightsVector, is_reduced
 
 
@@ -149,12 +151,17 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     entry gcd ``m`` and inverts the transversion through the primitive
     facet normals (:func:`_primitive_rows`), the rows of the paper's
     W-hat, which are the rays (columns 1..n) of the returned fan.  The
-    weights, the fan's minors and every consistency check are read off
-    the normals ``what_k @ w' = lam_k * e_k`` and ``det what``, one
-    elimination in all: ``q_0 = |det what|``, ``q_k = lcm(lam) / lam_k``,
-    and by multilinearity the fan's minor ``k`` is ``sign(det) (-1)^k q_k``.
-    Fails with ``degenerate`` when the edge matrix is zero or singular,
-    and with ``not-wps`` when the first fan column is not integral.
+    weights are read off ``what_k @ w' = lam_k * e_k`` and ``det what``,
+    one elimination in all: ``q_0 = |det what|``, ``q_k = lcm(lam) / lam_k``.
+    Each identity is decided once: ``q_0`` divides ``prod(lam)``; the
+    fan's column 0 ``-sum_k q_k what_k / q_0`` is integral (the weighted
+    column sum), else the rejection is ``not-wps``; ``WeightsVector(q)``
+    keeps ``q``, so the minors ``sign(det) (-1)^k q_k`` are coprime; the
+    weights are reduced; and their lcm is ``lcm(lam)``, which with
+    ``lam_k q_k = lcm(lam)`` maps the fan back to ``w'``.  Any other
+    failure is an :class:`AssertionError`.  The orientation ``epsilon``,
+    the sign of ``det what``, is checked by the tests, not here.  A zero
+    or singular edge matrix is rejected as ``degenerate``.
     """
     w = s.edge_matrix()
     m = w.entry_gcd()
@@ -169,8 +176,6 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     if prod(lam) % q0:
         raise AssertionError("|det what| does not divide the product of the normal multiples")
     q = (q0,) + tuple(lam_lcm // x for x in lam)
-    sign = 1 if det > 0 else -1
-    minors = tuple(sign * (-1) ** k * qk for k, qk in enumerate(q))
     # the fan has the rows of ``what`` as columns 1..n; its first column
     # ``v0 = -sum_k q_k * what_k / q_0`` is fixed by the weighted column sum being zero
     v0 = []
@@ -180,23 +185,19 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
             raise PolytopeRejection("not-wps", "not a wps polytope: "
                                     "reconstructed fan column is not integral")
         v0.append(quo)
-    fan = _fan_of(IntMatrix(len(v0), len(v0) + 1,
-                            tuple((x, *col) for x, col in zip(v0, zip(*what)))), minors)
-    if fan.weights.q != q:
-        raise AssertionError("reconstructed fan disagrees with the derived weights")
-    if not is_reduced(fan.weights):
+    weights = WeightsVector(q)
+    if weights.q != q:
+        raise AssertionError("derived weights are not coprime")
+    if not is_reduced(weights):
         raise AssertionError("recognition must produce reduced weights")
-    # consistency: the lcm of the recognized weights against the normals
-    delta = fan.weights.delta
-    if delta != lam_lcm:
+    # ``weighted_transverse(fan) == w'`` is ``B^T @ w' @ diag(q_1..q_n) == delta * I``
+    # for the rays ``B = what^T``, where ``B^T @ w' = diag(lam)`` and ``lam_k q_k = lcm(lam)``
+    if weights.delta != lam_lcm:
         raise AssertionError("weights lcm mismatch during recognition")
-    # ``weighted_transverse(fan) == w'`` is decided by the equivalent
-    # identity ``B^T @ w' @ diag(q_1..q_n) == delta * I`` for the rays
-    # block ``B``: that block is ``what^T``, so ``B^T @ w'`` is the product
-    # ``diag(lam)`` that ``_primitive_rows`` already checked
-    if any(x * qk != delta for x, qk in zip(lam, q[1:])):
-        raise AssertionError("recognized fan does not map back to the polytope")
-    return PolarizedWps(weights=fan.weights, polarization=m), fan
+    fan = FanMatrix(IntMatrix(len(v0), len(v0) + 1,
+                              tuple((x, *col) for x, col in zip(v0, zip(*what)))),
+                    weights, epsilon=int(det < 0))
+    return PolarizedWps(weights=weights, polarization=m), fan
 
 
 def is_p_admissible(w: IntMatrix) -> bool:

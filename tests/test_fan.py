@@ -122,6 +122,13 @@ def test_canonical_fan_matches_diophantine_oracle():
         assert got == want, f"mismatch for {q}"
 
 
+def test_oracle_asserts_survive_python_O():
+    # conftest.py registers oracles.py for assert rewriting, so its own
+    # checks still run in the CI step under python -O
+    with pytest.raises(AssertionError):
+        canonical_fan_diophantine((2, 4))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.integers(1, 2 ** 64), min_size=2, max_size=9))
 def test_canonical_fan_matches_both_oracles(raw):

@@ -559,6 +559,41 @@ def test_recognition_checks_the_determinant_it_is_given(monkeypatch):
         recognize_polytope(simplex_2_3_4_15_25())
 
 
+RECOGNITION_FAULTS = {
+    # lcm(lam) doubled: every q_k doubles with it and q_0 = 2 stays, so
+    # q = (2, 6, 8, 30, 50) is not coprime, which the weights vector
+    # would divide out silently
+    "coprime": (wps.polytope, "lcm", lambda *values: 2 * lcm(*values),
+                "derived weights are not coprime"),
+    "lcm": (wps.weights, "lcm", lambda *values: 2 * lcm(*values),
+            "weights lcm mismatch during recognition"),
+    "reduced": (wps.polytope, "is_reduced", lambda q: False,
+                "recognition must produce reduced weights"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RECOGNITION_FAULTS))
+def test_a_recognition_fault_exits_3(fault, capsys, monkeypatch, tmp_path):
+    # a failed self-check of recognition is an internal error, never a rejection
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps(_simplex_payload(simplex_2_3_4_15_25())))
+    owner, name, broken, message = RECOGNITION_FAULTS[fault]
+    monkeypatch.setattr(owner, name, broken)
+    for argv in (["recognize-polytope", "--vertices", str(path)],
+                 ["--json", "recognize-polytope", "--vertices", str(path)]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"internal error: {message}\n")
+
+
+def test_admissibility_raises_a_recognition_fault(monkeypatch):
+    # is_p_admissible turns rejections into verdicts, but not a failed self-check
+    owner, name, broken, message = RECOGNITION_FAULTS["coprime"]
+    monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(AssertionError, match=message):
+        is_p_admissible(W_2_3_4_15_25)
+
+
 # ---------------------------------------------------------------------------
 # the canonical polytope by forward substitution
 
