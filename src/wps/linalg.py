@@ -239,9 +239,9 @@ def max_minors(v: IntMatrix) -> tuple[int, ...]:
 
 
 def _primitive(row: list[int]) -> tuple[list[int], int]:
-    """``row`` over its gcd, and that gcd."""
+    """``row`` over its gcd, and that gcd; ``row`` itself when the gcd is 1."""
     c = gcd(*row)
-    return [x // c for x in row], c
+    return (row, 1) if c == 1 else ([x // c for x in row], c)
 
 
 def _diagonal_of(r: list[list[int]], a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -311,18 +311,24 @@ def _primitive_rows(a) -> tuple[list[list[int]], tuple[int, ...], int]:
     a row stays the primitive vector of its direction, never larger than
     the Bareiss row: ``r_k`` is adjugate row ``k`` over its gcd.  Pivot
     rows are made positive and later only scaled by positive factors, so
-    ``lam_k > 0``.  As in :func:`_jordan` only columns right of the pivot
-    are updated.  ``det`` is that of the right block, tracked through
-    the elimination: a row swap or a pivot negation flips its sign, and
-    the update ``row <- (s * row - t * pivot row) / c`` multiplies it by
-    ``s / c``, an exact division as the block stays integral.  Checked
+    ``lam_k > 0``.  The right block is kept in pivot order: a row swap at
+    step ``k`` also swaps the two rows' own entries, columns ``n+k`` and
+    ``n+piv``, and ``perm`` puts the columns back once at the end.  So at
+    step ``k`` the row at position ``i`` is zero past column ``n+k`` but
+    for its own entry ``n+i``, and its update reads those ``n+1``
+    columns; the columns left of the pivot are never read again.  ``det``
+    is that of the right block, tracked through the elimination: a row
+    swap or a pivot negation flips its sign, and the update ``row <- (s *
+    row - t * pivot row) / c`` multiplies it by ``s / c``, an exact
+    division as the block stays integral (none when ``c`` is 1).  Checked
     by ``R @ a == diag(lam)`` (:func:`_diagonal_of`), rows primitive;
     raises :class:`SingularMatrixError` for a singular ``a``.
     """
     n = len(a)
     if not n or any(len(r) != n for r in a):
         raise DimensionError("primitive rows of an empty or non-square matrix")
-    mat = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    mat = [list(r) + [0] * i + [1] + [0] * (n - 1 - i) for i, r in enumerate(a)]
+    perm = list(range(n))               # right-block column n+p is column perm[p] of R
     det = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if mat[i][k]), None)
@@ -330,20 +336,39 @@ def _primitive_rows(a) -> tuple[list[list[int]], tuple[int, ...], int]:
             raise SingularMatrixError("matrix is singular")
         if piv != k:
             mat[k], mat[piv] = mat[piv], mat[k]
+            for row in (mat[k], mat[piv]):
+                row[n + k], row[n + piv] = row[n + piv], row[n + k]
+            perm[k], perm[piv] = perm[piv], perm[k]
             det = -det
-        if mat[k][k] < 0:
-            mat[k] = [-x for x in mat[k]]
+        row_k = mat[k]
+        hi = n + k + 1
+        if row_k[k] < 0:
+            row_k[k:hi] = [-x for x in row_k[k:hi]]
             det = -det
-        mkk, tail = mat[k][k], mat[k][k + 1:]
+        mkk, tail = row_k[k], row_k[k + 1:hi]
         for i, row in enumerate(mat):
-            if i != k and row[k]:
-                g = gcd(mkk, row[k])
-                s, t = mkk // g, row[k] // g
-                row[k + 1:], c = _primitive([s * x - t * y for x, y in zip(row[k + 1:], tail)])
+            t = row[k]
+            if i == k or not t:
+                continue
+            g = gcd(mkk, t)
+            s, t = mkk // g, t // g
+            new = [s * x - t * y for x, y in zip(row[k + 1:hi], tail)]
+            if i > k:
+                new.append(s * row[n + i])      # the pivot row is zero there
+            new, c = _primitive(new)
+            if i > k:
+                row[n + i] = new.pop()
+            row[k + 1:hi] = new
+            if c == 1:
+                det *= s
+            else:
                 det, rem = divmod(det * s, c)
                 if rem:
                     raise AssertionError("primitive rows lost their determinant")
     rows = [r[n:] for r in mat]
+    if perm != list(range(n)):
+        order = sorted(range(n), key=perm.__getitem__)
+        rows = [[r[p] for p in order] for r in rows]
     lam = _diagonal_of(rows, a)
     if any(gcd(*r) != 1 for r in rows):
         raise AssertionError("primitive rows failed their defining identity")

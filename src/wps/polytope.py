@@ -3,13 +3,14 @@
 The fan-to-polytope map deletes column 0 of the fan matrix, takes the
 transposed inverse and rescales column ``k`` by ``lcm(weights)/q_k``.
 The result is an integer matrix whose columns, together with the
-origin, span the polytope of the minimal very ample polarization.  For
-an arbitrary fan that takes one elimination (:func:`weighted_transverse`);
-the canonical fan's block is upper triangular, so :func:`polytope_of`
-solves for its vertices by forward substitution instead, one exact
-division per entry where the elimination takes a gcd per row update.
-The inverse direction divides out the entry gcd and reads the weights
-and the fan off one elimination, the primitive facet normals with their
+origin, span the polytope of the minimal very ample polarization.
+:func:`weighted_transverse` is that map, with two routes chosen by the
+block: an upper triangular one with a nonzero diagonal, as every
+canonical fan's, is solved by forward substitution, one exact division
+per entry; any other takes one elimination, a gcd per row update.
+:func:`polytope_of` is the transverse of the canonical fan.  The
+inverse direction divides out the entry gcd and reads the weights and
+the fan off one elimination, the primitive facet normals with their
 determinant, and builds the fan once from them, deciding each identity
 in one step (:func:`recognize_polytope`); the fan's orientation, the
 sign of that determinant, is checked by the tests, not at run time.
@@ -22,7 +23,7 @@ is the one the weights vector keeps, computed at most once per vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from .linalg import (DimensionError, IntMatrix, SingularMatrixError, _as_int, _fmt_int,
@@ -92,24 +93,34 @@ class PolarizedWps:
 def weighted_transverse(v: FanMatrix) -> IntMatrix:
     """Polytope matrix of a fan matrix.
 
-    Entry ``(i, k)`` is ``delta * cof_ik / (q_k * det)`` where ``cof``
-    ranges over the cofactors of the square block and ``delta`` is the
-    lcm of the weights; the division is always exact.  With ``r_k @ B
-    = mu_k * e_k`` primitive (:func:`_primitive_rows`) cofactor row ``k``
-    is ``det / mu_k * r_k``, so the entry is ``delta * r_k[i] / (q_k * mu_k)``.
-    As ``r_k`` is primitive, column ``k`` is integral exactly when
-    ``q_k * mu_k`` divides ``delta``: one division per column.
+    Column ``k`` is the row ``u_k`` with ``u_k @ B = (delta / q_k) e_k``
+    for the fan's square block ``B`` (columns 1..n) and the lcm ``delta``
+    of the weights, that is ``delta / q_k`` times row ``k`` of ``B^-1``;
+    it is always integral.  An upper triangular ``B`` with a nonzero
+    diagonal, as the canonical fan's, is solved by forward substitution
+    (:func:`_solve_upper`), one exact division per entry, whose remainder
+    checks ``(u_k @ B)_j`` entry by entry.  Any other block takes one
+    elimination: with ``r_k @ B = mu_k * e_k`` primitive
+    (:func:`_primitive_rows`), ``u_k = delta * r_k / (q_k * mu_k)``, and as
+    ``r_k`` is primitive it is integral exactly when ``q_k * mu_k``
+    divides ``delta``: one division per column.  A singular ``B`` raises
+    :class:`SingularMatrixError`.
     """
-    r, mu, _ = _primitive_rows([row[1:] for row in v.v.entries])
+    block = [row[1:] for row in v.v.entries]
     delta, q = v.weights.delta, v.weights.q
-    scale = []
-    for qk, mk in zip(q[1:], mu):
-        f, rem = divmod(delta, qk * mk)
-        if rem:
-            raise AssertionError("weighted transverse is not integral")
-        scale.append(f)
-    return IntMatrix(len(r), len(r), tuple(tuple(f * x for f, x in zip(scale, col))
-                                           for col in zip(*r)))
+    n = len(block)
+    if all(row[k] and not any(row[:k]) for k, row in enumerate(block)):
+        cols = _solve_upper(block, [[0] * k + [delta // qk] + [0] * (n - 1 - k)
+                                    for k, qk in enumerate(q[1:])])
+    else:
+        r, mu, _ = _primitive_rows(block)
+        cols = []
+        for qk, mk, rk in zip(q[1:], mu, r):
+            f, rem = divmod(delta, qk * mk)
+            if rem:
+                raise AssertionError("weighted transverse is not integral")
+            cols.append([f * x for x in rk])
+    return IntMatrix(n, n, tuple(zip(*cols)))
 
 
 def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
@@ -118,29 +129,23 @@ def polytope_of(q: WeightsVector, m: int = 1) -> LatticeSimplex:
     Vertices are the origin and ``m`` times the columns of the weighted
     transverse of the canonical fan; any fan of ``q`` gives the same
     polytope up to ``GL(n, Z)``, and this one is what
-    :func:`recognize_polytope` returns for reduced ``q``.
-
-    Column ``k`` is the row ``u_k`` with ``u_k @ B = (delta / q_k) e_k``
-    for the fan's upper triangular block ``B``, that is ``delta / q_k``
-    times row ``k`` of ``B^-1`` as in :func:`weighted_transverse`, solved
-    by :func:`_solve_upper`:
-    ``u_k[j] = 0`` for ``j < k``, ``u_k[k] = delta / (q_k d_k)`` with the
-    pivot ``d_k``, then one exact division per entry, which checks
-    ``(u_k @ B)_j`` entry by entry.
+    :func:`recognize_polytope` returns for reduced ``q``.  The canonical
+    block is upper triangular, so :func:`weighted_transverse` solves it
+    by forward substitution: vertex ``k`` has ``u_k[j] = 0`` for ``j <
+    k`` and ``u_k[k] = delta / (q_k d_k)`` with the pivot ``d_k``.  The
+    vertex matrix must then be primitive.
     """
-    block = [row[1:] for row in canonical_fan(q).v.entries]    # refuses fewer than two weights
+    fan = canonical_fan(q)                  # refuses fewer than two weights
     if m < 1:
         raise ValueError("polarization must be positive")
-    n, delta = q.n, q.delta
-    rhs = [[0] * k + [delta // qk] + [0] * (n - 1 - k) for k, qk in enumerate(q.q[1:])]
-    cols = _solve_upper(block, rhs)
-    # the diagonal first, from the last column: u_k[k] = delta / (q_k d_k)
+    w, n = weighted_transverse(fan).entries, q.n
+    # the diagonal first, from the last vertex: u_k[k] = delta / (q_k d_k)
     # lacks q_k, so the running gcd sheds a weight at each step, and the
     # other entries meet math.gcd's shortcut once it is 1
-    diagonal = [cols[k][k] for k in range(n - 1, -1, -1)]
-    if gcd(*diagonal, *(x for col in cols for x in col)) != 1:
+    diagonal = [w[k][k] for k in range(n - 1, -1, -1)]
+    if gcd(*diagonal, *(x for row in w for x in row)) != 1:
         raise AssertionError("minimal polytope matrix must be primitive")
-    verts = ((0,) * n,) + tuple(tuple(m * x for x in col) for col in cols)
+    verts = ((0,) * n,) + tuple(tuple(m * x for x in col) for col in zip(*w))
     return LatticeSimplex(vertices=verts)
 
 
@@ -153,7 +158,8 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     W-hat, which are the rays (columns 1..n) of the returned fan.  The
     weights are read off ``what_k @ w' = lam_k * e_k`` and ``det what``,
     one elimination in all: ``q_0 = |det what|``, ``q_k = lcm(lam) / lam_k``.
-    Each identity is decided once: ``q_0`` divides ``prod(lam)``; the
+    Each identity is decided once: ``q_0`` divides ``prod(lam)`` (a
+    running product reduced mod ``q_0``, never the full product); the
     fan's column 0 ``-sum_k q_k what_k / q_0`` is integral (the weighted
     column sum), else the rejection is ``not-wps``; ``WeightsVector(q)``
     keeps ``q``, so the minors ``sign(det) (-1)^k q_k`` are coprime; the
@@ -173,7 +179,10 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
         raise PolytopeRejection("degenerate", "simplex is not full-dimensional") from None
 
     lam_lcm, q0 = lcm(*lam), abs(det)
-    if prod(lam) % q0:
+    rest = 1                            # prod(lam) mod q0, reduced at each factor
+    for x in lam:
+        rest = rest * x % q0
+    if rest:
         raise AssertionError("|det what| does not divide the product of the normal multiples")
     q = (q0,) + tuple(lam_lcm // x for x in lam)
     # the fan has the rows of ``what`` as columns 1..n; its first column

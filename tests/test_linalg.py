@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import prod
@@ -10,7 +11,8 @@ from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, _diagona
                         _primitive_rows, is_hnf, max_minors)
 
 from oracles import (RatMatrix, adjoint, adjugate_cofactor, diagonal, ext_gcd, hnf,
-                     random_unimodular, row_gcds, to_rational, transverse, what_by_adjugate)
+                     random_permutation, random_unimodular, row_gcds, to_rational, transverse,
+                     what_by_adjugate)
 
 
 def mat(rows):
@@ -506,6 +508,39 @@ def test_primitive_rows_reject_a_corrupted_row(monkeypatch, a, change, where):
     monkeypatch.setattr(wps.linalg, "_primitive", corrupted)
     with pytest.raises(AssertionError, match="defining identity"):
         _primitive_rows(a.entries)
+
+
+def swapping_squares():
+    """Nonsingular matrices whose pivot search swaps rows, often in cycles
+    of three or more: row-permuted diagonal matrices, the rows of
+    ``PAPER_W`` in every order, and sparse random matrices."""
+    rng = random.Random(28)
+    out = []
+    for n in range(2, 8):
+        d = [rng.choice((1, -1, 2, -3, 5, 6)) for _ in range(n)]
+        sigma = random_permutation(rng, n)
+        out.append(pytest.param(mat([[d[i] if j == sigma[i] else 0 for j in range(n)]
+                                     for i in range(n)]), id=f"diagonal-{n}"))
+    out.extend(pytest.param(mat([PAPER_W.entries[i] for i in sigma]),
+                            id="paper-" + "".join(map(str, sigma)))
+               for sigma in itertools.permutations(range(4)))
+    while len(out) < 60:
+        n = rng.randint(2, 7)
+        a = mat([[rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(n)]
+                 for _ in range(n)])
+        if a.column(0)[0] == 0 and to_rational(a).det():
+            out.append(pytest.param(a, id=f"sparse-{len(out)}"))
+    return out
+
+
+@pytest.mark.parametrize("a", swapping_squares())
+def test_primitive_rows_under_row_swaps(a):
+    # each row k of the answer belongs to column k of a, and entry j of it
+    # to row j of a, whatever order the pivots were found in
+    rows, lam, det = _primitive_rows(a.entries)
+    assert rows == rows_of(what_by_adjugate(*adjoint(a)))
+    assert det == to_rational(mat(rows)).det()
+    assert det * to_rational(a).det() == prod(lam)
 
 
 def test_primitive_rows_reject_non_square():

@@ -695,6 +695,78 @@ def test_a_doubled_lcm_fails_the_primitivity_check(capsys, monkeypatch):
     assert (captured.out, captured.err) == ("", "internal error: minimal polytope matrix must be primitive\n")
 
 
+# ---------------------------------------------------------------------------
+# the two routes of the weighted transverse: forward substitution for an
+# upper triangular block with a nonzero diagonal, the elimination otherwise
+
+
+def unitriangular(rng, n, lower=False):
+    """An upper (or lower) unitriangular matrix; its entries off the
+    diagonal take either sign, and below it they are never zero."""
+    if lower:
+        return IntMatrix.from_rows([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(i)]
+                                    + [1] + [0] * (n - 1 - i) for i in range(n)])
+    return IntMatrix.from_rows([[0] * i + [1] + [rng.randint(-9, 9) for _ in range(n - 1 - i)]
+                                for i in range(n)])
+
+
+def transverse_on_route(fan: FanMatrix, route: str) -> IntMatrix:
+    """``weighted_transverse(fan)``, with the kernel of the other route made to raise."""
+    def other(*args):
+        raise AssertionError(f"{route} was expected")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wps.polytope, {"substitution": "_primitive_rows",
+                                     "elimination": "_solve_upper"}[route], other)
+        return weighted_transverse(fan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.sampled_from((2, 8, 64, 512)),
+       st.sampled_from(("canonical", "triangular", "dense")), st.integers(0, 2 ** 32))
+def test_both_transverse_routes_match_the_adjugate(n, bits, kind, seed):
+    # the fan U @ C of the canonical fan C: U = +-1 on the diagonal keeps
+    # C's block triangular, but for signed pivots; an upper unitriangular
+    # U adds entries of either sign above the diagonal; a lower one, but
+    # for n = 1, puts nonzero entries below it, so the block is dense
+    rng = random.Random(seed)
+    q = random_weights_of_bits(rng, n, bits)
+    u = diagonal(tuple(rng.choice((1, -1)) for _ in range(n)))
+    if kind != "canonical":
+        u = u @ unitriangular(rng, n)
+    if kind == "dense":
+        u = unitriangular(rng, n, lower=True) @ u
+    fan = recognize_fan(u @ canonical_fan(q).v)
+    assert fan.weights.q == q.q
+    route = "elimination" if kind == "dense" and n > 1 else "substitution"
+    w = transverse_on_route(fan, route)
+    assert w == weighted_transverse_by_adjugate(fan)
+    assert (to_rational(u).transpose() @ to_rational(w)).to_integer() \
+        == weighted_transverse(canonical_fan(q))
+
+
+@pytest.mark.parametrize("q", [(1, 1), (2, 3), (3, 2), (1, 5), (7, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_transverse_of_a_line(q, sign):
+    # n = 1: the block is the single entry of column 1, always triangular,
+    # and delta = q_0 q_1 makes the one vertex the sign of that entry
+    fan = recognize_fan(IntMatrix.from_rows([[-sign * q[1], sign * q[0]]]))
+    assert fan.weights.q == q
+    w = transverse_on_route(fan, "substitution")
+    assert w == weighted_transverse_by_adjugate(fan) == IntMatrix.from_rows([[sign]])
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 5], [-1, 0, 1]], [[1, 2, 5], [-1, 0, 0]],
+                                  [[-1, 0, 0, 0], [-1, 0, 1, 0], [-1, 0, 0, 1]]])
+def test_a_zero_on_a_triangular_diagonal_is_singular(rows):
+    # a FanMatrix built by hand is not checked: a block that is upper
+    # triangular but for a zero pivot takes the elimination, which says so
+    v = IntMatrix.from_rows(rows)
+    fan = FanMatrix(v, WeightsVector((1,) * v.cols), epsilon=0)
+    with pytest.raises(SingularMatrixError):
+        weighted_transverse(fan)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8), st.sampled_from((1, 4, 16, 128, 512)), st.integers(1, 3),
        st.integers(0, 2 ** 32))
