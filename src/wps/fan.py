@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 
 from .linalg import DimensionError, IntMatrix, _fmt_int, is_hnf, max_minors
 from .weights import WeightsVector, isomorphic
@@ -80,8 +81,7 @@ def recognize_fan(v: IntMatrix) -> FanMatrix:
                            f"have gcd {_fmt_int(q[0] // weights.q[0])}")
     n = v.rows
     for i in range(n):
-        s = sum(qj * v.entries[i][j] for j, qj in enumerate(q))
-        if s != 0:
+        if sum(map(mul, q, v.entries[i])) != 0:
             raise FanRejection("nonzero-weighted-sum",
                                f"weighted column sum is nonzero in row {i}", index=i)
     epsilon = 0 if minors[0] > 0 else 1
@@ -125,7 +125,7 @@ def canonical_fan(q: WeightsVector) -> FanMatrix:
         raise AssertionError("canonical first column must be negative")
     if prod(block.entries[i][i] for i in range(n)) != q[0]:
         raise AssertionError("canonical pivots do not multiply to q_0")
-    if any(sum(a * b for a, b in zip(row, q.q)) for row in v.entries):
+    if any(sum(map(mul, row, q.q)) for row in v.entries):
         raise AssertionError("canonical rows are not in the kernel of the weights")
     return FanMatrix(v=v, weights=q, epsilon=0)
 

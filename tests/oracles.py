@@ -149,9 +149,10 @@ def diagonal(d) -> IntMatrix:
 def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
     """Determinant and adjugate: ``(det w, adj w)``.
 
-    Both come from one fraction-free Gauss-Jordan elimination on
-    ``[w | I]``, which keeps intermediate entries polynomial in the
-    input size, and are checked against ``adj(w) @ w == det(w) * I``.
+    Both come from one fraction-free elimination on ``[w | I]``, a
+    forward Bareiss pass and back substitution (``linalg._jordan``),
+    which keeps intermediate entries polynomial in the input size, and
+    are checked against ``adj(w) @ w == det(w) * I``.
     Raises :class:`SingularMatrixError` when ``det w == 0``.
     """
     if not w.is_square:

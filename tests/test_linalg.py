@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import prod
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wps.linalg
+from wps.cli import main
 from wps.linalg import (DimensionError, IntMatrix, SingularMatrixError, _diagonal_of,
                         _primitive_rows, is_hnf, max_minors)
 
@@ -246,6 +248,89 @@ def test_minors_with_a_singular_block_at_a_random_column(case):
 def test_minors_shape_check():
     with pytest.raises(DimensionError):
         max_minors(mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel: forward Bareiss, then back substitution
+
+
+def kernel_input(rng, n, shape):
+    """An ``n x n`` matrix: dense, a row-permuted diagonal (zero leading
+    entries, so rows swap), sparse, or singular."""
+    if shape == "permuted-diagonal":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return [[rng.choice((-1, 1)) * rng.randint(1, 9) if j == perm[i] else 0
+                 for j in range(n)] for i in range(n)]
+    density = 0.3 if shape == "sparse" else 1.0
+    rows = [[rng.randint(-20, 20) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)]
+    if shape == "singular":
+        coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["dense", "permuted-diagonal", "sparse", "singular"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_jordan_matches_rational_elimination(n, shape):
+    rng = random.Random(f"{n}-{shape}")
+    for _ in range(6):
+        a = kernel_input(rng, n, shape)
+        ra = RatMatrix.from_rows(a)
+        d = ra.det()
+        assert d == 0 or shape != "singular"
+        for width in (0, 1, n):
+            e = [[rng.randint(-20, 20) for _ in range(width)] for _ in range(n)]
+            if d == 0:
+                with pytest.raises(SingularMatrixError):
+                    wps.linalg._jordan(a, e)
+                continue
+            got_d, got = wps.linalg._jordan(a, e)
+            assert got_d == d
+            if width:
+                assert got == [[d * x for x in r]
+                               for r in (ra.inverse() @ RatMatrix.from_rows(e)).entries]
+            else:
+                assert got == [[]] * n
+
+
+def shadow_divmod(monkeypatch, at):
+    """Shadow ``divmod`` in :mod:`wps.linalg` so that call number ``at``
+    reports a remainder of 1; returns the list that counts the calls."""
+    calls = []
+
+    def inexact(a, b):
+        q, r = divmod(a, b)
+        calls.append(None)
+        return (q, r + 1) if len(calls) - 1 == at else (q, r)
+
+    monkeypatch.setattr(wps.linalg, "divmod", inexact, raising=False)
+    return calls
+
+
+FAN_2_3_4_15_25 = [[-14, 1, 0, 0, 1], [-2, 0, 1, 0, 0], [-20, 0, 0, 1, 1], [-25, 0, 0, 0, 2]]
+
+
+@pytest.mark.parametrize("phase,message", [
+    ("forward", "Bareiss division by the previous pivot is not exact"),
+    ("back", "back substitution is not exact"),
+])
+def test_an_inexact_elimination_step_is_an_internal_error(monkeypatch, capsys, tmp_path,
+                                                          phase, message):
+    # the first division of max_minors is a forward step, the last one
+    # back-substitutes row 0
+    calls = shadow_divmod(monkeypatch, -1)
+    max_minors(mat(FAN_2_3_4_15_25))
+    at = 0 if phase == "forward" else len(calls) - 1
+    shadow_divmod(monkeypatch, at)
+    with pytest.raises(AssertionError, match=message):
+        max_minors(mat(FAN_2_3_4_15_25))
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(FAN_2_3_4_15_25))
+    shadow_divmod(monkeypatch, at)
+    assert main(["recognize-fan", "--matrix", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
