@@ -79,62 +79,88 @@ def test_polytope_json_is_pinned(capsys):
     assert out == POLYTOPE_2_3_4_15_25
 
 
-# answers pinned byte for byte as `wps --json` prints them, with the
-# canonical fan and the worked polytope first, then the lattice counts
+# answers pinned byte for byte as `wps` prints them, in text or with --json:
+# the canonical fan and the worked polytope first, then the lattice counts,
+# then the key-value answers; a file argument names a file in {dir}
+TEXT, JSON = (), ("--json",)
+
+# the worked polytope at m = 2, which recognition reads back
+POLYTOPE_2_3_4_15_25_M2 = (
+    '{"vertices": [["0", "0", "0", "0"], ["200", "0", "0", "-100"], ["0", "150", "0", "0"], '
+    '["0", "0", "40", "-20"], ["0", "0", "0", "12"]]}')
+
+# 4,096-bit weights (x, x + 1, x + 2) with x = 2^4096: the outer two share
+# only the factor 2, so d = (1, 2, 1) and a = 2, and the reduced weights
+# (y, 2y + 1, y + 1) with y = x / 2 are pairwise coprime, so
+# delta' = y (2y + 1) (y + 1) = delta / 2; their chow generator is (-2, 1, 0)
+BIG3_Y = 2 ** 4095
+BIG3 = (2 * BIG3_Y, 2 * BIG3_Y + 1, 2 * BIG3_Y + 2)
+BIG3_ARG = ",".join(map(str, BIG3))
+BIG3_REDUCED = (BIG3_Y, 2 * BIG3_Y + 1, BIG3_Y + 1)
+BIG3_DELTA_RED = BIG3_Y * (2 * BIG3_Y + 1) * (BIG3_Y + 1)
+BIG3_DEGREE = Fraction(-sum(BIG3_REDUCED), BIG3_DELTA_RED)
+
 PINNED_ANSWERS = [
     pytest.param(
-        ("fan", "--weights", "2,3,4,15,25", "--canonical"),
+        JSON, ("fan", "--weights", "2,3,4,15,25", "--canonical"),
         '{"columns": [["-14", "-2", "-20", "-25"], ["1", "0", "0", "0"], ["0", "1", "0", "0"], '
         '["0", "0", "1", "0"], ["1", "0", "1", "2"]], "n": 4, "weights": ["2", "3", "4", "15", "25"]}',
         id="fan-2,3,4,15,25"),
     # every pivot 2 and every entry above the diagonal a nonzero residue
     pytest.param(
-        ("fan", "--canonical", "--weights", "8,3,6,4"),
+        JSON, ("fan", "--canonical", "--weights", "8,3,6,4"),
         '{"columns": [["-2", "-2", "-1"], ["2", "0", "0"], ["1", "2", "0"], ["1", "1", "2"]], '
         '"n": 3, "weights": ["8", "3", "6", "4"]}',
         id="fan-8,3,6,4"),
     pytest.param(
-        ("polytope", "--weights", "2,3,4,15,25", "-m", "2"),
-        '{"vertices": [["0", "0", "0", "0"], ["200", "0", "0", "-100"], ["0", "150", "0", "0"], '
-        '["0", "0", "40", "-20"], ["0", "0", "0", "12"]]}',
+        JSON, ("polytope", "--weights", "2,3,4,15,25", "-m", "2"), POLYTOPE_2_3_4_15_25_M2,
         id="polytope-2,3,4,15,25-m2"),
     # the face histogram and its total
     pytest.param(
-        ("lattice-points", "--weights", "2,3,4,15,25", "-m", "3", "--histogram"),
+        JSON, ("lattice-points", "--weights", "2,3,4,15,25", "-m", "3", "--histogram"),
         '{"count": "3380287", "histogram": {"0": "5", "1": "596", "2": "33346", "3": "627910", '
         '"4": "2718430"}, "m": "3", "weights": ["2", "3", "4", "15", "25"]}',
         id="histogram-2,3,4,15,25-m3"),
+    pytest.param(
+        TEXT, ("lattice-points", "--weights", "2,3,4,15,25", "-m", "3", "--histogram"),
+        "lattice points   3380287\n  face dim 0: 5\n  face dim 1: 596\n  face dim 2: 33346\n"
+        "  face dim 3: 627910\n  face dim 4: 2718430",
+        id="histogram-2,3,4,15,25-m3-text"),
+    pytest.param(
+        TEXT, ("lattice-points", "--weights", "2,3,4,15,25", "-m", "3", "--interior"),
+        "interior points  2718430",
+        id="interior-2,3,4,15,25-m3-text"),
     # the totals, read off L(-k..k) of one table: even n, then odd n
     pytest.param(
-        ("lattice-points", "--weights", "24,33,728,5005", "-m", "2"),
+        JSON, ("lattice-points", "--weights", "24,33,728,5005", "-m", "2"),
         '{"count": "830238", "m": "2", "weights": ["24", "33", "728", "5005"]}',
         id="count-24,33,728,5005-m2"),
     pytest.param(
-        ("lattice-points", "--weights", "24,33,728,5005", "-m", "2", "--interior"),
+        JSON, ("lattice-points", "--weights", "24,33,728,5005", "-m", "2", "--interior"),
         '{"interior": "772336", "m": "2", "weights": ["24", "33", "728", "5005"]}',
         id="interior-24,33,728,5005-m2"),
     pytest.param(
-        ("lattice-points", "--weights", "7,11,13,17,19", "-m", "9"),
+        JSON, ("lattice-points", "--weights", "7,11,13,17,19", "-m", "9"),
         '{"count": "9240353679987116863", "m": "9", "weights": ["7", "11", "13", "17", "19"]}',
         id="count-7,11,13,17,19-m9"),
     pytest.param(
-        ("lattice-points", "--weights", "7,11,13,17,19", "-m", "9", "--interior"),
+        JSON, ("lattice-points", "--weights", "7,11,13,17,19", "-m", "9", "--interior"),
         '{"interior": "9239502690332789701", "m": "9", "weights": ["7", "11", "13", "17", "19"]}',
         id="interior-7,11,13,17,19-m9"),
     # the face counts, read off H_s(-k..k) of one table: even n, odd n, odd n
     pytest.param(
-        ("lattice-points", "--weights", "24,33,728,5005", "-m", "2", "--histogram"),
+        JSON, ("lattice-points", "--weights", "24,33,728,5005", "-m", "2", "--histogram"),
         '{"count": "830238", "histogram": {"0": "4", "1": "1048", "2": "56850", "3": "772336"}, '
         '"m": "2", "weights": ["24", "33", "728", "5005"]}',
         id="histogram-24,33,728,5005-m2"),
     pytest.param(
-        ("lattice-points", "--weights", "7,11,13,17,19", "-m", "9", "--histogram"),
+        JSON, ("lattice-points", "--weights", "7,11,13,17,19", "-m", "9", "--histogram"),
         '{"count": "9240353679987116863", "histogram": {"0": "5", "1": "199880", '
         '"2": "22915217800", "3": "850966738909477", "4": "9239502690332789701"}, "m": "9", '
         '"weights": ["7", "11", "13", "17", "19"]}',
         id="histogram-7,11,13,17,19-m9"),
     pytest.param(
-        ("lattice-points", "--weights", "2,3,5,6,50,100", "-m", "9", "--histogram"),
+        JSON, ("lattice-points", "--weights", "2,3,5,6,50,100", "-m", "9", "--histogram"),
         '{"count": "1543685179", "histogram": {"0": "6", "1": "2118", "2": "386093", '
         '"3": "26780457", "4": "381676074", "5": "1134840431"}, "m": "9", '
         '"weights": ["2", "3", "5", "6", "50", "100"]}',
@@ -142,7 +168,7 @@ PINNED_ANSWERS = [
     # the face numerator packed in 2-byte fields for ten ones,
     # H_s(m) = C(10, s + 1) C(m - 1, s)
     pytest.param(
-        ("lattice-points", "--weights", ",".join(["1"] * 10), "-m", "7", "--histogram"),
+        JSON, ("lattice-points", "--weights", ",".join(["1"] * 10), "-m", "7", "--histogram"),
         json.dumps({"count": "11440", "histogram": {"0": "10", "1": "270", "2": "1800",
                                                     "3": "4200", "4": "3780", "5": "1260",
                                                     "6": "120"},
@@ -150,23 +176,128 @@ PINNED_ANSWERS = [
         id="histogram-ten-ones-m7"),
     # a cut numerator: sum q' = 22 is past k delta' + 1 = 11; the values are the oracle's
     pytest.param(
-        ("lattice-points", "--weights", "1,1,10,10", "-m", "5", "--histogram"),
+        JSON, ("lattice-points", "--weights", "1,1,10,10", "-m", "5", "--histogram"),
         '{"count": "371", "histogram": {"0": "4", "1": "69", "2": "204", "3": "94"}, "m": "5", '
         '"weights": ["1", "1", "10", "10"]}',
         id="histogram-1,1,10,10-m5"),
     # counts past 8 bytes: 40 ones and a 2 at m = 25 pack the table in
     # 12-byte fields; the count is sum_(y=0..25) C(89 - 2y, 39)
     pytest.param(
-        ("lattice-points", "--weights", ",".join(["1"] * 40 + ["2"]), "-m", "25"),
+        JSON, ("lattice-points", "--weights", ",".join(["1"] * 40 + ["2"]), "-m", "25"),
         json.dumps({"count": "38444538240310903521197806", "m": "25",
                     "weights": ["1"] * 40 + ["2"]}),
         id="count-forty-ones-and-a-two-m25"),
+    # the key-value answers: the reduction data, divisor classes and the
+    # yes/no tests, then polytope recognition of the m = 2 worked polytope
+    pytest.param(
+        TEXT, ("reduce", "--weights", "2,4,6"),
+        "weights       (1,2,3)\nd             (1,1,1)\na_coeffs      (1,1,1)\na             1\n"
+        "delta         6\ndelta'        6\nreduced       (1,2,3)",
+        id="reduce-2,4,6-text"),
+    pytest.param(
+        JSON, ("reduce", "--weights", "2,4,6"),
+        '{"a": "1", "a_coeffs": ["1", "1", "1"], "d": ["1", "1", "1"], "delta": "6", '
+        '"delta_reduced": "6", "is_reduced": true, "reduced": ["1", "2", "3"], '
+        '"weights": ["1", "2", "3"]}',
+        id="reduce-2,4,6-json"),
+    pytest.param(
+        TEXT, ("reduce", "--weights", "2,3,4,15,25"),
+        "weights       (2,3,4,15,25)\nd             (1,1,1,1,1)\na_coeffs      (1,1,1,1,1)\n"
+        "a             1\ndelta         300\ndelta'        300\nreduced       (2,3,4,15,25)",
+        id="reduce-2,3,4,15,25-text"),
+    pytest.param(
+        JSON, ("reduce", "--weights", "2,3,4,15,25"),
+        '{"a": "1", "a_coeffs": ["1", "1", "1", "1", "1"], "d": ["1", "1", "1", "1", "1"], '
+        '"delta": "300", "delta_reduced": "300", "is_reduced": true, '
+        '"reduced": ["2", "3", "4", "15", "25"], "weights": ["2", "3", "4", "15", "25"]}',
+        id="reduce-2,3,4,15,25-json"),
+    pytest.param(
+        TEXT, ("reduce", "--weights", BIG3_ARG),
+        f"weights       ({BIG3_ARG})\nd             (1,2,1)\na_coeffs      (2,1,2)\n"
+        f"a             2\ndelta         {2 * BIG3_DELTA_RED}\ndelta'        {BIG3_DELTA_RED}\n"
+        f"reduced       ({','.join(map(str, BIG3_REDUCED))})",
+        id="reduce-4096-bit-text"),
+    pytest.param(
+        JSON, ("reduce", "--weights", BIG3_ARG),
+        json.dumps({"a": "2", "a_coeffs": ["2", "1", "2"], "d": ["1", "2", "1"],
+                    "delta": str(2 * BIG3_DELTA_RED), "delta_reduced": str(BIG3_DELTA_RED),
+                    "is_reduced": False, "reduced": list(map(str, BIG3_REDUCED)),
+                    "weights": list(map(str, BIG3))}),
+        id="reduce-4096-bit-json"),
+    pytest.param(
+        TEXT, ("divisors", "--weights", "2,3,4,15,25"),
+        "chow generator    (-1,1,0,0,0)\npicard index      300\ncanonical degree  -49/300\n"
+        "gorenstein        no\nfano              no",
+        id="divisors-2,3,4,15,25-text"),
+    pytest.param(
+        JSON, ("divisors", "--weights", "2,3,4,15,25"),
+        '{"betti_even": ["1", "1", "1", "1", "1"], "canonical_degree": "-49/300", '
+        '"chow_generator": ["-1", "1", "0", "0", "0"], "fano": false, "gorenstein": false, '
+        '"picard_index": "300", "weights": ["2", "3", "4", "15", "25"]}',
+        id="divisors-2,3,4,15,25-json"),
+    pytest.param(
+        TEXT, ("divisors", "--weights", BIG3_ARG),
+        f"chow generator    (-2,1,0)\npicard index      {BIG3_DELTA_RED}\n"
+        f"canonical degree  {BIG3_DEGREE}\ngorenstein        no\nfano              no",
+        id="divisors-4096-bit-text"),
+    pytest.param(
+        JSON, ("divisors", "--weights", BIG3_ARG),
+        json.dumps({"betti_even": ["1", "1", "1"], "canonical_degree": str(BIG3_DEGREE),
+                    "chow_generator": ["-2", "1", "0"], "fano": False, "gorenstein": False,
+                    "picard_index": str(BIG3_DELTA_RED), "weights": list(map(str, BIG3))}),
+        id="divisors-4096-bit-json"),
+    pytest.param(
+        TEXT, ("gorenstein", "--weights", "1,1,2"), "gorenstein  yes\nfano        yes",
+        id="gorenstein-1,1,2-text"),
+    pytest.param(
+        JSON, ("gorenstein", "--weights", "1,1,2"),
+        '{"canonical_degree": "-2", "fano": true, "gorenstein": true, "weights": ["1", "1", "2"]}',
+        id="gorenstein-1,1,2-json"),
+    pytest.param(
+        TEXT, ("gorenstein", "--weights", "1,1,3"), "gorenstein  no\nfano        no",
+        id="gorenstein-1,1,3-text"),
+    pytest.param(
+        JSON, ("gorenstein", "--weights", "1,1,3"),
+        '{"canonical_degree": "-5/3", "fano": false, "gorenstein": false, '
+        '"weights": ["1", "1", "3"]}',
+        id="gorenstein-1,1,3-json"),
+    pytest.param(
+        TEXT, ("iso", "--weights", "1,2,2", "--other", "1,1,1"), "isomorphic  yes",
+        id="iso-yes-text"),
+    pytest.param(
+        JSON, ("iso", "--weights", "1,2,2", "--other", "1,1,1"),
+        '{"isomorphic": true, "other": ["1", "1", "1"], "reduced": ["1", "1", "1"], '
+        '"weights": ["1", "2", "2"]}',
+        id="iso-yes-json"),
+    pytest.param(
+        TEXT, ("iso", "--weights", "1,2,2", "--other", "1,1,2"), "isomorphic  no",
+        id="iso-no-text"),
+    pytest.param(
+        JSON, ("iso", "--weights", "1,2,2", "--other", "1,1,2"),
+        '{"isomorphic": false, "other": ["1", "1", "2"], "reduced": ["1", "1", "1"], '
+        '"weights": ["1", "2", "2"]}',
+        id="iso-no-json"),
+    pytest.param(
+        TEXT, ("recognize-polytope", "--vertices", "{dir}/simplex-m2.json"),
+        "weights       (2,3,4,15,25)\nsorted        (2,3,4,15,25)\npolarization  2\nfan\n"
+        "-14  1  0   0   1\n -2  0  1   0   0\n-20  0  0   1   1\n-25  0  0   0   2\n"
+        "-----------------\n  2  3  4  15  25",
+        id="recognize-polytope-2,3,4,15,25-m2-text"),
+    pytest.param(
+        JSON, ("recognize-polytope", "--vertices", "{dir}/simplex-m2.json"),
+        '{"fan": {"columns": [["-14", "-2", "-20", "-25"], ["1", "0", "0", "0"], '
+        '["0", "1", "0", "0"], ["0", "0", "1", "0"], ["1", "0", "1", "2"]], "n": 4, '
+        '"weights": ["2", "3", "4", "15", "25"]}, "m": "2", '
+        '"weights": ["2", "3", "4", "15", "25"], "weights_sorted": ["2", "3", "4", "15", "25"]}',
+        id="recognize-polytope-2,3,4,15,25-m2-json"),
 ]
 
 
-@pytest.mark.parametrize("argv,printed", PINNED_ANSWERS)
-def test_pinned_answers_byte_for_byte(capsys, argv, printed):
-    assert run(capsys, "--json", *argv) == (0, printed + "\n", "")
+@pytest.mark.parametrize("output,argv,printed", PINNED_ANSWERS)
+def test_pinned_answers_byte_for_byte(capsys, tmp_path, output, argv, printed):
+    (tmp_path / "simplex-m2.json").write_text(POLYTOPE_2_3_4_15_25_M2)
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert run(capsys, *output, *argv) == (0, printed + "\n", "")
 
 
 def test_fan_output_round_trips_through_recognition(capsys, tmp_path):

@@ -46,6 +46,36 @@ def test_recognize_rejects_nonzero_weighted_sum():
     assert exc.value.code == "nonzero-weighted-sum"
 
 
+def test_a_nonzero_weighted_sum_names_its_first_row():
+    # minors (1, 1, 1): row 0 weighs to 1 - 1 = 0, row 1 to 1 + 1 = 2
+    with pytest.raises(FanRejection) as exc:
+        recognize_fan(IntMatrix.from_rows([[1, 0, -1], [0, 1, 1]]))
+    assert exc.value.code == "nonzero-weighted-sum"
+    assert exc.value.index == 1
+    assert str(exc.value) == "weighted column sum is nonzero in row 1"
+
+
+def test_minors_whose_signs_do_not_alternate_on_a_fan_are_an_error(monkeypatch, capsys,
+                                                                    tmp_path):
+    # one minor's sign flipped on a genuine fan: every |minor|-weighted row
+    # sum still vanishes, which the minors of a matrix never allow
+    minors_of = wps.fan.max_minors
+
+    def flipped(v):
+        m = list(minors_of(v))
+        m[2] = -m[2]
+        return tuple(m)
+
+    monkeypatch.setattr(wps.fan, "max_minors", flipped)
+    with pytest.raises(AssertionError, match="minor signs do not alternate"):
+        recognize_fan(CANONICAL_2_3_4_15_25)
+    path = tmp_path / "fan.json"
+    path.write_text(str(list(map(list, CANONICAL_2_3_4_15_25.entries))))
+    assert main(["recognize-fan", "--matrix", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal error: minor signs do not alternate\n"
+
+
 def test_recognize_rejects_zero_minor():
     # deleting column 2 leaves rows (1,1),(0,0) with determinant zero
     with pytest.raises(FanRejection) as exc:
