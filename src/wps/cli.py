@@ -15,7 +15,9 @@ zero-argument renderers of that answer, the JSON payload and the human
 text.  :func:`main` calls only the one it prints, and neither under
 ``--quiet``, inside the same error handling and digit-limit lift as the
 computation, so every integer goes to decimal at most once and a
-failure while rendering still exits 2 or 3.
+failure while rendering still exits 2 or 3.  A key-value answer declares
+each field once, in :func:`_fields`; its values are computed by the
+handler, under ``--quiet`` too (a vector's kept lcms, sorted weights).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from functools import cache
 
 from .cohomology import HodgeTable, divisor_info, hodge, hodge_table, rational_homology
@@ -158,32 +161,30 @@ def _tuple(values) -> str:
     return "(" + ",".join(str(x) for x in values) + ")"
 
 
+def _fields(width: int, fields):
+    """The renderers of a key-value answer, each field declared once as
+    ``(json key, text label, value)``; one without a label is JSON only.
+    The wire rule: a bool is a JSON bool or yes/no, an int or Fraction is
+    decimal, and a sequence is a list of decimal strings or ``(a,b,c)``;
+    the text puts each value after its label padded to ``width``."""
+    def encode(v, flag, number, vector):
+        return flag(v) if isinstance(v, bool) else (
+            number(v) if isinstance(v, (int, Fraction)) else vector(v))
+
+    return (lambda: {key: encode(v, bool, str, _ints) for key, _, v in fields},
+            lambda: "\n".join(label.ljust(width) + encode(v, _yes, str, _tuple)
+                              for _, label, v in fields if label))
+
+
 def _cmd_reduce(args):
     q = _parse_weights(args.weights)
     rd = reduction_data(q)
-
-    def payload():
-        return {
-            "weights": _ints(q),
-            "d": _ints(rd.d),
-            "a_coeffs": _ints(rd.a_coeffs),
-            "a": str(rd.a),
-            "delta": str(rd.delta),
-            "delta_reduced": str(rd.delta_reduced),
-            "reduced": _ints(rd.reduced),
-            "is_reduced": is_reduced(q),
-        }
-
-    def human():
-        return (f"weights       {_tuple(q)}\n"
-                f"d             {_tuple(rd.d)}\n"
-                f"a_coeffs      {_tuple(rd.a_coeffs)}\n"
-                f"a             {rd.a}\n"
-                f"delta         {rd.delta}\n"
-                f"delta'        {rd.delta_reduced}\n"
-                f"reduced       {_tuple(rd.reduced)}")
-
-    return payload, human
+    return _fields(14, [("weights", "weights", q), ("d", "d", rd.d),
+                        ("a_coeffs", "a_coeffs", rd.a_coeffs), ("a", "a", rd.a),
+                        ("delta", "delta", rd.delta),
+                        ("delta_reduced", "delta'", rd.delta_reduced),
+                        ("reduced", "reduced", rd.reduced),
+                        ("is_reduced", None, is_reduced(q))])
 
 
 def _fan_answer(fan: FanMatrix):
@@ -210,23 +211,11 @@ def _cmd_polytope(args):
 
 def _cmd_recognize_polytope(args):
     polarized, fan = recognize_polytope(_load(args.vertices, "vertices", _simplex_of))
-    weights = polarized.weights
-
-    def payload():
-        return {
-            "weights": _ints(weights),
-            "weights_sorted": _ints(sorted(weights)),
-            "m": str(polarized.polarization),
-            "fan": _fan_payload(fan),
-        }
-
-    def human():
-        return (f"weights       {_tuple(weights)}\n"
-                f"sorted        {_tuple(sorted(weights))}\n"
-                f"polarization  {polarized.polarization}\n"
-                f"fan\n{_fmt_matrix(fan.v, weights=fan.weights.q)}")
-
-    return payload, human
+    scalars, text = _fields(14, [("weights", "weights", polarized.weights),
+                                 ("weights_sorted", "sorted", sorted(polarized.weights)),
+                                 ("m", "polarization", polarized.polarization)])
+    return (lambda: {**scalars(), "fan": _fan_payload(fan)},
+            lambda: f"{text()}\nfan\n{_fmt_matrix(fan.v, weights=fan.weights.q)}")
 
 
 def _cmd_lattice_points(args):
@@ -236,22 +225,16 @@ def _cmd_lattice_points(args):
     hist = sorted(face_histogram(q, args.m).items()) if args.histogram else None
     # a histogram holds the count: its sum, or its top face for the interior
     if args.interior:
-        key, label = "interior", "interior points  "
+        key, label = "interior", "interior points"
         k = count_interior(q, args.m) if hist is None else dict(hist).get(q.n, 0)
     else:
-        key, label = "count", "lattice points   "
+        key, label = "count", "lattice points"
         k = count_points(q, args.m) if hist is None else sum(c for _, c in hist)
-
-    def payload():
-        out = {"weights": _ints(q), "m": str(args.m), key: str(k)}
-        if hist is not None:
-            out["histogram"] = {str(s): str(c) for s, c in hist}
-        return out
-
-    def human():
-        return "\n".join([f"{label}{k}"] + [f"  face dim {s}: {c}" for s, c in hist or ()])
-
-    return payload, human
+    scalars, text = _fields(17, [("weights", None, q), ("m", None, args.m), (key, label, k)])
+    if hist is None:
+        return scalars, text
+    return (lambda: {**scalars(), "histogram": {str(s): str(c) for s, c in hist}},
+            lambda: "\n".join([text()] + [f"  face dim {s}: {c}" for s, c in hist]))
 
 
 def _cmd_cohom(args):
@@ -280,44 +263,27 @@ def _cmd_cohom(args):
 def _cmd_divisors(args):
     q = _parse_weights(args.weights)
     info = divisor_info(q)
-    betti = rational_homology(q)
-
-    def payload():
-        return {
-            "weights": _ints(q),
-            "chow_generator": _ints(info.chow_generator),
-            "picard_index": str(info.picard_index),
-            "canonical_degree": str(info.canonical_degree),
-            "gorenstein": info.gorenstein,
-            "fano": info.fano,
-            "betti_even": _ints(betti[::2]),
-        }
-
-    def human():
-        return (f"chow generator    {_tuple(info.chow_generator)}\n"
-                f"picard index      {info.picard_index}\n"
-                f"canonical degree  {info.canonical_degree}\n"
-                f"gorenstein        {_yes(info.gorenstein)}\n"
-                f"fano              {_yes(info.fano)}")
-
-    return payload, human
+    return _fields(18, [("weights", None, q),
+                        ("chow_generator", "chow generator", info.chow_generator),
+                        ("picard_index", "picard index", info.picard_index),
+                        ("canonical_degree", "canonical degree", info.canonical_degree),
+                        ("gorenstein", "gorenstein", info.gorenstein), ("fano", "fano", info.fano),
+                        ("betti_even", None, rational_homology(q)[::2])])
 
 
 def _cmd_gorenstein(args):
     q = _parse_weights(args.weights)
     info = divisor_info(q)
-    return (lambda: {"weights": _ints(q), "gorenstein": info.gorenstein,
-                     "fano": info.fano, "canonical_degree": str(info.canonical_degree)},
-            lambda: f"gorenstein  {_yes(info.gorenstein)}\nfano        {_yes(info.fano)}")
+    return _fields(12, [("weights", None, q), ("gorenstein", "gorenstein", info.gorenstein),
+                        ("fano", "fano", info.fano),
+                        ("canonical_degree", None, info.canonical_degree)])
 
 
 def _cmd_iso(args):
-    q1 = _parse_weights(args.weights)
-    q2 = _parse_weights(args.other)
-    same = isomorphic(q1, q2)
-    return (lambda: {"weights": _ints(q1), "other": _ints(q2), "isomorphic": same,
-                     "reduced": _ints(sorted(reduce_weights(q1).q))},
-            lambda: f"isomorphic  {_yes(same)}")
+    q1, q2 = _parse_weights(args.weights), _parse_weights(args.other)
+    return _fields(12, [("weights", None, q1), ("other", None, q2),
+                        ("isomorphic", "isomorphic", isomorphic(q1, q2)),
+                        ("reduced", None, sorted(reduce_weights(q1).q))])
 
 
 @cache

@@ -73,9 +73,9 @@ def rational_homology(q: WeightsVector) -> tuple[int, ...]:
 
 def h0_line_bundle(q: WeightsVector, m: int) -> int:
     """Global sections of the ``m``-th power of the Picard generator."""
-    if m < 0:
-        return 0
-    return count_points(q, m)
+    if q.n < 1:
+        raise DimensionError("need at least two weights")
+    return count_points(q, m) if m >= 0 else 0
 
 
 def hodge(q: WeightsVector, p: int, qq: int, m: int) -> int:
@@ -87,6 +87,8 @@ def hodge(q: WeightsVector, p: int, qq: int, m: int) -> int:
     delta at 0; top degree is degree 0 at ``(n - p, -m)``.
     """
     n = q.n
+    if n < 1:
+        raise DimensionError("need at least two weights")
     if not (0 <= p <= n and 0 <= qq <= n):
         raise ValueError(f"form degree and cohomology degree must lie in [0, {n}]")
     if 0 < qq < n:

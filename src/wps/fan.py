@@ -64,9 +64,12 @@ def recognize_fan(v: IntMatrix) -> FanMatrix:
     """Decide whether ``v`` is a fan matrix and recover its weights.
 
     Checks, in order: every maximal minor nonzero, minors coprime, and
-    the columns weighted by ``|minor|`` summing to zero.  The first
-    failed check raises a :class:`FanRejection` naming the culprit.
-    The gcd of the minors is the factor the weights vector divides out.
+    the columns weighted by ``|minor|`` summing to zero, which is read off
+    the minors' signs: the signed minors span ``ker v`` by Cramer's
+    identity, which :func:`max_minors` checks, so the sum vanishes exactly
+    when they alternate.  The first failed check raises a
+    :class:`FanRejection` naming the culprit.  The gcd of the minors is
+    the factor the weights vector divides out.
     """
     if v.rows < 1 or v.cols != v.rows + 1:
         raise DimensionError(f"fan matrix must be n x (n+1) with n >= 1, got {v.rows}x{v.cols}")
@@ -79,15 +82,13 @@ def recognize_fan(v: IntMatrix) -> FanMatrix:
     if weights.q != q:
         raise FanRejection("non-coprime-minors", f"maximal minors {_fmt_int(q)} "
                            f"have gcd {_fmt_int(q[0] // weights.q[0])}")
-    n = v.rows
-    for i in range(n):
-        if sum(map(mul, q, v.entries[i])) != 0:
-            raise FanRejection("nonzero-weighted-sum",
-                               f"weighted column sum is nonzero in row {i}", index=i)
     epsilon = 0 if minors[0] > 0 else 1
-    for j, mj in enumerate(minors):
-        if mj != (-1) ** (epsilon + j) * q[j]:
-            raise AssertionError("minor signs do not alternate")
+    if any(mj != (-1) ** (epsilon + j) * q[j] for j, mj in enumerate(minors)):
+        for i, row in enumerate(v.entries):
+            if sum(map(mul, q, row)) != 0:
+                raise FanRejection("nonzero-weighted-sum",
+                                   f"weighted column sum is nonzero in row {i}", index=i)
+        raise AssertionError("minor signs do not alternate")
     return FanMatrix(v=v, weights=weights, epsilon=epsilon)
 
 
@@ -119,7 +120,8 @@ def canonical_fan(q: WeightsVector) -> FanMatrix:
     v = IntMatrix(n, n + 1, tuple(tuple(_canonical_row(q.q, i, g, d, inv))
                                   for i in range(1, n + 1)))
     block = v.delete_column(0)
-    if not is_hnf(block) or any(x < 0 for row in block.entries for x in row):
+    # an HNF whose diagonal multiplies to q_0 (checked below) is nonnegative
+    if not is_hnf(block):
         raise AssertionError("canonical block is not a nonnegative HNF")
     if any(x >= 0 for x in v.column(0)):
         raise AssertionError("canonical first column must be negative")

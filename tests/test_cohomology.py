@@ -197,7 +197,13 @@ def test_hodge_range_checks():
         hodge(WeightsVector((1, 1)), 0, -1, 0)
 
 
-@pytest.mark.parametrize("f", [divisor_info, rational_homology])
+@pytest.mark.parametrize("f", [
+    divisor_info, rational_homology,
+    # a point: Serre duality would ask h(0, 0, -2) == h(0, 0, 2) == 1
+    lambda q: hodge(q, 0, 0, -2),
+    lambda q: h0_line_bundle(q, -2),
+    lambda q: hodge_table(q, (-2, 2)),
+], ids=["divisor_info", "rational_homology", "hodge", "h0_line_bundle", "hodge_table"])
 def test_divisor_data_need_two_weights(f):
     with pytest.raises(DimensionError, match="need at least two weights"):
         f(WeightsVector((1,)))
