@@ -167,12 +167,12 @@ def _fields(width: int, fields):
     The wire rule: a bool is a JSON bool or yes/no, an int or Fraction is
     decimal, and a sequence is a list of decimal strings or ``(a,b,c)``;
     the text puts each value after its label padded to ``width``."""
-    def encode(v, flag, number, vector):
+    def encode(v, flag, vector):
         return flag(v) if isinstance(v, bool) else (
-            number(v) if isinstance(v, (int, Fraction)) else vector(v))
+            str(v) if isinstance(v, (int, Fraction)) else vector(v))
 
-    return (lambda: {key: encode(v, bool, str, _ints) for key, _, v in fields},
-            lambda: "\n".join(label.ljust(width) + encode(v, _yes, str, _tuple)
+    return (lambda: {key: encode(v, bool, _ints) for key, _, v in fields},
+            lambda: "\n".join(label.ljust(width) + encode(v, _yes, _tuple)
                               for _, label, v in fields if label))
 
 
