@@ -239,6 +239,10 @@ def _cmd_lattice_points(args):
 
 def _cmd_cohom(args):
     q = _parse_weights(args.weights)
+    if args.table and (args.p, args.q, args.m) != (None,) * 3:
+        raise ValueError("--table reads --m-range, not -p, -q or -m")
+    if not args.table and args.m_range is not None:
+        raise ValueError("--m-range needs --table")
     if args.table:
         if args.m_range is None:
             raise ValueError("--table needs --m-range LO..HI")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .lattice import count_points, face_histogram
-from .linalg import DimensionError
+from .linalg import DimensionError, _fmt_int
 from .weights import WeightsVector, _extended_gcd_combination, reduction_data
 
 
@@ -115,7 +115,7 @@ def hodge_table(q: WeightsVector, m_range: tuple[int, int]) -> HodgeTable:
     """Full table of ``hodge`` values for ``m`` in the inclusive range."""
     lo, hi = m_range
     if lo > hi:
-        raise ValueError("empty range")
+        raise ValueError(f"empty range {_fmt_int(lo)}..{_fmt_int(hi)}")
     n = q.n
     entries = {}
     for m in range(lo, hi + 1):

@@ -103,11 +103,12 @@ def canonical_fan(q: WeightsVector) -> FanMatrix:
     ``(q_j / g_{j-1})^-1 mod d_j``, one inverse per column.  Column 0
     closes each row to ``row . q = 0``.
 
-    The result is certified without a determinant: rows in ``ker q``, a
-    nonnegative HNF block whose pivots multiply to ``q_0``, and a
-    negative column 0.  The block then has rank ``n`` and determinant
-    ``q_0``, so the cofactor vector, which spans the kernel, is ``q``
-    itself: the maximal minors are ``(-1)^j q_j`` and ``epsilon = 0``.
+    The result is certified without a determinant: rows in ``ker q`` and
+    a nonnegative HNF block whose pivots multiply to ``q_0``.  The block
+    then has rank ``n`` and determinant ``q_0``, so the cofactor vector,
+    which spans the kernel, is ``q`` itself: the maximal minors are
+    ``(-1)^j q_j`` and ``epsilon = 0``.  Column 0 is then negative, as
+    ``x_0 q_0 = -sum_(j>0) q_j x_j`` and each row has a positive pivot.
     """
     if q.n < 1:
         raise DimensionError("need at least two weights")
@@ -123,8 +124,6 @@ def canonical_fan(q: WeightsVector) -> FanMatrix:
     # an HNF whose diagonal multiplies to q_0 (checked below) is nonnegative
     if not is_hnf(block):
         raise AssertionError("canonical block is not a nonnegative HNF")
-    if any(x >= 0 for x in v.column(0)):
-        raise AssertionError("canonical first column must be negative")
     if prod(block.entries[i][i] for i in range(n)) != q[0]:
         raise AssertionError("canonical pivots do not multiply to q_0")
     if any(sum(map(mul, row, q.q)) for row in v.entries):

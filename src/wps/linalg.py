@@ -7,7 +7,8 @@ and overflow fixed-width integers almost immediately.  Kept is what the
 answers use: :class:`IntMatrix`, the Hermite form predicate :func:`is_hnf`
 (the canonical fan solves its HNF block, never reduces to it), and two
 eliminations, the Bareiss kernel :func:`_jordan` behind :func:`max_minors`
-(a forward pass to an upper triangle, then back substitution) and
+(a forward pass over ``[A | v]`` with one right-hand column to an upper
+triangle, then back substitution) and
 :func:`_primitive_rows`: the primitive facet normals (the paper's
 W-hat) with their determinant tracked through the elimination, which
 transversion and polytope recognition read their answers off.  Their
@@ -115,7 +116,7 @@ class IntMatrix:
                                for r in self.entries))
 
     def det(self) -> int:
-        """Determinant by :func:`_jordan` with an empty right block; 0 when singular.
+        """Determinant by :func:`_jordan` with a zero right-hand column; 0 when singular.
 
         No answer calls it; it stays because the benchmark's tracer
         (``perfbench/spans.py``) wraps it by name.
@@ -123,7 +124,7 @@ class IntMatrix:
         if not self.is_square:
             raise DimensionError("determinant of a non-square matrix")
         try:
-            return _jordan(self.entries, [()] * self.rows)[0]
+            return _jordan(self.entries, [0] * self.rows)[0]
         except SingularMatrixError:
             return 0
 
@@ -166,31 +167,28 @@ def is_hnf(m: IntMatrix) -> bool:
 # Eliminations: maximal minors and primitive facet normals
 
 
-def _jordan(a, e) -> tuple[int, list[list[int]]]:
-    """Fraction-free elimination on ``[A | E]``, then back substitution.
+def _jordan(a, v) -> tuple[int, list[int]]:
+    """Fraction-free elimination on ``[A | v]``, then back substitution.
 
-    Returns ``(det A, adj(A) @ E)`` for a square ``A`` and an ``E`` with
-    as many rows.  Forward phase: step ``k`` clears column ``k`` below
-    the pivot and divides by the previous pivot, which is exact
-    (Bareiss); the left block ends as an upper triangular ``U`` whose
-    last pivot is ``d``, the determinant of the row-swapped ``A``.
-    Columns left of the pivot are never read again, so they are not
-    updated.  Back substitution then solves ``U @ y = d * c`` for each
-    column ``c`` of the right block: ``y`` is the column of
-    ``d * A^-1 @ E``, an integer matrix, so each division
+    Returns ``(det A, adj(A) @ v)`` for a square ``A`` and one column
+    ``v``.  Forward phase: step ``k`` clears column ``k`` below the pivot
+    and divides by the previous pivot, which is exact (Bareiss); ``A``
+    ends as an upper triangular ``U`` whose last pivot is ``d``, the
+    determinant of the row-swapped ``A``.  Columns left of the pivot are
+    never read again, so they are not updated.  Back substitution then
+    solves ``U @ y = d * c`` for the eliminated column ``c``: ``y`` is
+    ``d * A^-1 @ v``, an integer vector, so each division
     ``y_i = (d * c_i - sum_(j>i) U_ij * y_j) / U_ii`` is exact, and
     ``y_(n-1) = c_(n-1)`` as ``U_(n-1)(n-1)`` is ``d``.  The sign of the
-    row swaps turns ``d`` and ``y`` into ``det A`` and ``adj(A) @ E``.
-    For ``[B | v]`` that is ``sum_k (n-1-k)(n-k)``, about ``n^3/3``,
-    entry updates and ``n(n-1)/2`` products; Gauss-Jordan, which also
-    clears above each pivot, takes ``(n-1) * sum_k (n-k)``, about
-    ``n^3/2``.  An inexact division in either phase raises
-    :class:`AssertionError`; a singular ``A`` raises
-    :class:`SingularMatrixError`.
+    row swaps turns ``d`` and ``y`` into ``det A`` and ``adj(A) @ v``.
+    That is ``sum_k (n-1-k)(n-k)``, about ``n^3/3``, entry updates and
+    ``n(n-1)/2`` products; Gauss-Jordan, which also clears above each
+    pivot, takes ``(n-1) * sum_k (n-k)``, about ``n^3/2``.  An inexact
+    division in either phase raises :class:`AssertionError`; a singular
+    ``A`` raises :class:`SingularMatrixError`.
     """
     n = len(a)
-    mat = [list(r) + list(x) for r, x in zip(a, e)]
-    width = len(mat[0])
+    mat = [list(r) + [x] for r, x in zip(a, v)]
     sign, prev = 1, 1
     for k in range(n):
         if mat[k][k] == 0:
@@ -206,25 +204,21 @@ def _jordan(a, e) -> tuple[int, list[list[int]]]:
         for i in range(k + 1, n):
             row_i = mat[i]
             mik = row_i[k]
-            for j in range(k + 1, width):
+            for j in range(k + 1, n + 1):
                 q, r = divmod(row_i[j] * mkk - mik * row_k[j], prev)
                 if r:
                     raise AssertionError("Bareiss division by the previous pivot is not exact")
                 row_i[j] = q
         prev = mkk
-    out = [[0] * (width - n) for _ in range(n)]
-    out[n - 1] = [sign * x for x in mat[n - 1][n:]]
-    for c in range(n, width):
-        y = [0] * n
-        y[n - 1] = mat[n - 1][c]
-        for i in range(n - 2, -1, -1):
-            row_i = mat[i]
-            q, r = divmod(prev * row_i[c] - sum(map(mul, row_i[i + 1:n], y[i + 1:])), row_i[i])
-            if r:
-                raise AssertionError("back substitution is not exact")
-            y[i] = q
-            out[i][c - n] = sign * q
-    return sign * prev, out
+    y = [0] * n
+    y[n - 1] = mat[n - 1][n]
+    for i in range(n - 2, -1, -1):
+        row_i = mat[i]
+        q, r = divmod(prev * row_i[n] - sum(map(mul, row_i[i + 1:n], y[i + 1:])), row_i[i])
+        if r:
+            raise AssertionError("back substitution is not exact")
+        y[i] = q
+    return sign * prev, [sign * x for x in y]
 
 
 def max_minors(v: IntMatrix) -> tuple[int, ...]:
@@ -232,7 +226,8 @@ def max_minors(v: IntMatrix) -> tuple[int, ...]:
 
     Entry ``i`` is the determinant of ``v`` with column ``i`` deleted.
     One :func:`_jordan` on ``[B_j | v_j]``, ``B_j`` being ``v`` without
-    its column ``v_j``, gives ``minor_j = det B_j`` and, by Cramer's rule,
+    its column ``v_j``, the one right-hand column, gives
+    ``minor_j = det B_j`` and, by Cramer's rule,
     ``minor_i = (-1)^(|i-j|-1)`` times the entry of ``adj(B_j) @ v_j`` at
     column ``i``'s position in ``B_j``.  ``j`` is the first column with a
     nonsingular block (0 for generic input); all minors are 0 when there
@@ -250,10 +245,9 @@ def max_minors(v: IntMatrix) -> tuple[int, ...]:
     for j in range(v.cols):
         block = [r[:j] + r[j + 1:] for r in v.entries]
         try:
-            d, adj_vj = _jordan(block, [r[j:j + 1] for r in v.entries])
+            d, x = _jordan(block, [r[j] for r in v.entries])
         except SingularMatrixError:
             continue
-        x = [r[0] for r in adj_vj]
         for b, r in zip(block, v.entries):
             if sum(map(mul, b, x)) != d * r[j]:
                 raise AssertionError("maximal minors failed Cramer's identity")

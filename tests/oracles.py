@@ -6,8 +6,9 @@ elimination, rational Gauss-Jordan inverses instead of integer
 adjugates, two Hermite normal forms instead of the congruences of
 the canonical fan (the direct diophantine construction here solves
 those same congruences),
-the Bareiss adjugate and its row gcds instead of primitive facet
-normals for transversion, recognition and admissibility, explicit fan
+the rational adjugate and its row gcds instead of primitive facet
+normals for transversion, recognition and admissibility, fans
+certified by their kernel instead of their maximal minors, explicit fan
 reconstruction and lattice membership instead of the facet-normal
 admissibility test, the alternating cone count
 instead of the closed-form Betti numbers, geometric half-space
@@ -27,13 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterator
 
-from wps.fan import FanMatrix, recognize_fan
-from wps.linalg import DimensionError, IntMatrix, SingularMatrixError, _jordan, is_hnf
-from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection,
-                          weighted_transverse)
+from wps.fan import FanMatrix
+from wps.linalg import DimensionError, IntMatrix, SingularMatrixError, is_hnf
+from wps.polytope import LatticeSimplex, PolarizedWps, PolytopeRejection
 from wps.weights import WeightsVector, is_reduced, reduce_weights
 
 
@@ -138,7 +138,7 @@ def transverse(a: RatMatrix) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# adjugates: fraction-free elimination and recursive cofactor expansion
+# adjugates: rational Gauss-Jordan and recursive cofactor expansion
 
 
 def diagonal(d) -> IntMatrix:
@@ -149,10 +149,11 @@ def diagonal(d) -> IntMatrix:
 def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
     """Determinant and adjugate: ``(det w, adj w)``.
 
-    Both come from one fraction-free elimination on ``[w | I]``, a
-    forward Bareiss pass and back substitution (``linalg._jordan``),
-    which keeps intermediate entries polynomial in the input size, and
-    are checked against ``adj(w) @ w == det(w) * I``.
+    Both come from this module's rational eliminations, which share no
+    code with the library's: ``d = RatMatrix.det`` and ``adj = d *
+    RatMatrix.inverse``, checked against ``adj(w) @ w == d * I``.  The
+    determinant is pinned by its own elimination; the identity alone
+    would also pass ``c * d`` with ``c * adj``.
     Raises :class:`SingularMatrixError` when ``det w == 0``.
     """
     if not w.is_square:
@@ -164,10 +165,10 @@ def adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
 def _adjoint(w: IntMatrix) -> tuple[int, IntMatrix]:
     # memoized: the recognition and admissibility routes of one simplex
     # ask for the same adjugate, the costliest step of either
-    n = w.rows
-    d, adj = _jordan(w.entries, [[int(i == j) for j in range(n)] for i in range(n)])
-    out = IntMatrix.from_rows(adj)
-    if out @ w != diagonal((d,) * n):
+    r = to_rational(w)
+    d = int(r.det())
+    out = IntMatrix.from_rows([[d * x for x in row] for row in r.inverse().entries])
+    if out @ w != diagonal((d,) * w.rows):
         raise AssertionError("adjugate failed its defining identity")
     return d, out
 
@@ -198,10 +199,24 @@ def adjugate_cofactor(rows):
 # transversion, recognition and admissibility through the adjugate
 #
 # The library reads everything off the primitive facet normals ``what_k``
-# with ``what_k @ w = lam_k * e_k``.  These routes build the Bareiss
+# with ``what_k @ w = lam_k * e_k``.  These routes build the rational
 # adjugate instead and divide each row by its gcd ``s_k``: then
 # q_k = s_k / s with s = gcd(s_k), q_0 = |det w|^(n-1) / prod(s_k) and
 # lcm(q) = |det w| / s.
+
+
+def fan_by_kernel(v: IntMatrix, q: tuple[int, ...]) -> FanMatrix:
+    """``v`` as a fan matrix of the coprime weights ``q``, certified
+    without its maximal minors: ``v @ q == 0`` and ``|det B| == q_0`` for
+    its block ``B`` of columns ``1..n``, by rational elimination.  ``B``
+    then has rank ``n``, so ``q`` spans ``ker v``; the signed minors
+    span it too and start with ``det B``, so they are ``(-1)^j q_j``
+    times the sign of ``det B``."""
+    det = to_rational(v.delete_column(0)).det()
+    if (gcd(*q) != 1 or abs(det) != q[0]
+            or any(sum(map(mul, row, q)) for row in v.entries)):
+        raise AssertionError("not a fan matrix of these weights")
+    return FanMatrix(v=v, weights=WeightsVector(q), epsilon=int(det < 0))
 
 
 def what_by_adjugate(det: int, adj: IntMatrix) -> IntMatrix:
@@ -272,9 +287,9 @@ def recognize_polytope_by_adjugate(s: LatticeSimplex) -> tuple[PolarizedWps, Fan
             raise PolytopeRejection("not-wps", "not a wps polytope: "
                                     "reconstructed fan column is not integral")
         v0.append(quo)
-    fan = recognize_fan(IntMatrix.from_rows([[v0[i]] + list(what.column(i))
-                                             for i in range(n)]))
-    assert fan.weights.q == q and is_reduced(fan.weights)
+    fan = fan_by_kernel(IntMatrix.from_rows([[v0[i]] + list(what.column(i))
+                                             for i in range(n)]), q)
+    assert is_reduced(fan.weights)
     assert lcm(*q) == abs(det) // s_all
     assert weighted_transverse_by_adjugate(fan) == w_prime
     return PolarizedWps(weights=fan.weights, polarization=m), fan
@@ -294,14 +309,16 @@ def _inversion_data(w: IntMatrix):
     s_rows = row_gcds(adj)
     s = gcd(*s_rows)
     what = what_by_adjugate(det, adj)
-    q = (abs(what.det()),) + tuple(si // s for si in s_rows)
+    q = (abs(int(to_rational(what).det())),) + tuple(si // s for si in s_rows)
     return det, adj, what, q, s
 
 
 def admissible_by_inversion(w: IntMatrix) -> bool:
     """Condition (a): the first fan column fixed by ``what`` and the
     weights is integral, the completed matrix is a fan, and that fan's
-    weighted transverse is ``w``."""
+    weighted transverse is ``w``.  The completed matrix is a fan
+    whenever its first column is integral (:func:`fan_by_kernel`
+    certifies it), and its transverse is taken through the adjugate."""
     _, _, what, q, _ = _inversion_data(w)
     n = w.rows
     v0 = []
@@ -310,12 +327,9 @@ def admissible_by_inversion(w: IntMatrix) -> bool:
         if rem:
             return False
         v0.append(quo)
-    try:
-        fan = recognize_fan(IntMatrix.from_rows([[v0[i]] + list(what.column(i))
-                                                 for i in range(n)]))
-    except ValueError:
-        return False
-    return weighted_transverse(fan) == w
+    fan = fan_by_kernel(IntMatrix.from_rows([[v0[i]] + list(what.column(i))
+                                             for i in range(n)]), q)
+    return weighted_transverse_by_adjugate(fan) == w
 
 
 def admissible_by_lattice_membership(w: IntMatrix) -> bool:
@@ -442,7 +456,7 @@ class HnfResult:
     def __post_init__(self):
         if not self.transform.is_square or self.transform.rows != self.hnf.rows:
             raise DimensionError("transform must be square with as many rows as the HNF")
-        if abs(self.transform.det()) != 1:
+        if abs(to_rational(self.transform).det()) != 1:
             raise ValueError("transform is not unimodular")
         if not is_hnf(self.hnf):
             raise ValueError("matrix is not in Hermite normal form")
@@ -511,17 +525,14 @@ def witness_fan(q: WeightsVector) -> FanMatrix:
 
     The last ``n`` rows of the unimodular witness ``U`` of the HNF of
     the weights column, ``U @ q^T = (1,0,...,0)^T``, are a fan matrix
-    whose recognized weights are exactly ``q``.
+    whose weights are exactly ``q`` (:func:`fan_by_kernel`).
     """
     if q.n < 1:
         raise DimensionError("need at least two weights")
     res = hnf(IntMatrix.from_rows([[x] for x in q]))
     if res.hnf.column(0) != (1,) + (0,) * q.n:
         raise AssertionError("weights column did not reduce to a unit vector")
-    out = recognize_fan(IntMatrix.from_rows(res.transform.entries[1:]))
-    if out.weights.q != q.q:
-        raise AssertionError("constructed fan has the wrong weights")
-    return out
+    return fan_by_kernel(IntMatrix.from_rows(res.transform.entries[1:]), q.q)
 
 
 def canonical_fan_by_hnf(q: tuple[int, ...]) -> IntMatrix:

@@ -509,6 +509,10 @@ def test_cohom_table_rejects_a_huge_range_at_once(capsys):
      "bad range '0..x': invalid literal for int() with base 10: 'x'"),
     (("cohom", "--table"), "--table needs --m-range LO..HI"),
     (("cohom", "-p", "0", "-q", "0"), "cohom needs -p, -q and -m (or --table with --m-range)"),
+    (("cohom", "-p", "0", "-q", "0", "-m", "1", "--m-range", "0..5"), "--m-range needs --table"),
+    (("cohom", "--table", "--m-range", "1..1", "-p", "9"),
+     "--table reads --m-range, not -p, -q or -m"),
+    (("cohom", "--table", "--m-range", "3..1"), "empty range 3..1"),
 ])
 def test_input_guards_exit_2(capsys, argv, message):
     command, *flags = argv

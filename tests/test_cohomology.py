@@ -239,7 +239,7 @@ def test_hodge_table_contents(capsys):
 
 
 def test_hodge_table_rejects_empty_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^empty range 2\.\.1$"):
         hodge_table(WeightsVector((1, 1)), (2, 1))
 
 

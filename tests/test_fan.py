@@ -245,8 +245,8 @@ def corrupt_rows(monkeypatch, change):
     (lambda i, row, last: [a - b for a, b in zip(row, last)] if i == 1 else row,
      "canonical block is not a nonnegative HNF"),
     # a nonnegative column 0 with a valid block; with the other conditions
-    # it cannot occur, so this row also leaves the kernel
-    (lambda i, row, last: [0] + row[1:], "canonical first column must be negative"),
+    # it cannot occur, so this row leaves the kernel
+    (lambda i, row, last: [0] + row[1:], "canonical rows are not in the kernel of the weights"),
     # the last row doubled: in the kernel and still an HNF, pivots 2*q_0
     (lambda i, row, last: [2 * x for x in row] if i == 3 else row,
      "canonical pivots do not multiply to q_0"),

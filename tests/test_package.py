@@ -6,6 +6,8 @@ import wps.fan
 import wps.linalg
 import wps.polytope
 
+TESTS = Path(__file__).parent
+
 
 def test_public_names_are_pinned():
     # test-only derivations live in tests/oracles.py and are not exported
@@ -60,6 +62,26 @@ def test_fan_and_simplex_define_only_what_answers_use():
     # as for IntMatrix: a method that only tests call belongs in the tests
     assert methods_of(wps.fan, "FanMatrix") == ["__post_init__", "n", "column"]
     assert methods_of(wps.polytope, "LatticeSimplex") == ["__post_init__", "n", "edge_matrix"]
+
+
+def test_oracles_import_no_private_name_of_the_library():
+    # the oracles re-derive what the library computes, so they use only
+    # its public names: no elimination kernel, no private helper
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "wps" for alias in node.names]
+    assert names and not [name for name in names if name.startswith("_")]
+
+
+def test_readme_library_block_runs():
+    # CI runs every wps line of README's CLI block; this runs its Python
+    # block, whose last line states its value in a comment
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    code, _, value = block.strip().splitlines()[-1].partition("#")
+    assert eval(code, namespace) == int(value) == 3
 
 
 def test_only_the_cli_reads_and_writes_text():

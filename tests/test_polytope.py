@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wps.fan
 import wps.linalg
 import wps.polytope
 import wps.weights
@@ -18,6 +19,7 @@ from wps.polytope import (LatticeSimplex, PolarizedWps, PolytopeRejection, is_p_
 from wps.weights import (WeightsVector, is_reduced, reduce_weights,
                          reduction_data)
 
+import oracles
 from oracles import (admissible_by_inversion, admissible_by_lattice_membership, diagonal,
                      is_p_admissible_by_adjugate, random_permutation, random_unimodular,
                      random_weights, recognize_polytope_by_adjugate, to_rational, transverse,
@@ -530,9 +532,9 @@ def test_recognition_takes_no_determinant(monkeypatch):
     calls = []
     jordan = wps.linalg._jordan
 
-    def counted(a, e):
+    def counted(a, v):
         calls.append(len(a))
-        return jordan(a, e)
+        return jordan(a, v)
 
     monkeypatch.setattr(IntMatrix, "det", no_det)
     monkeypatch.setattr(wps.linalg, "_jordan", counted)
@@ -543,6 +545,39 @@ def test_recognition_takes_no_determinant(monkeypatch):
     canonical = canonical_fan(WeightsVector((2, 3, 4, 15, 25)))
     assert weighted_transverse(canonical) == W_2_3_4_15_25
     assert recognize_fan(CANONICAL_2_3_4_15_25).weights.q == (2, 3, 4, 15, 25)
+
+
+def test_oracles_run_no_elimination_of_the_library(monkeypatch):
+    # the oracles check the library's minors, determinants and
+    # eliminations, so with every one of them disabled they still answer
+    inadmissible = IntMatrix.from_rows([[0, 2], [2, 1]])
+    assert is_p_admissible(inadmissible) is False
+    square = IntMatrix.from_rows([[4, 6, 2], [6, 9, 5], [2, 5, 7]])
+    rank_2 = IntMatrix.from_rows([[4, 6, 2], [6, 9, 3], [2, 5, 7]])
+    adj = IntMatrix.from_rows(oracles.adjugate_cofactor(square.entries))
+    d = (square @ adj).entries[0][0]
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("an oracle ran a library elimination")
+
+    monkeypatch.setattr(IntMatrix, "det", forbidden)
+    for module in (wps.linalg, wps.fan, wps.polytope):
+        for name in ("_jordan", "max_minors", "_primitive_rows", "_solve_upper"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    oracles._adjoint.cache_clear()      # no adjugate computed before the patch
+    assert oracles.adjoint(square) == (d, adj)
+    assert admissible_by_inversion(W_2_3_4_15_25)
+    assert admissible_by_lattice_membership(W_2_3_4_15_25)
+    assert not admissible_by_inversion(inadmissible)
+    assert not admissible_by_lattice_membership(inadmissible)
+    res = oracles.hnf(rank_2)
+    assert res.transform @ rank_2 == res.hnf and res.rank == 2
+    pol, fan = recognize_polytope_by_adjugate(simplex_2_3_4_15_25())
+    assert pol.weights.q == (2, 3, 4, 15, 25) and fan.v == CANONICAL_2_3_4_15_25
+    assert witness_fan(WeightsVector((2, 3, 4, 15, 25))).weights.q == (2, 3, 4, 15, 25)
+    with pytest.raises(RuntimeError):
+        recognize_fan(CANONICAL_2_3_4_15_25)
 
 
 def test_recognition_checks_the_determinant_it_is_given(monkeypatch):
