@@ -51,7 +51,11 @@ bound on the largest count.  The first weight enters as its indicator of
 multiples.  Each further weight ``w`` divides by ``1 - x^w`` block by block:
 the block as one integer times ``(1 + x^w)(1 + x^2w)..``, a shift and add
 per factor in C loops, plus the ``w`` final cells before it, repeated; a
-weight of more than ``_BLOCK`` cells takes blocks of its own length.
+weight of more than ``_BLOCK`` cells takes blocks of its own length.  That
+carry, the block's last ``w`` cells, is read by one shift of the block's
+integer, and only those cells are converted to bytes: converting the whole
+block to keep its tail took 1.72 s against 1.50 s for
+``count_points((7, 11, 13, 17, 19, 23), 1)`` (CPython 3.11).
 The totals' table leaves out the largest weight, which enters only at the
 targets: :func:`_sums_at` sums the cells along its residue class there,
 byte plane by byte plane.  Every other count reads cells through
@@ -118,7 +122,12 @@ def _count_table(weights: tuple[int, ...], size: int) -> tuple[bytearray, int]:
     a partial sum of its final count, so none carries into the next while
     ``width`` holds the largest: with ``x_0`` fixed by the others, at most
     the points ``x_1..x_k >= 0`` with ``sum w_j x_j <= size - 1``, fewer than
-    their box and than the simplex of their unit cubes."""
+    their box and than the simplex of their unit cubes.
+
+    Each weight carries the block's last ``w`` cells, its top ``gap``
+    bytes, into the next block.  The block's integer stays below
+    ``2^bits`` since no field carries, so one shift reads them, and only
+    they are converted to bytes."""
     first, *rest = weights or (size + 1,)      # no weight: 1 at t = 0 alone
     box = prod((size - 1) // w + 1 for w in rest)
     cubes = (size - 1 + sum(rest)) ** len(rest) // (factorial(len(rest)) * prod(rest))
@@ -141,7 +150,7 @@ def _count_table(weights: tuple[int, ...], size: int) -> tuple[bytearray, int]:
                     carry = (tails[j] * (len(block) // gap + 1))[:len(block)]
                     cells += int.from_bytes(carry, "little")
                 if lo + step < len(table):
-                    tails[j] = cells.to_bytes(len(block), "little")[-gap:]
+                    tails[j] = (cells >> bits - 8 * gap).to_bytes(gap, "little")
             table[lo:lo + step] = cells.to_bytes(len(block), "little")
     return table, width
 

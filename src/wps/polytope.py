@@ -3,7 +3,7 @@
 The fan-to-polytope map deletes column 0 of the fan matrix, takes the
 transposed inverse and rescales column ``k`` by ``lcm(weights)/q_k``.
 The result is an integer matrix whose columns, together with the
-origin, span the polytope of the minimal very ample polarization.
+origin, span the polytope of the minimal ample polarization ``O(delta)``.
 :func:`weighted_transverse` is that map, with two routes chosen by the
 block: an upper triangular one with a nonzero diagonal, as every
 canonical fan's, is solved by forward substitution, one exact division

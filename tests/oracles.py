@@ -700,16 +700,19 @@ def simplex_census_boxscan(w: IntMatrix, m: int):
 # polynomials.
 
 
+def solution_counts(weights: tuple[int, ...], size: int) -> list[int]:
+    """Numbers of nonnegative solutions of ``sum w_j x_j = t`` for
+    ``0 <= t < size``, ``size >= 1``, one running sum per weight."""
+    table = [1] + [0] * (size - 1)
+    for w in weights:
+        for t in range(w, size):
+            table[t] += table[t - w]
+    return table
+
+
 def solution_count(weights: tuple[int, ...], target: int) -> int:
     """Number of nonnegative solutions of ``sum w_j x_j = target``."""
-    if target < 0:
-        return 0
-    table = [0] * (target + 1)
-    table[0] = 1
-    for w in weights:
-        for t in range(w, target + 1):
-            table[t] += table[t - w]
-    return table[target]
+    return solution_counts(weights, target + 1)[target] if target >= 0 else 0
 
 
 def face_numerator(weights: tuple[int, ...], terms: int) -> list[list[int]]:

@@ -13,7 +13,7 @@ from wps.weights import WeightsVector, reduce_weights
 
 from oracles import (LatticePoint, dp_count_interior, dp_count_points, dp_face_histogram,
                      face_numerator, lattice_points, random_weights, simplex_census,
-                     simplex_census_boxscan, solution_count)
+                     simplex_census_boxscan, solution_count, solution_counts)
 
 
 def census_of(q: WeightsVector, m: int):
@@ -295,6 +295,9 @@ def test_top_two_coefficients_of_the_total_have_closed_forms(case):
 @example((1,) * 10, 100, 1, 8)          # 6 bytes of count
 @example((1,) * 15, 100, 4096, 8)
 @example((1,) * 20, 100, 1, 10)         # past 8 bytes: read with from_bytes
+@example((3, 4096), 9000, 4096, 1)      # a weight of one block: its tail is the whole block
+@example((1, 1, 4097), 9000, 4096, 2)   # a weight past the block, in blocks of its own
+@example((1, 1, 3), 120, 5, 2)          # 2-byte tails shorter than the block, over 24 blocks
 def test_packed_counting_table_matches_the_oracle(weights, size, block, width):
     # blocks down to one cell (then as long as the largest weight) carry
     # their sums into the next; every field holds its cell, none carries
@@ -307,7 +310,7 @@ def test_packed_counting_table_matches_the_oracle(weights, size, block, width):
         table = wps.lattice._count_table(tuple(weights), size)
     assert width in (None, table[1]) and len(table[0]) == size * table[1]
     cells = wps.lattice._cells(table, slice(None))
-    assert cells == [solution_count(weights, t) for t in range(size)]
+    assert cells == solution_counts(weights, size)
     assert max(cells) < 2 ** (8 * table[1])
     t, w = max(size - 2, 0), max(weights, default=1)
     assert wps.lattice._sums_at(table, range(-1, size), w) == [0] + [
