@@ -88,7 +88,7 @@ def _simplex_of(obj) -> LatticeSimplex:
 
 
 def _fan_payload(fan: FanMatrix) -> dict:
-    return {"n": fan.n, "columns": [_ints(fan.column(j)) for j in range(fan.v.cols)],
+    return {"n": fan.n, "columns": [_ints(col) for col in zip(*fan.v.entries)],
             "weights": _ints(fan.weights)}
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import comb
 
 from .lattice import count_points, face_histogram
-from .linalg import DimensionError, _fmt_int
-from .weights import WeightsVector, _extended_gcd_combination, reduction_data
+from .linalg import _fmt_int
+from .weights import WeightsVector, _extended_gcd_combination, _space_dimension, reduction_data
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class DivisorClassInfo:
 
 def divisor_info(q: WeightsVector) -> DivisorClassInfo:
     """Divisor-class data of the space presented by ``q``."""
-    if q.n < 1:
-        raise DimensionError("need at least two weights")
+    _space_dimension(q)
     rd = reduction_data(q)
     delta, total = rd.delta_reduced, rd.reduced.total
     return DivisorClassInfo(
@@ -65,16 +64,13 @@ def rational_homology(q: WeightsVector) -> tuple[int, ...]:
     """Rational Betti numbers ``h_0, ..., h_{2n}``: 1 in even degrees,
     0 in odd ones, as for every complete simplicial fan with ``n+1``
     rays."""
-    n = q.n
-    if n < 1:
-        raise DimensionError("need at least two weights")
+    n = _space_dimension(q)
     return tuple(int(i % 2 == 0) for i in range(2 * n + 1))
 
 
 def h0_line_bundle(q: WeightsVector, m: int) -> int:
     """Global sections of the ``m``-th power of the Picard generator."""
-    if q.n < 1:
-        raise DimensionError("need at least two weights")
+    _space_dimension(q)
     return count_points(q, m) if m >= 0 else 0
 
 
@@ -86,9 +82,7 @@ def hodge(q: WeightsVector, p: int, qq: int, m: int) -> int:
     intermediate degrees vanish away from ``m = 0`` and are Kronecker
     delta at 0; top degree is degree 0 at ``(n - p, -m)``.
     """
-    n = q.n
-    if n < 1:
-        raise DimensionError("need at least two weights")
+    n = _space_dimension(q)
     if not (0 <= p <= n and 0 <= qq <= n):
         raise ValueError(f"form degree and cohomology degree must lie in [0, {n}]")
     if 0 < qq < n:

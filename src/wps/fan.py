@@ -19,7 +19,7 @@ from math import gcd, prod
 from operator import mul
 
 from .linalg import DimensionError, IntMatrix, _fmt_int, is_hnf, max_minors
-from .weights import WeightsVector, isomorphic
+from .weights import WeightsVector, _space_dimension, isomorphic
 
 
 class FanRejection(ValueError):
@@ -55,9 +55,6 @@ class FanMatrix:
     @property
     def n(self) -> int:
         return self.v.rows
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.v.column(j)
 
 
 def recognize_fan(v: IntMatrix) -> FanMatrix:
@@ -101,7 +98,7 @@ def canonical_fan(q: WeightsVector) -> FanMatrix:
     ``j > i`` is the one residue mod ``d_j`` that keeps the partial sum
     ``d_i q_i + ... + q_j x_j`` divisible by ``g_j``; it needs
     ``(q_j / g_{j-1})^-1 mod d_j``, one inverse per column.  Column 0
-    closes each row to ``row . q = 0``.
+    closes each row to ``row . q = 0`` with ``x_0 = -S // q_0``.
 
     The result is certified without a determinant: rows in ``ker q`` and
     a nonnegative HNF block whose pivots multiply to ``q_0``.  The block
@@ -109,10 +106,11 @@ def canonical_fan(q: WeightsVector) -> FanMatrix:
     which spans the kernel, is ``q`` itself: the maximal minors are
     ``(-1)^j q_j`` and ``epsilon = 0``.  Column 0 is then negative, as
     ``x_0 q_0 = -sum_(j>0) q_j x_j`` and each row has a positive pivot.
+    The kernel check also decides each row's closure on column 0: the
+    other two read only columns 1..n, and a row whose ``S`` is not a
+    multiple of ``q_0`` misses the kernel by ``(-S) mod q_0``.
     """
-    if q.n < 1:
-        raise DimensionError("need at least two weights")
-    n = q.n
+    n = _space_dimension(q)
     g = [0] * n + [q[0]]
     for i in range(n - 1, -1, -1):
         g[i] = gcd(g[i + 1], q[i + 1])
@@ -135,7 +133,7 @@ def _canonical_row(q: tuple[int, ...], i: int, g: list[int], d: list[int],
                    inv: list[int]) -> list[int]:
     """Row ``i`` of the canonical fan: pivot ``d_i``, then each entry
     ``j > i`` the residue mod ``d_j`` that makes the partial sum ``S``
-    divisible by ``g_j``, and ``x_0 = -S / q_0``."""
+    divisible by ``g_j``, and ``x_0 = -S // q_0``."""
     x = [0] * len(q)
     x[i] = d[i]
     s = d[i] * q[i]
@@ -143,10 +141,7 @@ def _canonical_row(q: tuple[int, ...], i: int, g: list[int], d: list[int],
         if d[j] > 1:
             x[j] = -(s // g[j - 1]) * inv[j] % d[j]
             s += q[j] * x[j]
-    x0, rem = divmod(-s, q[0])
-    if rem:
-        raise AssertionError(f"row {i} does not close on column 0")
-    x[0] = x0
+    x[0] = -s // q[0]
     return x
 
 

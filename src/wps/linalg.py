@@ -390,5 +390,5 @@ def _primitive_rows(a) -> tuple[list[list[int]], tuple[int, ...], int]:
         rows = [[r[p] for p in order] for r in rows]
     lam = _diagonal_of(rows, a)
     if any(gcd(*r) != 1 for r in rows):
-        raise AssertionError("primitive rows failed their defining identity")
+        raise AssertionError("primitive rows are not primitive")
     return rows, lam, det

@@ -166,13 +166,12 @@ def recognize_polytope(s: LatticeSimplex) -> tuple[PolarizedWps, FanMatrix]:
     weights are reduced; and their lcm is ``lcm(lam)``, which with
     ``lam_k q_k = lcm(lam)`` maps the fan back to ``w'``.  Any other
     failure is an :class:`AssertionError`.  The orientation ``epsilon``,
-    the sign of ``det what``, is checked by the tests, not here.  A zero
-    or singular edge matrix is rejected as ``degenerate``.
+    the sign of ``det what``, is checked by the tests, not here.  A
+    singular edge matrix, the zero one included, is rejected as
+    ``degenerate``.
     """
     w = s.edge_matrix()
-    m = w.entry_gcd()
-    if m == 0:
-        raise PolytopeRejection("degenerate", "simplex is not full-dimensional")
+    m = w.entry_gcd() or 1              # a zero edge matrix is singular too
     try:
         what, lam, det = _primitive_rows([[x // m for x in row] for row in w.entries])
     except SingularMatrixError:
@@ -229,16 +228,14 @@ def is_p_admissible(w: IntMatrix) -> bool:
 def permute_polytope(w: IntMatrix, sigma: tuple[int, ...]) -> IntMatrix:
     """Vertex-relabeling action on a polytope matrix.
 
-    With ``w_0`` the origin and ``w_1..w_n`` the columns, returns the
-    matrix with columns ``w_sigma(k) - w_sigma(0)`` for ``k = 1..n``.
+    Relabels the vertices ``w_0, ..., w_n`` of ``conv(0, columns of w)``,
+    ``w_0`` the origin, by ``sigma`` and returns the edge matrix of the
+    relabelled simplex: columns ``w_sigma(k) - w_sigma(0)``, ``k = 1..n``.
     """
     if not w.is_square:
         raise DimensionError("polytope matrix must be square")
     n = w.rows
     if sorted(sigma) != list(range(n + 1)):
         raise ValueError(f"not a permutation of 0..{n}: {sigma}")
-    cols = [tuple(0 for _ in range(n))] + [w.column(k) for k in range(n)]
-    anchor = cols[sigma[0]]
-    new_cols = [tuple(a - b for a, b in zip(cols[sigma[k]], anchor))
-                for k in range(1, n + 1)]
-    return IntMatrix.from_rows([[c[i] for c in new_cols] for i in range(n)])
+    verts = ((0,) * n, *zip(*w.entries))
+    return LatticeSimplex(vertices=tuple(verts[k] for k in sigma)).edge_matrix()

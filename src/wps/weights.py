@@ -16,11 +16,12 @@ is computed at most once per vector, and only when an answer reads it;
 vector, on each first read: threads' first reads run one at a time, and
 each costs about 0.5 us more (3.11.7), 3-5 % of the ``lattice-count``
 benchmark's median latency.  From 3.12 on it takes none.  The reduction
-takes ``delta'`` from the reduced vector and reads the input's lcm only
-to check ``delta == a * delta'`` where ``a > 1`` (at ``a = 1`` both are
-the same lcm).  The reduced vector is a vector of its own, never the
-input, so no vector reaches itself through its reduction data and none
-waits for the cycle collector to be freed.
+takes ``delta'`` from the reduced vector and reads no lcm of the input:
+``delta == a * delta'`` follows from its one check, that each
+``a_coeffs_j`` divides ``q_j`` (see :func:`_reduce`).  The reduced
+vector is a vector of its own, never the input, so no vector reaches
+itself through its reduction data and none waits for the cycle
+collector to be freed.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ class ReductionData:
 
     ``d[j]`` is the gcd of all weights except ``q_j``; ``a_coeffs[j]``
     the lcm of the other ``d``'s; ``a`` their common lcm.  The reduced
-    weights are ``q_j // a_coeffs[j]`` and ``delta == a * delta_reduced``,
-    both read off the lcm that the reduced vector keeps.
+    weights are ``q_j // a_coeffs[j]``, and ``delta == a * delta_reduced``
+    follows from that division being exact (:func:`_reduce`): both read
+    the lcm that the reduced vector keeps.
     """
 
     d: tuple[int, ...]
@@ -146,21 +148,27 @@ def _complementary_gcds(q: tuple[int, ...]) -> tuple[int, ...]:
 def _reduce(q: WeightsVector) -> ReductionData:
     """Compute the full reduction data of a weights vector.
 
-    The lcm factorization ``delta == a * delta'`` is checked where
-    ``a > 1``; at ``a = 1`` the reduced weights are the input's and it
-    would compare an lcm with itself."""
+    One check, that ``a_coeffs_j`` divides ``q_j``, decides the rest with
+    the input's gcd 1: a common factor of the reduced weights would divide
+    every ``q_j``, so they are coprime; a prime ``p | d_i`` divides every
+    ``q_j`` but ``q_i``, so ``p`` does not divide the reduced ``q_i`` and
+    ``v_p(delta) = v_p(d_i) + v_p(delta')``, which gives
+    ``delta == a * delta'`` without reading the input's lcm."""
     d = _complementary_gcds(q.q)
     a = prod(d)
     a_coeffs = tuple(a // dj for dj in d)
     reduced = tuple(x // ax for x, ax in zip(q.q, a_coeffs))
     if any(x % ax for x, ax in zip(q.q, a_coeffs)):
         raise AssertionError("reduction coefficients do not divide the weights")
-    red = WeightsVector(reduced)
-    if red.q != reduced:
-        raise AssertionError("reduced vector is not coprime")
-    if a > 1 and q.delta != a * red.delta:
-        raise AssertionError("lcm factorization failed")
-    return ReductionData(d=d, a_coeffs=a_coeffs, a=a, reduced=red)
+    return ReductionData(d=d, a_coeffs=a_coeffs, a=a, reduced=WeightsVector(reduced))
+
+
+def _space_dimension(q: WeightsVector) -> int:
+    """``q.n``, refusing a single weight: it presents a point, which has
+    no fan, divisors or cohomology here."""
+    if q.n < 1:
+        raise DimensionError("need at least two weights")
+    return q.n
 
 
 def reduction_data(q: WeightsVector) -> ReductionData:

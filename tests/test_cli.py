@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import wps.cli
 import wps.lattice
 import wps.linalg
+import wps.weights
 from wps.cli import _fan_payload, _ints, _simplex_payload, main
 from wps.cohomology import divisor_info
 from wps.fan import FanRejection, canonical_fan, recognize_fan
@@ -840,6 +841,32 @@ def test_internal_error_from_the_tracked_determinant(capsys, monkeypatch, tmp_pa
     code, out, err = run(capsys, "recognize-polytope", "--vertices", str(path))
     assert code == 3 and out == ""
     assert err == "internal error: primitive rows lost their determinant\n"
+
+
+def test_internal_error_from_cramers_identity(capsys, monkeypatch, tmp_path):
+    # a back-substituted entry off by one breaks B @ adj(B) @ v == det(B) * v,
+    # which max_minors checks before it reads the minors off
+    path = tmp_path / "fan.json"
+    fan = canonical_fan(WeightsVector((2, 3, 4, 15, 25)))
+    path.write_text(json.dumps([list(row) for row in fan.v.entries]))
+    jordan = wps.linalg._jordan
+
+    def off_by_one(a, v):
+        d, x = jordan(a, v)
+        return d, [x[0] + 1, *x[1:]]
+
+    monkeypatch.setattr(wps.linalg, "_jordan", off_by_one)
+    code, out, err = run(capsys, "recognize-fan", "--matrix", str(path))
+    assert code == 3 and out == ""
+    assert err == "internal error: maximal minors failed Cramer's identity\n"
+
+
+def test_internal_error_from_the_extended_gcd_identity(capsys, monkeypatch):
+    # a modular inverse off by one gives coefficients that do not sum to the gcd
+    monkeypatch.setattr(wps.weights, "pow", lambda *args: pow(*args) + 1, raising=False)
+    code, out, err = run(capsys, "divisors", "--weights", "2,3,5")
+    assert code == 3 and out == ""
+    assert err == "internal error: extended gcd combination does not sum to the gcd\n"
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,17 @@ def test_each_certificate_condition_is_checked(monkeypatch, capsys, change, mess
     assert captured.out == "" and captured.err == f"internal error: {message}\n"
 
 
-def test_a_row_that_does_not_close_on_column_0_is_an_error():
-    # g and d of (8,3,6,4); with the inverses zeroed, row 1 sums to 6,
-    # which q_0 = 8 does not divide
-    with pytest.raises(AssertionError, match="row 1 does not close on column 0"):
-        wps.fan._canonical_row((8, 3, 6, 4), 1, [1, 2, 4, 8], [1, 2, 2, 2], [0] * 4)
+def test_a_row_that_does_not_close_on_column_0_is_an_error(monkeypatch, capsys):
+    # with every inverse 0, row 1 of (8,3,6,4) is (x_0, 2, 0, 0) with the
+    # partial sum 6, which q_0 = 8 does not divide: the HNF and pivot checks
+    # read only columns 1..n and pass, and x_0 = -6 // 8 leaves row . q = -2
+    monkeypatch.setattr(wps.fan, "pow", lambda *args: 0, raising=False)
+    message = "canonical rows are not in the kernel of the weights"
+    with pytest.raises(AssertionError, match=message):
+        canonical_fan(WeightsVector((8, 3, 6, 4)))
+    assert main(["fan", "--weights", "8,3,6,4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"internal error: {message}\n"
 
 
 def test_canonical_fan_runs_no_elimination_and_no_euclid(monkeypatch):
@@ -293,7 +299,7 @@ def test_canonical_block_is_nonneg_hnf_and_first_column_negative():
         block = fan.v.delete_column(0)
         assert is_hnf(block)
         assert all(x >= 0 for row in block.entries for x in row)
-        assert all(x < 0 for x in fan.column(0))
+        assert all(x < 0 for x in fan.v.column(0))
 
 
 def test_moving_first_column_last_keeps_canonical_fan_in_hnf():

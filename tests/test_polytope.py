@@ -87,7 +87,7 @@ def test_weighted_transverse_ignores_reduction():
         d = reduction_data(q).d
         primitive_cols = []
         for j in range(fan.n + 1):
-            col = fan.column(j)
+            col = fan.v.column(j)
             assert all(x % d[j] == 0 for x in col)
             primitive_cols.append(tuple(x // d[j] for x in col))
         reduced_fan = recognize_fan(
@@ -627,6 +627,35 @@ def test_admissibility_raises_a_recognition_fault(monkeypatch):
     monkeypatch.setattr(owner, name, broken)
     with pytest.raises(AssertionError, match=message):
         is_p_admissible(W_2_3_4_15_25)
+
+
+def test_primitive_rows_check_their_primitivity(monkeypatch):
+    # every updated row doubled but reported with content 1: R @ a is still
+    # diagonal with positive entries and the determinant takes no division,
+    # so only the final primitivity check fires
+    primitive = wps.linalg._primitive
+    monkeypatch.setattr(wps.linalg, "_primitive",
+                        lambda row: ([2 * x for x in primitive(row)[0]], 1))
+    with pytest.raises(AssertionError, match="primitive rows are not primitive"):
+        recognize_polytope(polytope_of(WeightsVector((2, 3, 4, 15, 25)), 1))
+
+
+def test_the_elimination_route_of_the_transverse_checks_integrality(monkeypatch):
+    # a unit lower-bidiagonal U leaves the fan's block non-triangular, so
+    # the transverse takes the elimination route; doubled normal multiples
+    # mu make delta / (q_k * mu_k) inexact for the odd quotients
+    q = WeightsVector((2, 3, 4, 15, 25))
+    u = IntMatrix.from_rows([[int(i - k in (0, 1)) for k in range(q.n)] for i in range(q.n)])
+    fan = recognize_fan(u @ canonical_fan(q).v)
+    primitive_rows = wps.polytope._primitive_rows
+
+    def doubled_mu(a):
+        rows, mu, det = primitive_rows(a)
+        return rows, tuple(2 * x for x in mu), det
+
+    monkeypatch.setattr(wps.polytope, "_primitive_rows", doubled_mu)
+    with pytest.raises(AssertionError, match="weighted transverse is not integral"):
+        weighted_transverse(fan)
 
 
 # ---------------------------------------------------------------------------
