@@ -66,10 +66,9 @@ def recognize_fan(v: IntMatrix) -> FanMatrix:
     identity, which :func:`max_minors` checks, so the sum vanishes exactly
     when they alternate.  The first failed check raises a
     :class:`FanRejection` naming the culprit.  The gcd of the minors is
-    the factor the weights vector divides out.
+    the factor the weights vector divides out.  A matrix that is not
+    ``n x (n+1)`` with ``n >= 1`` is refused by :func:`max_minors`.
     """
-    if v.rows < 1 or v.cols != v.rows + 1:
-        raise DimensionError(f"fan matrix must be n x (n+1) with n >= 1, got {v.rows}x{v.cols}")
     minors = max_minors(v)
     for j, mj in enumerate(minors):
         if mj == 0:

@@ -96,12 +96,6 @@ _BLOCK = 4096       # cells in one block of a table update, few enough for the c
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
-def _reduced(q: WeightsVector) -> tuple[tuple[int, ...], int]:
-    """The reduced weights and their lcm."""
-    rd = reduction_data(q)
-    return rd.reduced.q, rd.delta_reduced
-
-
 def _check_cells(cells: int, delta: int) -> None:
     """Refuse a table of more than ``_MAX_CELLS`` cells, before allocating it."""
     if cells > _MAX_CELLS:
@@ -122,16 +116,14 @@ def _count_table(weights: tuple[int, ...], size: int) -> tuple[bytearray, int]:
     a partial sum of its final count, so none carries into the next while
     ``width`` holds the largest: with ``x_0`` fixed by the others, at most
     the points ``x_1..x_k >= 0`` with ``sum w_j x_j <= size - 1``, fewer than
-    their box and than the simplex of their unit cubes.
+    the simplex of their unit cubes.
 
     Each weight carries the block's last ``w`` cells, its top ``gap``
     bytes, into the next block.  The block's integer stays below
     ``2^bits`` since no field carries, so one shift reads them, and only
     they are converted to bytes."""
     first, *rest = weights or (size + 1,)      # no weight: 1 at t = 0 alone
-    box = prod((size - 1) // w + 1 for w in rest)
-    cubes = (size - 1 + sum(rest)) ** len(rest) // (factorial(len(rest)) * prod(rest))
-    width = _width(min(box, cubes))
+    width = _width((size - 1 + sum(rest)) ** len(rest) // (factorial(len(rest)) * prod(rest)))
     table = bytearray(size * width)
     table[::first * width] = b"\x01" * ((size - 1) // first + 1)     # the multiples of first
     groups = [([w for w in rest if w <= _BLOCK], _BLOCK)] + [([w], w) for w in rest if w > _BLOCK]
@@ -211,14 +203,14 @@ def _numerator(weights: tuple[int, ...], terms: int) -> tuple[list[int], int]:
     field width in bytes.  Row ``p`` is one integer
     ``sum_i num[p][i] 2^(F i)`` of signed fields ``F`` bits wide, which
     hold every coefficient, so a weight updates a row with one shift and
-    add; a row cut to ``terms`` fields returns to the symmetric range."""
+    add; a row cut to ``terms`` fields returns to the symmetric range, so
+    a weight of ``terms`` or more, shifted wholly past the cut, adds
+    nothing."""
     width = _numerator_width(len(weights))
     field = 8 * width
     half, mask = 1 << field * terms - 1, (1 << field * terms) - 1
     rows, degree = [1] + [0] * len(weights), 0
     for j, w in enumerate(weights):
-        if w >= terms:
-            continue        # (1 - x^w) + y x^w is 1 below x^terms
         shift, degree = field * w, degree + w
         # num[p] <- num[p] (1 - x^w) + num[p - 1] x^w, from the top row down
         # so that row p - 1 still holds its value from before the weight
@@ -319,7 +311,8 @@ def _ehrhart(samples: list[int], x: int, weights: tuple[int, ...], delta: int,
 def _total(q: WeightsVector, x: int) -> int:
     """The total ``L(x)`` of the reduced ``q``, from the samples
     ``L(-k..k)`` with ``k = min(|x|, n // 2)``."""
-    weights, delta = _reduced(q)
+    rd = reduction_data(q)
+    weights, delta = rd.reduced.q, rd.delta_reduced
     n = len(weights) - 1
     k = min(abs(x), n // 2)
     return _ehrhart(_total_samples(weights, delta, k), x, weights, delta, n, total=True)
@@ -368,7 +361,8 @@ def face_histogram(q: WeightsVector, m: int) -> dict[int, int]:
         raise ValueError("dilation factor must be nonnegative")
     if m == 0:
         return {0: 1}
-    weights, delta = _reduced(q)
+    rd = reduction_data(q)
+    weights, delta = rd.reduced.q, rd.delta_reduced
     n = len(weights) - 1
     k = min(m, n // 2)
     samples, totals = _face_samples(weights, delta, k)

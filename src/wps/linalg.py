@@ -323,7 +323,8 @@ def _solve_upper(block, rhs) -> list[list[int]]:
 def _primitive_rows(a) -> tuple[list[list[int]], tuple[int, ...], int]:
     """Primitive rows ``r_k`` with ``r_k @ a == lam_k * e_k``, ``lam_k > 0``,
     and ``det`` of the matrix ``R`` of those rows (the paper's W-hat); ``a``
-    is given by its rows, and ``R`` is returned as rows.
+    is given by its rows, ``n x n`` with ``n >= 1`` (a :class:`LatticeSimplex`'s
+    edges or a :class:`FanMatrix`'s block), and ``R`` is returned as rows.
 
     Gauss-Jordan on ``[a | I]`` that divides each updated row by its
     content (that of its right block ``r``, as the left is ``r @ a``), so
@@ -344,8 +345,6 @@ def _primitive_rows(a) -> tuple[list[list[int]], tuple[int, ...], int]:
     raises :class:`SingularMatrixError` for a singular ``a``.
     """
     n = len(a)
-    if not n or any(len(r) != n for r in a):
-        raise DimensionError("primitive rows of an empty or non-square matrix")
     mat = [list(r) + [0] * i + [1] + [0] * (n - 1 - i) for i, r in enumerate(a)]
     perm = list(range(n))               # right-block column n+p is column perm[p] of R
     det = 1

@@ -124,7 +124,7 @@ def test_criterion_06_admissibility_condition_agreement():
             n = rng.randint(1, 4)
             m = IntMatrix.from_rows(
                 [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
-            if m.det() == 0 or m.entry_gcd() != 1:
+            if to_rational(m).det() == 0 or m.entry_gcd() != 1:
                 continue
             done += 1
             verdict = is_p_admissible(m)

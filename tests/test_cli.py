@@ -421,7 +421,32 @@ def test_wrong_shape_payload_names_the_file(capsys, tmp_path):
     code, out, err = run(capsys, "recognize-fan", "--matrix", str(path))
     assert code == 2 and out == ""
     assert err == (f"error: bad matrix payload in {path}: "
-                   "fan matrix must be n x (n+1) with n >= 1, got 2x1\n")
+                   "expected n x (n+1) with n >= 1, got 2x1\n")
+
+
+@pytest.mark.parametrize("subcommand,flag,payload,what,message", [
+    ("recognize-fan", "--matrix", [], "matrix", "zero-row matrix needs an explicit column count"),
+    ("recognize-fan", "--matrix", [[]], "matrix", "bad shape 1x0"),
+    ("recognize-fan", "--matrix", [[1, 0, 1], [0, 1]], "matrix", "ragged rows"),
+    ("recognize-polytope", "--vertices", {"vertices": []}, "vertices",
+     "a simplex needs at least two vertices"),
+    ("recognize-polytope", "--vertices", {"vertices": [[]]}, "vertices",
+     "a simplex needs at least two vertices"),
+])
+def test_shapeless_payloads_are_refused_where_they_are_read(capsys, tmp_path, subcommand, flag,
+                                                            payload, what, message):
+    # no index error, no ragged matrix and no 0-dimensional simplex
+    # reaches recognition
+    path = tmp_path / "shapeless.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, subcommand, flag, str(path)) == (
+        2, "", f"error: bad {what} payload in {path}: {message}\n")
+
+
+def test_blank_weights_are_refused_by_name(capsys):
+    # not as a malformed integer ' '
+    assert run(capsys, "fan", "--weights", " ") == (
+        2, "", "error: bad weights ' ': empty weights list\n")
 
 
 def test_lattice_points(capsys):

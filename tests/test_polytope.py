@@ -285,7 +285,7 @@ def test_admissibility_conditions_agree_on_random_matrices():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
         m = IntMatrix.from_rows(rows)
-        if m.det() == 0 or m.entry_gcd() != 1:
+        if to_rational(m).det() == 0 or m.entry_gcd() != 1:
             continue
         trials += 1
         admissible = is_p_admissible(m)
@@ -357,6 +357,13 @@ def test_permuted_polytope_stays_admissible():
 def test_simplex_validation():
     with pytest.raises(ValueError):
         LatticeSimplex(vertices=((0, 0), (1, 0)))          # too few vertices
+
+
+@pytest.mark.parametrize("vertices", [(), ((),)])
+def test_a_simplex_has_at_least_two_vertices(vertices):
+    # with one vertex, the 0-dimensional simplex, or none
+    with pytest.raises(DimensionError, match="^a simplex needs at least two vertices$"):
+        LatticeSimplex(vertices=vertices)
 
 
 def test_polarized_wps_guards():
